@@ -1,5 +1,10 @@
 """Load-cell force calibration: static bias removal and tip-weight
-gravity compensation via local<->inertial rotation transforms."""
+gravity compensation via local<->inertial rotation transforms.
+
+This module is the reference oracle for the load cell.  The simulated
+probe (``policy.ProbePlant``) applies the same chain folded into one
+affine map per palpation; tests check that map against these functions.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatch
+from .errors import ConfigInvalid, FrameMismatch
 
 LOAD_CELL_LOCAL = "load_cell_local"
 INERTIAL = "inertial"
@@ -45,9 +50,9 @@ class CalibrationParams:
 
     def __post_init__(self):
         if self.tip_weight_n < 0:
-            raise FrameMismatch("tip_weight_n must be >= 0")
+            raise ConfigInvalid("tip_weight_n must be >= 0")
         if self.resultant_mode not in ("norm", "per_axis_rms"):
-            raise FrameMismatch(f"unknown resultant mode {self.resultant_mode!r}")
+            raise ConfigInvalid(f"unknown resultant mode {self.resultant_mode!r}")
 
 
 def rotation_zyx(e: EulerZYX) -> np.ndarray:

@@ -3,7 +3,7 @@
 Subcommands:
     run        one condition from a config file and/or flags
     matrix     the full strategy x mode condition sweep
-    export-gt  write the ground-truth tumor cloud as PLY
+    export-gt  write the ground-truth tumor cloud that ``run`` scores against, as PLY
     eval       F-score an external reconstruction PLY against a ground-truth PLY
 """
 
@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .evaluation import fscore
 from .experiment import (
+    _ground_truth,
     config_from_flat,
     load_config_file,
     run_experiment,
@@ -63,7 +65,8 @@ def main(argv=None) -> int:
 
     p_gt = sub.add_parser("export-gt", help="export the ground-truth tumor cloud")
     _add_common(p_gt)
-    p_gt.add_argument("--samples", type=int, default=2000)
+    p_gt.add_argument("--samples", type=int,
+                      help="points to sample (default: the config's gt_samples)")
     p_gt.add_argument("--file", default="gt.ply", help="output PLY path")
 
     p_eval = sub.add_parser("eval", help="score a reconstruction PLY against a GT PLY")
@@ -91,8 +94,9 @@ def main(argv=None) -> int:
 
     if args.command == "export-gt":
         cfg = _build_config(args)
-        phantom = build_phantom(cfg.phantom, cfg.tumor)
-        cloud = phantom.ground_truth_cloud(args.samples, seed=[cfg.seed, 9001])
+        if args.samples is not None:
+            cfg = replace(cfg, gt_samples=args.samples)
+        cloud = _ground_truth(cfg, build_phantom(cfg.phantom, cfg.tumor))
         export_ply(cloud, args.file)
         print(f"wrote {len(cloud)} points to {args.file}")
         return 0

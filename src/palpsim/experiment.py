@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibrationParams
-from .errors import Empty, PalpSimError
+from .errors import Empty, OutOfRange, PalpSimError
 from .evaluation import (
     FScoreReport,
     aggregate_trials,
@@ -95,7 +95,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.budget < 1 or self.trials < 1:
-            raise Empty("budget and trials must be >= 1")
+            raise OutOfRange("budget and trials must be >= 1")
 
     @property
     def condition(self) -> str:
@@ -336,7 +336,7 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
     output directory so every run records its exact parameters)."""
     prof = cfg.phantom.surface_profile
     flat = {
-        "label": cfg.condition,
+        "label": cfg.label,
         "shape": cfg.tumor.shape,
         "strategy": cfg.strategy,
         "mode": cfg.mode,
@@ -390,6 +390,7 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
         "probe.ticks_per_stroke": cfg.probe.ticks_per_stroke,
         "probe.hover": cfg.probe.hover,
         "probe.contact_loss_timeout": cfg.probe.contact_loss_timeout,
+        "probe.gravity_residual": list(cfg.probe.gravity_residual),
         "cal.tip_weight_n": cfg.cal.tip_weight_n,
         "cal.z_offset": list(cfg.cal.z_offset),
         "cal.resultant_mode": cfg.cal.resultant_mode,

@@ -6,9 +6,11 @@ height field sandwiched between fat and muscle.  It answers contact
 queries with a piecewise Kelvin-Voigt force law and synthesizes both
 depth-camera-style surface clouds and ground-truth tumor clouds.
 
-Scalar query paths (``z_skin``, ``contact_force``) are plain-float math
-so the 1 kHz control loop stays cheap; cloud generation uses vectorized
-numpy paths.
+Scalar query paths (``z_skin``, ``contact_force``, ``surface_normal``)
+are plain-float math so the 1 kHz control loop stays cheap.  Their
+``*_np`` twins apply the same arithmetic to arrays; the probe descent
+evaluates a window of steps through them, and cloud generation uses
+them too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ GAUSS_BUMP = "gauss_bump"
 HEMISPHERE = "hemisphere"
 ELLIPSOID = "ellipsoid"
 CRESCENT = "crescent"
+
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,27 @@ class SurfaceProfile:
         if self.kind == CYL_BUMP:
             u = np.asarray(xs, dtype=float) / self.radius
             return self.amplitude * np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        r2 = np.asarray(xs, dtype=float) ** 2 + np.asarray(ys, dtype=float) ** 2
-        return self.amplitude * np.exp(-r2 / (2.0 * self.sigma**2))
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        r2 = xs * xs + ys * ys
+        # math.exp, not np.exp: numpy's exp can differ in the last bit, and
+        # the array and scalar contact laws must agree exactly
+        return self.amplitude * _exp(-r2 / (2.0 * self.sigma * self.sigma))
+
+    def slope_np(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of ``slope``, with the same operations in the same order."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if self.kind == FLAT:
+            return np.zeros_like(xs), np.zeros_like(ys)
+        if self.kind == CYL_BUMP:
+            u = xs / self.radius
+            s = 1.0 - u * u
+            live = s > 1e-12
+            gx = -self.amplitude * u / (self.radius * np.sqrt(np.where(live, s, 1.0)))
+            return np.where(live, gx, 0.0), np.zeros_like(ys)
+        g = self.height_np(xs, ys) / (self.sigma * self.sigma)
+        return -xs * g, -ys * g
 
 
 def flat_profile() -> SurfaceProfile:
@@ -199,7 +222,11 @@ class TumorGeometry:
         return self.top_height
 
     def height(self, x: float, y: float) -> float:
-        """Tumor height above the muscle bed; 0 outside the footprint."""
+        """Tumor height above the muscle bed; 0 outside the footprint.
+
+        Built from + - * / and sqrt only (no ``**`` or ``hypot``), which
+        numpy rounds the same way, so ``height_np`` agrees bit for bit.
+        """
         dx = x - self.center_xy[0]
         dy = y - self.center_xy[1]
         if self.shape == HEMISPHERE:
@@ -207,11 +234,13 @@ class TumorGeometry:
             return math.sqrt(s) if s > 0.0 else 0.0
         if self.shape == ELLIPSOID:
             ax, ay, az = self.semi_axes
-            s = 1.0 - (dx / ax) ** 2 - (dy / ay) ** 2
+            u, v = dx / ax, dy / ay
+            s = 1.0 - u * u - v * v
             return az * math.sqrt(s) if s > 0.0 else 0.0
         # crescent: outer disk minus offset inner disk, flat top, filleted edge
-        rho_out = math.hypot(dx, dy)
-        rho_in = math.hypot(dx - self.inner_offset, dy)
+        ex = dx - self.inner_offset
+        rho_out = math.sqrt(dx * dx + dy * dy)
+        rho_in = math.sqrt(ex * ex + dy * dy)
         d_edge = min(self.radius - rho_out, rho_in - self.inner_radius)
         if d_edge <= 0.0:
             return 0.0
@@ -224,12 +253,14 @@ class TumorGeometry:
         dx = np.asarray(xs, dtype=float) - self.center_xy[0]
         dy = np.asarray(ys, dtype=float) - self.center_xy[1]
         if self.shape == HEMISPHERE:
-            return np.sqrt(np.maximum(0.0, self.radius**2 - dx * dx - dy * dy))
+            return np.sqrt(np.maximum(0.0, self.radius * self.radius - dx * dx - dy * dy))
         if self.shape == ELLIPSOID:
             ax, ay, az = self.semi_axes
-            return az * np.sqrt(np.maximum(0.0, 1.0 - (dx / ax) ** 2 - (dy / ay) ** 2))
-        rho_out = np.hypot(dx, dy)
-        rho_in = np.hypot(dx - self.inner_offset, dy)
+            u, v = dx / ax, dy / ay
+            return az * np.sqrt(np.maximum(0.0, 1.0 - u * u - v * v))
+        ex = dx - self.inner_offset
+        rho_out = np.sqrt(dx * dx + dy * dy)
+        rho_in = np.sqrt(ex * ex + dy * dy)
         d_edge = np.minimum(self.radius - rho_out, rho_in - self.inner_radius)
         t = 1.0 - np.clip(d_edge, 0.0, self.fillet_radius) / self.fillet_radius
         h = self.top_height * np.sqrt(np.maximum(0.0, 1.0 - t * t))
@@ -319,6 +350,12 @@ class Phantom:
         inv = 1.0 / math.sqrt(gx * gx + gy * gy + 1.0)
         return -gx * inv, -gy * inv, inv
 
+    def surface_normal_np(self, xs: np.ndarray, ys: np.ndarray):
+        """Array form of ``surface_normal``: (nx, ny, nz) arrays."""
+        gx, gy = self._profile.slope_np(xs, ys)
+        inv = 1.0 / np.sqrt(gx * gx + gy * gy + 1.0)
+        return -gx * inv, -gy * inv, inv
+
     def z_skin_np(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return self._skin_base + self._profile.height_np(xs, ys)
 
@@ -351,6 +388,21 @@ class Phantom:
         if probe_vz < 0.0:
             f += self._damping * (-probe_vz)
         return ContactResponse(f, d, regime)
+
+    def contact_force_np(self, qx: np.ndarray, qy: np.ndarray, probe_z: np.ndarray,
+                         probe_vz: float = 0.0) -> np.ndarray:
+        """Normal force of ``contact_force`` at arrays of query points
+        sharing one descent speed; 0 where out of contact."""
+        d = self.z_skin_np(qx, qy) - probe_z
+        h = (self.tumor.height_np(qx, qy) if self.tumor is not None
+             else np.zeros_like(d))
+        d_stop = self._stack - h
+        k_hard = np.where(h > 0.0, self._k_tumor, self._k_muscle)
+        f = np.where(d <= d_stop, self._k_soft * d,
+                     self._k_soft * d_stop + k_hard * (d - d_stop))
+        if probe_vz < 0.0:
+            f = f + self._damping * (-probe_vz)
+        return np.where(d > 0.0, f, 0.0)
 
     # -- synthetic sensing --------------------------------------------------
 

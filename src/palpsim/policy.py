@@ -4,8 +4,10 @@ oscillation until the inclusion's boundary with the muscle bed.
 
 The plant is a Cartesian point-mass probe stepped by semi-implicit
 Euler at the controller period; joint-space dynamics are out of scope.
-The inner loop is written in plain-float arithmetic on purpose: it runs
-at 1 kHz simulated rate for thousands of steps per palpation.
+The probe descent is kinematic, so it is evaluated a window of steps at
+a time with numpy and stops at the first step that meets a stop rule.
+The contour-follow loop stays scalar, in plain-float arithmetic: each
+1 kHz tick depends on the one before it.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import (
-    CalibrationParams,
-    EulerZYX,
-    ForceReading,
-    compensate_tip_weight,
-    euler_from_axis,
-    remove_z_offset,
-    rotation_zyx,
-)
+from .calibration import CalibrationParams, EulerZYX, euler_from_axis, rotation_zyx
 from .errors import (
     AdmissibleForceExceeded,
     Exhausted,
@@ -160,11 +154,19 @@ class ProbePlant:
     """Point-mass probe with a spherical tip and a simulated load cell.
 
     Holds mutable Cartesian state plus the fixed tip orientation for the
-    current palpation.  The sensing model produces a local-frame load
-    cell reading (true contact force plus tip weight, rotated into the
-    body frame, plus static bias); measurements run through the
-    calibration chain, so with ideal parameters they recover the true
-    force exactly.
+    current palpation.  The load cell sees the true contact force f plus
+    the tip weight w, in the body frame of the true orientation R_true;
+    the calibration chain of ``calibration.py`` rotates back with the
+    estimated orientation R_est and removes the weight.  With the
+    orientation fixed per palpation that chain is the affine map
+
+        out   = M (f + w z) - w z,   M = R_est R_true^T
+        axial = R_est[:, 2] . out
+
+    which ``align`` sets up once and ``measure`` applies.  With ideal
+    parameters (R_est = R_true) it recovers the true force.  The static
+    bias ``cal.z_offset`` is added by the sensor and subtracted by the
+    chain, so it cancels by construction and cannot model a bias fault.
     """
 
     def __init__(self, phantom: Phantom, params: ProbeParams,
@@ -183,7 +185,8 @@ class ProbePlant:
     # -- pose / orientation --------------------------------------------------
 
     def align(self, position, axis, rng: Optional[np.random.Generator] = None) -> None:
-        """Place the probe and point its tip axis along ``axis`` (outward)."""
+        """Place the probe, point its tip axis along ``axis`` (outward) and
+        set up the load-cell map for this orientation."""
         self.px, self.py, self.pz = (float(position[0]), float(position[1]),
                                      float(position[2]))
         self.vx = self.vy = self.vz = 0.0
@@ -191,7 +194,6 @@ class ProbePlant:
         n = math.sqrt(sum(float(a) ** 2 for a in axis))
         self.axis = (float(axis[0]) / n, float(axis[1]) / n, float(axis[2]) / n)
         self.euler = euler_from_axis(self.axis)
-        self._r_true = rotation_zyx(self.euler)
         euler_est = self.euler
         if rng is not None and self.cal.angle_noise > 0.0:
             euler_est = EulerZYX(
@@ -200,8 +202,12 @@ class ProbePlant:
                 self.euler.phi + rng.normal(0.0, self.cal.angle_noise),
             )
         self.euler_est = euler_est
-        self._rt = [list(row) for row in self._r_true.T]   # body <- inertial
-        self._r_est = rotation_zyx(euler_est)
+        r_true = rotation_zyx(self.euler).tolist()
+        r_est = rotation_zyx(euler_est).tolist()
+        self._m = [[sum(r_est[i][k] * r_true[j][k] for k in range(3)) for j in range(3)]
+                   for i in range(3)]
+        self._axial = [r_est[0][2], r_est[1][2], r_est[2][2]]
+        self._w = float(self.cal.tip_weight_n)
 
     def state(self) -> PlantState:
         return PlantState(
@@ -218,23 +224,29 @@ class ProbePlant:
 
     # -- sensing ---------------------------------------------------------------
 
-    def measure(self, fx: float, fy: float, fz: float) -> tuple[float, np.ndarray]:
-        """Run a true inertial contact force through the load-cell chain.
+    def load_cell(self, fx, fy, fz):
+        """The load-cell map on a true inertial contact force.
 
-        Returns (axial component along the tip axis, calibrated force
-        re-expressed in the inertial frame).
+        Takes floats or equal-shape arrays and does the same arithmetic
+        on either.  Returns (axial, out_x, out_y, out_z).
         """
-        rt = self._rt
-        ml = self.cal.tip_weight_n
-        gx, gy, gz = fx, fy, fz + ml
-        raw = np.array([
-            rt[0][0] * gx + rt[0][1] * gy + rt[0][2] * gz + self.cal.z_offset[0],
-            rt[1][0] * gx + rt[1][1] * gy + rt[1][2] * gz + self.cal.z_offset[1],
-            rt[2][0] * gx + rt[2][1] * gy + rt[2][2] * gz + self.cal.z_offset[2],
-        ])
-        local = remove_z_offset(ForceReading(raw), self.cal)
-        comp = compensate_tip_weight(local, self.euler_est, self.cal)
-        return float(comp.f[2]), self._r_est @ comp.f
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self._m
+        w = self._w
+        gz = fz + w
+        ox = m00 * fx + m01 * fy + m02 * gz
+        oy = m10 * fx + m11 * fy + m12 * gz
+        oz = m20 * fx + m21 * fy + m22 * gz - w
+        ax, ay, az = self._axial
+        return ax * ox + ay * oy + az * oz, ox, oy, oz
+
+    def measure(self, fx: float, fy: float, fz: float) -> tuple[float, np.ndarray]:
+        """Read a true inertial contact force through the load cell.
+
+        Returns (axial component along the estimated tip axis, calibrated
+        force re-expressed in the inertial frame).
+        """
+        axial, ox, oy, oz = self.load_cell(fx, fy, fz)
+        return axial, np.array([ox, oy, oz])
 
 
 def step_plant(state: PlantState, f_cmd, phantom: Phantom, dt: float,
@@ -292,6 +304,17 @@ def _step(px, py, pz, vx, vy, vz, fcx, fcy, fcz, phantom, dt, mass, tip_r,
     return px, py, pz, vx, vy, vz, fn > 0.0, fn, fvx, fvy, fvz
 
 
+_MAX_WINDOW = 4096  # descent steps evaluated per pass
+
+
+def _ramp(start: float, step: float, n: int) -> np.ndarray:
+    """start, start + step, ... (n + 1 values) as a running sum, which
+    gives the same floats as adding ``step`` n times in a loop."""
+    out = np.full(n + 1, step)
+    out[0] = start
+    return np.cumsum(out)
+
+
 def probe_cell(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
                cell: tuple[int, int], params: ProbeParams,
                gains: ControllerGains,
@@ -308,39 +331,49 @@ def probe_cell(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     start = point + (params.hover + r) * normal
     plant.align(start, (nx, ny, nz), rng)
 
-    dt = gains.period
-    step_len = params.indent_speed * dt
+    step_len = params.indent_speed * gains.period
     travel_limit = params.hover + params.d_thres + 0.005
     # kinematic descent along -normal; the discrete approach move is not
-    # part of the contact dynamics under study
-    px, py, pz = plant.px, plant.py, plant.pz
+    # part of the contact dynamics under study.  Each pass evaluates a
+    # window of steps and stops at the first one that meets a stop rule.
     vz_query = -params.indent_speed * nz
+    window = min(_MAX_WINDOW, int(travel_limit / step_len) + 2)
+    px, py, pz = plant.px, plant.py, plant.pz
     traveled = 0.0
+    done = 0  # steps taken before this window
     p_zi = None
-    f_axial = 0.0
-    f_vec = np.zeros(3)
     while True:
-        cx = px - r * nx
-        cy = py - r * ny
-        cz = pz - r * nz
-        cr = phantom.contact_force(cx, cy, cz, vz_query)
-        if cr.normal_force > 0.0:
-            nsx, nsy, nsz = phantom.surface_normal(cx, cy)
-            fn = cr.normal_force
-            f_axial, f_vec = plant.measure(fn * nsx, fn * nsy, fn * nsz)
-            if p_zi is None:
-                p_zi = pz
-            d_z = abs(pz - p_zi)
-            if f_axial >= params.f_thres or d_z >= params.d_thres:
-                break
-        elif traveled > travel_limit:
-            raise NoContact(
-                f"no contact within {travel_limit * 1e3:.1f} mm of travel at cell {cell}"
-            )
-        px -= step_len * nx
-        py -= step_len * ny
-        pz -= step_len * nz
-        traveled += step_len
+        xs = _ramp(px, -(step_len * nx), window)
+        ys = _ramp(py, -(step_len * ny), window)
+        zs = _ramp(pz, -(step_len * nz), window)
+        trav = _ramp(traveled, step_len, window)
+        z = zs[:-1]
+        cx = xs[:-1] - r * nx
+        cy = ys[:-1] - r * ny
+        fn = phantom.contact_force_np(cx, cy, z - r * nz, vz_query)
+        touch = fn > 0.0
+        nsx, nsy, nsz = phantom.surface_normal_np(cx, cy)
+        fx, fy, fz = fn * nsx, fn * nsy, fn * nsz
+        axial = plant.load_cell(fx, fy, fz)[0]
+        if p_zi is None and touch.any():
+            p_zi = float(z[np.argmax(touch)])
+        stop = touch & (axial >= params.f_thres)
+        if p_zi is not None:
+            stop |= touch & (np.abs(z - p_zi) >= params.d_thres)
+        out_of_travel = ~touch & (trav[:-1] > travel_limit)
+        end = stop | out_of_travel
+        if end.any():
+            i = int(np.argmax(end))
+            break
+        px, py, pz, traveled = xs[-1], ys[-1], zs[-1], trav[-1]
+        done += window
+    if out_of_travel[i]:
+        raise NoContact(
+            f"no contact within {travel_limit * 1e3:.1f} mm of travel at cell {cell} "
+            f"({done + i} steps)"
+        )
+    px, py, pz = float(xs[i]), float(ys[i]), float(zs[i])
+    f_axial, f_vec = plant.measure(float(fx[i]), float(fy[i]), float(fz[i]))
     plant.px, plant.py, plant.pz = px, py, pz
     plant.vx = plant.vy = plant.vz = 0.0
     plant.in_contact = True

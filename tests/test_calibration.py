@@ -13,7 +13,7 @@ from palpsim import (
     rotation_zyx,
 )
 from palpsim.calibration import INERTIAL, LOAD_CELL_LOCAL, euler_from_axis
-from palpsim.errors import FrameMismatch
+from palpsim.errors import ConfigInvalid, FrameMismatch
 
 
 def random_euler(rng):
@@ -52,6 +52,16 @@ class TestRotationZYX:
             axis /= np.linalg.norm(axis)
             r = rotation_zyx(euler_from_axis(axis))
             assert np.allclose(r @ [0, 0, 1], axis, atol=1e-12)
+
+
+class TestCalibrationParams:
+    def test_negative_tip_weight_is_invalid_config(self):
+        with pytest.raises(ConfigInvalid):
+            CalibrationParams(tip_weight_n=-0.1)
+
+    def test_unknown_resultant_mode_is_invalid_config(self):
+        with pytest.raises(ConfigInvalid):
+            CalibrationParams(resultant_mode="max")
 
 
 class TestRemoveZOffset:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from palpsim import (
+    ExperimentConfig,
     PointCloud,
     config_from_flat,
     default_config,
@@ -16,7 +17,7 @@ from palpsim import (
 )
 from palpsim.experiment import config_to_flat  # noqa: F401  (echo round trip)
 from palpsim.cli import main as cli_main
-from palpsim.errors import EmptyCloud
+from palpsim.errors import EmptyCloud, OutOfRange
 
 
 def small_config(**kw):
@@ -136,6 +137,28 @@ class TestRunExperiment:
         assert (back.strategy, back.mode, back.budget, back.seed) == \
                (cfg.strategy, cfg.mode, cfg.budget, cfg.seed)
 
+    @pytest.mark.parametrize("label", ["", "faults"])
+    def test_fault_config_echo_reloads_equal(self, tmp_path, label):
+        # the sensing faults of the cf_faults benchmark workload, all off
+        # their defaults
+        cfg = small_config(shape="ellipsoid", strategy="rs", trials=1, budget=3,
+                           label=label)
+        cfg = replace(cfg,
+                      cal=replace(cfg.cal, angle_noise=0.02),
+                      probe=replace(cfg.probe, gravity_residual=(0.01, 0.0, 0.02)),
+                      cloud=replace(cfg.cloud, noise_sigma=0.001))
+        run_experiment(cfg, tmp_path, verbose=False)
+        assert config_from_flat(load_config_file(tmp_path / "config.txt")) == cfg
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["budget", "trials"])
+    def test_count_below_one_is_out_of_range(self, field):
+        with pytest.raises(OutOfRange):
+            ExperimentConfig(**{field: 0})
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{field: -3})
+
 
 class TestRunMatrix:
     def test_summary_rows_and_combined(self, tmp_path):
@@ -220,6 +243,16 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "fscore=1.0000" in out
+
+    def test_export_gt_writes_the_cloud_run_scores_against(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("mode = discrete\ntrials = 1\nbudget = 10\nseed = 3\n"
+                            "gt_samples = 700\n")
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        gt_path = tmp_path / "gt.ply"
+        assert cli_main(["export-gt", "--config", str(cfg_file), "--file", str(gt_path)]) == 0
+        assert len(read_ply(gt_path)) == 700
+        assert gt_path.read_bytes() == (tmp_path / "out" / "gt.ply").read_bytes()
 
     def test_eval_against_sim_recon(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
