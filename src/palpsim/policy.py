@@ -28,7 +28,8 @@ from .errors import (
 )
 from .phantom import Phantom
 from .registration import SurfaceGrid, cell_to_surface
-from .search import Acquisition, GPHyper, StiffnessSample, gp_fit, next_cell_bo, next_cell_random
+from .search import (Acquisition, GPHyper, GPModel, StiffnessSample, gp_fit, next_cell_bo,
+                     next_cell_random)
 
 # Palpation strategies / modes.
 BO = "bo"
@@ -557,7 +558,7 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
                seed: int, cal: Optional[CalibrationParams] = None,
                hyper: GPHyper = GPHyper(), xi: float = 5.0,
                n_init: int = 3) -> tuple[list[ProbeResult], list[PalpationTrajectory]]:
-    """Full palpation loop: select cell, probe, refit GP, optionally follow.
+    """Full palpation loop: select cell, probe, grow the GP, optionally follow.
 
     Each selection counts once against the budget.  Selection and stroke
     directions draw from independent seeded streams, so a discrete run
@@ -578,12 +579,14 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
     rng_sense = np.random.default_rng([int(seed), 2])
     plant = ProbePlant(phantom, params, cal)
     samples: list[StiffnessSample] = []
+    gp: Optional[GPModel] = None  # fitted once, then grown by one sample per probe
     visited: set[tuple[int, int]] = set()
     results: list[ProbeResult] = []
     trajectories: list[PalpationTrajectory] = []
     for _ in range(budget):
         if strategy == BO and len(samples) >= n_init:
-            gp = gp_fit(samples, hyper)
+            if gp is None:
+                gp = gp_fit(samples, hyper)
             acq = Acquisition(xi=xi, best_k=max(s.k for s in samples))
             cell = next_cell_bo(gp, grid, visited, acq, rng_select)
         else:
@@ -592,6 +595,8 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
         res = probe_cell(plant, phantom, grid, cell, params, gains, rng_sense)
         results.append(res)
         samples.append(StiffnessSample(cell, res.k))
+        if gp is not None:
+            gp.add(samples[-1])
         if mode == CONTOUR_FOLLOWING and res.classified_tumor:
             trajectories.append(
                 contour_follow(plant, phantom, grid, res, params, gains, rng_stroke)

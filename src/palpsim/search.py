@@ -5,6 +5,13 @@ The GP uses a squared-exponential kernel over (u, v) cell coordinates
 with the length scale in cell units.  Hyperparameters are fixed per run;
 sample budgets of 50-80 indentations are too small for stable online
 hyperparameter fitting.
+
+Each palpation adds one sample, so the posterior grows instead of being
+refitted: ``GPModel`` keeps a lower Cholesky factor that gains one row
+per new distinct cell, and, for the grid it last scanned, the rows
+``L⁻¹ K(x, valid cells)`` with their running column sums of squares.
+A scan after a new sample costs one kernel column over the valid cells
+and one O(n·m) product.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from .errors import Exhausted, SingularKernel
@@ -49,65 +56,157 @@ class Acquisition:
 
 
 class GPModel:
-    """Posterior over stiffness with a cached Cholesky solve.
+    """Posterior over stiffness that grows one sample at a time.
 
-    The prior mean is the training-sample mean, so predictions far from
-    all data revert to it (and the variance to signal_var).  Immutable
-    after fit; predict/EI are concurrency-safe reads.
+    Samples at the same cell are averaged, so the factor depends on the
+    distinct cells only: ``add`` records a sample, and a new cell's row
+    of the lower Cholesky factor ``L`` of K(x, x) + (noise_var + jitter) I
+    is appended at the next prediction or scan, as ``l = L⁻¹ k`` and
+    ``d = √(signal_var + noise_var + jitter − l·l)``.  A repeated cell
+    only updates its averaged ``y``.
+
+    The prior mean is the mean of the per-cell averages, so predictions
+    far from all data revert to it (and the variance to signal_var):
+    ``var = signal_var − ‖L⁻¹kₛ‖²`` and ``μ = ȳ + (L⁻¹(y − ȳ))·(L⁻¹kₛ)``.
+    ``predict_grid`` keeps ``V = L⁻¹ K(x, valid cells)`` and the column
+    sums of ``V²`` for the last grid it scanned, and appends one row of
+    each per new cell.
     """
 
-    def __init__(self, samples: list[StiffnessSample], hyper: GPHyper,
-                 x: np.ndarray, y: np.ndarray, mean_y: float, chol, alpha: np.ndarray):
-        self.samples = list(samples)
+    def __init__(self, hyper: GPHyper = GPHyper()):
         self.hyper = hyper
-        self.x = x
-        self.y = y
-        self.mean_y = mean_y
-        self._chol = chol
-        self._alpha = alpha
+        self.samples: list[StiffnessSample] = []
+        self._index: dict[tuple[int, int], int] = {}
+        self._cells: list[tuple[int, int]] = []   # distinct cells, first-seen order
+        self._ks: list[list[float]] = []          # raw stiffness per distinct cell
+        self._y: list[float] = []                 # their averages
+        self._chol = np.zeros((0, 0))             # L
+        self._rows = 0                            # rows of L built
+        self._grid: SurfaceGrid | None = None     # grid of the scan cache
+        self._mask = np.zeros((0, 0), dtype=bool)
+        self._valid = np.zeros((0, 2))
+        self._v = np.zeros((0, 0))                # V, in a buffer that grows
+        self._v_rows = 0
+        self._v_sq = np.zeros(0)                  # column sums of V²
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        """Number of distinct sampled cells."""
+        return len(self._cells)
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.array(self._cells, dtype=float).reshape(-1, 2)
+
+    @property
+    def y(self) -> np.ndarray:
+        return np.array(self._y)
+
+    @property
+    def mean_y(self) -> float:
+        return float(self.y.mean())
+
+    def add(self, sample: StiffnessSample) -> None:
+        """Record one sample; its factor row is appended on the next read."""
+        cell = (int(sample.cell[0]), int(sample.cell[1]))
+        i = self._index.setdefault(cell, len(self._cells))
+        if i == len(self._cells):
+            self._cells.append(cell)
+            self._ks.append([])
+            self._y.append(0.0)
+        self._ks[i].append(float(sample.k))
+        self._y[i] = float(np.mean(self._ks[i]))
+        self.samples.append(sample)
+
+    def _factor(self) -> np.ndarray:
+        """Append the rows of L for cells added since the last call; return L."""
+        n, h = self.n, self.hyper
+        if n == 0:
+            raise ValueError("GP has no samples")
+        if self._rows < n:
+            x = self.x
+            chol = np.zeros((n, n))
+            chol[:self._rows, :self._rows] = self._chol[:self._rows, :self._rows]
+            self._chol = chol
+            for i in range(self._rows, n):
+                k = _kernel(x[i:i + 1], x[:i], h)[0]
+                l = solve_triangular(chol[:i, :i], k, lower=True, check_finite=False) if i else k
+                d2 = h.signal_var + h.noise_var + _JITTER - l @ l
+                if not d2 > 0.0:
+                    raise SingularKernel(f"kernel not positive definite at cell {self._cells[i]}")
+                chol[i, :i] = l
+                chol[i, i] = math.sqrt(d2)
+                self._rows = i + 1
+        return self._chol
+
+    def _weights(self, chol: np.ndarray) -> tuple[float, np.ndarray]:
+        """Prior mean ȳ and L⁻¹(y − ȳ)."""
+        y = self.y
+        mean_y = float(y.mean())
+        return mean_y, solve_triangular(chol, y - mean_y, lower=True, check_finite=False)
 
     def predict_many(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at (m, 2) cell coordinates."""
+        chol = self._factor()
         cells = np.asarray(cells, dtype=float).reshape(-1, 2)
-        ks = _kernel(cells, self.x, self.hyper)
-        mu = self.mean_y + ks @ self._alpha
-        v = cho_solve(self._chol, ks.T)
-        var = self.hyper.signal_var - np.einsum("ij,ji->i", ks, v)
-        return mu, np.maximum(var, 0.0)
+        w = solve_triangular(chol, _kernel(self.x, cells, self.hyper), lower=True,
+                             check_finite=False)
+        mean_y, beta = self._weights(chol)
+        var = self.hyper.signal_var - np.einsum("ij,ij->j", w, w)
+        return mean_y + beta @ w, np.maximum(var, 0.0)
+
+    def predict_grid(self, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at ``grid.valid_cells()``, in that order.
+
+        Uses the cached ``V`` when ``grid`` is the grid of the last scan
+        with the same ``valid_mask``, and starts a new cache otherwise.
+        """
+        chol = self._factor()
+        if grid is not self._grid or not np.array_equal(grid.valid_mask, self._mask):
+            self._grid = grid
+            self._mask = grid.valid_mask.copy()
+            self._valid = grid.valid_cells().astype(float)
+            self._v = np.zeros((0, self._valid.shape[0]))
+            self._v_rows = 0
+            self._v_sq = np.zeros(self._valid.shape[0])
+        n, x = self.n, self.x
+        v = self._v = _grown(self._v, n)
+        for i in range(self._v_rows, n):
+            col = _kernel(x[i:i + 1], self._valid, self.hyper)[0]
+            v[i] = (col - chol[i, :i] @ v[:i]) / chol[i, i]
+            self._v_sq += v[i] * v[i]
+            self._v_rows = i + 1
+        mean_y, beta = self._weights(chol)
+        var = self.hyper.signal_var - self._v_sq
+        return mean_y + beta @ v[:n], np.maximum(var, 0.0)
+
+
+def _grown(buf: np.ndarray, rows: int) -> np.ndarray:
+    """``buf`` if it has ``rows`` rows, else a copy with room for twice as many."""
+    if buf.shape[0] >= rows:
+        return buf
+    out = np.zeros((max(rows, 2 * buf.shape[0], 8), buf.shape[1]))
+    out[:buf.shape[0]] = buf
+    return out
 
 
 def _kernel(a: np.ndarray, b: np.ndarray, hyper: GPHyper) -> np.ndarray:
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    """(len(a), len(b)) squared-exponential kernel between (·, 2) cells."""
+    du = a[:, None, 0] - b[None, :, 0]
+    dv = a[:, None, 1] - b[None, :, 1]
+    d2 = du * du + dv * dv
     return hyper.signal_var * np.exp(-0.5 * d2 / (hyper.length_scale**2))
 
 
 def gp_fit(samples: list[StiffnessSample], hyper: GPHyper = GPHyper()) -> GPModel:
-    """Fit the GP; duplicate cells are averaged before solving."""
+    """Fit the GP by adding ``samples`` in order; duplicate cells are averaged."""
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    by_cell: dict[tuple[int, int], list[float]] = {}
-    order: list[tuple[int, int]] = []
+    gp = GPModel(hyper)
     for s in samples:
-        cell = (int(s.cell[0]), int(s.cell[1]))
-        if cell not in by_cell:
-            by_cell[cell] = []
-            order.append(cell)
-        by_cell[cell].append(float(s.k))
-    x = np.array(order, dtype=float)
-    y = np.array([np.mean(by_cell[c]) for c in order])
-    mean_y = float(y.mean())
-    k = _kernel(x, x, hyper)
-    k[np.diag_indices_from(k)] += hyper.noise_var + _JITTER
-    try:
-        chol = cho_factor(k, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKernel(f"kernel not positive definite: {exc}") from exc
-    alpha = cho_solve(chol, y - mean_y)
-    return GPModel(samples, hyper, x, y, mean_y, chol, alpha)
+        gp.add(s)
+    gp._factor()
+    return gp
 
 
 def gp_predict(gp: GPModel, cell) -> tuple[float, float]:
@@ -131,33 +230,45 @@ def expected_improvement(gp: GPModel, cell, acq: Acquisition) -> float:
     return float(_ei(np.array([mu]), np.array([math.sqrt(var)]), acq.best_k, acq.xi)[0])
 
 
-def _candidates(grid: SurfaceGrid, visited) -> np.ndarray:
-    cells = grid.valid_cells()
+def _unvisited(grid: SurfaceGrid, visited) -> np.ndarray:
+    """Copy of ``grid.valid_mask`` with the visited cells cleared.
+
+    Visited cells outside the grid are ignored (a negative index would
+    otherwise wrap around).
+    """
+    free = grid.valid_mask.copy()
     if len(visited):
-        mask = np.array([(int(u), int(v)) not in visited for u, v in cells])
-        cells = cells[mask]
-    return cells
+        uv = np.array([(int(u), int(v)) for u, v in visited])
+        inside = (uv >= 0).all(axis=1) & (uv[:, 0] < grid.nx) & (uv[:, 1] < grid.ny)
+        free[uv[inside, 0], uv[inside, 1]] = False
+    return free
 
 
 def next_cell_bo(gp: GPModel, grid: SurfaceGrid, visited, acq: Acquisition,
                  rng: np.random.Generator) -> tuple[int, int]:
-    """Argmax of EI over unvisited valid cells; ties broken uniformly."""
+    """Argmax of EI over unvisited valid cells; ties broken uniformly.
+
+    The posterior comes from ``gp.predict_grid(grid)``, so repeated calls
+    on one grid extend the model's scan cache instead of rebuilding it.
+    """
     if gp.n < 2:
         raise ValueError("BO needs a GP fitted on at least 2 samples")
-    cells = _candidates(grid, visited)
-    if cells.shape[0] == 0:
+    free = _unvisited(grid, visited)
+    keep = free[grid.valid_mask]  # candidates among the valid cells, row-major
+    if not keep.any():
         raise Exhausted("no unvisited valid cell")
-    mu, var = gp.predict_many(cells.astype(float))
-    ei = _ei(mu, np.sqrt(var), acq.best_k, acq.xi)
+    mu, var = gp.predict_grid(grid)
+    ei = _ei(mu[keep], np.sqrt(var[keep]), acq.best_k, acq.xi)
     best = ei.max()
     ties = np.flatnonzero(ei == best)
     pick = ties[rng.integers(ties.size)]
-    return int(cells[pick, 0]), int(cells[pick, 1])
+    u, v = np.argwhere(free)[pick]
+    return int(u), int(v)
 
 
 def next_cell_random(grid: SurfaceGrid, visited, rng: np.random.Generator) -> tuple[int, int]:
     """Uniform draw over unvisited valid cells."""
-    cells = _candidates(grid, visited)
+    cells = np.argwhere(_unvisited(grid, visited))
     if cells.shape[0] == 0:
         raise Exhausted("no unvisited valid cell")
     pick = rng.integers(cells.shape[0])

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from palpsim import (
     Acquisition,
@@ -15,15 +18,16 @@ from palpsim import (
     next_cell_random,
 )
 from palpsim.errors import Exhausted
-from palpsim.search import _ei
+from palpsim.search import GPModel, _ei
 
 
-def make_grid(nx=20, ny=20):
+def make_grid(nx=20, ny=20, mask=None):
     height = np.zeros((nx, ny))
     normal = np.zeros((nx, ny, 3))
     normal[..., 2] = 1.0
-    return SurfaceGrid((0.0, 0.0), 0.002, 0.002, height, normal,
-                       np.ones((nx, ny), dtype=bool))
+    if mask is None:
+        mask = np.ones((nx, ny), dtype=bool)
+    return SurfaceGrid((0.0, 0.0), 0.002, 0.002, height, normal, mask)
 
 
 def dense_gp_oracle(samples, hyper, cells):
@@ -277,3 +281,210 @@ class TestNextCellRandom:
         p = 1.0 / 100
         sigma = math.sqrt(n * p * (1 - p))
         assert np.all(np.abs(counts - n * p) <= 3 * sigma)
+
+
+# -- candidate cells -------------------------------------------------------------
+
+def listcomp_candidates(grid, visited):
+    """The candidate scan the mask-based one replaced, kept as the reference."""
+    cells = grid.valid_cells()
+    if len(visited):
+        mask = np.array([(int(u), int(v)) not in visited for u, v in cells])
+        cells = cells[mask]
+    return cells
+
+
+class FixedRng:
+    """Stands in for a Generator whose next ``integers(n)`` returns ``i``."""
+
+    def __init__(self, i):
+        self.i = i
+        self.n = None
+
+    def integers(self, n):
+        self.n = int(n)
+        return self.i
+
+
+def flat_gp():
+    """A GP whose samples lie so far off the grid that every grid cell has
+    the same posterior, so every candidate ties on EI."""
+    return gp_fit([StiffnessSample((1000, 1000), 300.0),
+                   StiffnessSample((1000, 1010), 500.0)], GPHyper())
+
+
+def flat_bo(grid, visited, rng):
+    return next_cell_bo(flat_gp(), grid, visited, Acquisition(0.0, 500.0), rng)
+
+
+@st.composite
+def grids_and_visits(draw):
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    flat = draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+    mask = np.array(flat, dtype=bool).reshape(nx, ny)
+    assume(mask.any())
+    visited = draw(st.sets(st.tuples(st.integers(-3, nx + 2), st.integers(-3, ny + 2)),
+                           max_size=nx * ny + 6))
+    return make_grid(nx, ny, mask), visited
+
+
+class TestCandidates:
+    """Both selectors draw from the listcomp's cells, in its row-major order."""
+
+    def _picks(self, select, grid, visited):
+        ref = listcomp_candidates(grid, visited)
+        if ref.shape[0] == 0:
+            with pytest.raises(Exhausted):
+                select(grid, visited, FixedRng(0))
+            return
+        for i in range(ref.shape[0]):
+            rng = FixedRng(i)
+            assert select(grid, visited, rng) == tuple(int(c) for c in ref[i])
+            assert rng.n == ref.shape[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=grids_and_visits())
+    def test_random_matches_listcomp(self, case):
+        self._picks(next_cell_random, *case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grids_and_visits())
+    def test_bo_matches_listcomp(self, case):
+        self._picks(flat_bo, *case)
+
+    def test_flat_gp_ties_everywhere(self):
+        mu, var = flat_gp().predict_grid(make_grid(5, 5))
+        assert np.all(mu == 400.0) and np.all(var == GPHyper().signal_var)
+
+    @pytest.mark.parametrize("select", [next_cell_random, flat_bo])
+    def test_outside_cells_are_ignored(self, select):
+        # (-1, -1) would clear (2, 2) and (3, 0) would raise if used as indices
+        grid = make_grid(3, 3)
+        visited = {(-1, -1), (-3, 0), (0, -1), (3, 0), (1, 7), (1, 1)}
+        self._picks(select, grid, visited)
+        rng = FixedRng(7)
+        assert select(grid, visited, rng) == (2, 2)
+        assert rng.n == 8
+
+    @pytest.mark.parametrize("select", [next_cell_random, flat_bo])
+    def test_visited_may_be_a_list_of_numpy_ints(self, select):
+        grid = make_grid(2, 2)
+        visited = [(0, 0), (np.int64(1), np.int64(0)), (0, 1)]
+        assert select(grid, visited, FixedRng(0)) == (1, 1)
+
+
+# -- the growing posterior against a dense solve ---------------------------------
+
+hypers = st.builds(
+    lambda ls, sv, ratio: GPHyper(length_scale=ls, signal_var=sv, noise_var=sv * ratio),
+    st.floats(0.5, 5.0), st.floats(1e2, 1e5), st.floats(1e-3, 1.0))
+# cells run off the 8 x 8 grid on both sides; the narrow range makes duplicates
+sample_lists = st.lists(
+    st.builds(StiffnessSample, st.tuples(st.integers(-3, 10), st.integers(-3, 10)),
+              st.floats(0.0, 2000.0)),
+    min_size=1, max_size=30)
+masks = st.lists(st.booleans(), min_size=64, max_size=64).map(
+    lambda f: np.array(f, dtype=bool).reshape(8, 8)).filter(np.any)
+
+
+def dense_posterior(samples, hyper, cells):
+    """Posterior from per-cell averages and ``np.linalg.solve`` on the full matrix."""
+    by_cell = {}
+    for s in samples:
+        by_cell.setdefault(tuple(s.cell), []).append(s.k)
+    x = np.array(list(by_cell), dtype=float)
+    y = np.array([np.mean(v) for v in by_cell.values()])
+
+    def kern(a, b):
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+        return hyper.signal_var * np.exp(-0.5 * d2 / hyper.length_scale**2)
+
+    kmat = kern(x, x) + (hyper.noise_var + 1e-10) * np.eye(len(x))
+    ks = kern(np.asarray(cells, dtype=float), x)
+    mu = y.mean() + ks @ np.linalg.solve(kmat, y - y.mean())
+    var = hyper.signal_var - np.einsum("ij,ji->i", ks, np.linalg.solve(kmat, ks.T))
+    return mu, np.maximum(var, 0.0), y
+
+
+def dense_ei(mu, var, best_k, xi):
+    sigma = np.sqrt(var)
+    imp = mu - best_k - xi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = imp / sigma
+        ei = imp * ndtr(z) + sigma * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    return np.where(sigma > 0, np.maximum(ei, 0.0), np.maximum(imp, 0.0))
+
+
+class TestGrowingPosterior:
+    @settings(max_examples=150, deadline=None)
+    @given(samples=sample_lists, hyper=hypers, mask=masks)
+    def test_matches_dense_solve(self, samples, hyper, mask):
+        grid = make_grid(8, 8, mask)
+        gp = gp_fit(samples, hyper)
+        mu_o, var_o, y = dense_posterior(samples, hyper, grid.valid_cells())
+        scale = max(1.0, float(np.abs(y).max()))
+        for mu, var in (gp.predict_grid(grid), gp.predict_many(grid.valid_cells())):
+            assert np.all(np.abs(mu - mu_o) <= 1e-9 * scale)
+            assert np.all(np.abs(var - var_o) <= 1e-9 * hyper.signal_var)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=sample_lists, hyper=hypers, mask=masks, data=st.data())
+    def test_adds_scan_like_a_fit(self, samples, hyper, mask, data):
+        grid = make_grid(8, 8, mask)
+        first = data.draw(st.integers(1, len(samples)), label="fitted")
+        gp = gp_fit(samples[:first], hyper)
+        gp.predict_grid(grid)
+        for s in samples[first:]:
+            gp.add(s)
+            if data.draw(st.booleans(), label="scan"):
+                gp.predict_grid(grid)
+            if data.draw(st.booleans(), label="other grid"):
+                gp.predict_grid(make_grid(3, 9))
+        mu, var = gp.predict_grid(grid)
+        mu_f, var_f = gp_fit(samples, hyper).predict_grid(grid)
+        assert np.array_equal(mu, mu_f) and np.array_equal(var, var_f)
+        assert gp.samples == samples
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=sample_lists, hyper=hypers, mask=masks, xi=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pick_reaches_the_dense_ei_maximum(self, samples, hyper, mask, xi, seed):
+        grid = make_grid(8, 8, mask)
+        gp = gp_fit(samples, hyper)
+        assume(gp.n >= 2)
+        visited = {tuple(s.cell) for s in samples}
+        acq = Acquisition(xi=xi, best_k=max(s.k for s in samples))
+        cand = listcomp_candidates(grid, visited)
+        rng = np.random.default_rng(seed)
+        if cand.shape[0] == 0:
+            with pytest.raises(Exhausted):
+                next_cell_bo(gp, grid, visited, acq, rng)
+            return
+        pick = next_cell_bo(gp, grid, visited, acq, rng)
+        mu, var, _ = dense_posterior(samples, hyper, cand)
+        ei = dense_ei(mu, var, acq.best_k, xi)
+        mine = ei[np.flatnonzero((cand == pick).all(axis=1))[0]]
+        assert mine >= ei.max() - 1e-6 * max(1.0, ei.max())
+
+
+class TestGPModel:
+    def test_repeated_cell_keeps_the_factor(self):
+        gp = gp_fit([StiffnessSample((1, 1), 300.0), StiffnessSample((4, 2), 500.0)])
+        gp.add(StiffnessSample((1, 1), 400.0))
+        assert gp.n == 2
+        assert gp.y.tolist() == [350.0, 500.0]
+        assert gp.mean_y == 425.0
+
+    def test_grid_cache_follows_a_changed_mask(self):
+        grid = make_grid(4, 4)
+        gp = gp_fit([StiffnessSample((0, 0), 300.0), StiffnessSample((3, 3), 500.0)])
+        gp.predict_grid(grid)
+        grid.valid_mask[0, :] = False
+        mu, var = gp.predict_grid(grid)
+        mu_o, var_o = gp.predict_many(grid.valid_cells())
+        assert mu.shape == (12,)
+        assert np.allclose(mu, mu_o, rtol=1e-12) and np.allclose(var, var_o, rtol=1e-12)
+
+    def test_empty_model_cannot_predict(self):
+        with pytest.raises(ValueError):
+            GPModel(GPHyper()).predict_grid(make_grid(2, 2))
