@@ -9,12 +9,10 @@ hard stop (tumor or muscle), then a much stiffer spring.
 import numpy as np
 
 from palpsim import (
+    Phantom,
     PhantomConfig,
     TumorGeometry,
-    build_phantom,
-    contact_force,
     export_ply,
-    ground_truth_cloud,
 )
 
 cfg = PhantomConfig()
@@ -26,7 +24,7 @@ print(f"series soft-stack stiffness: {cfg.k_soft:.1f} N/m")
 
 for shape in ("hemisphere", "ellipsoid", "crescent"):
     tumor = TumorGeometry(shape)
-    phantom = build_phantom(cfg, tumor)
+    phantom = Phantom(cfg, tumor)
 
     # tallest point of the inclusion (the crescent's apex is off-center)
     xs = np.linspace(-0.015, 0.015, 121)
@@ -46,11 +44,11 @@ for shape in ("hemisphere", "ellipsoid", "crescent"):
     z0_off = phantom.z_skin(0.015, 0.015)
     for d_mm in (2, 5, 9, 12, 17):
         d = d_mm * 1e-3
-        f_on = contact_force(phantom, (ax, ay), z0_on - d).normal_force
-        f_off = contact_force(phantom, (0.015, 0.015), z0_off - d).normal_force
+        f_on = phantom.contact_force(ax, ay, z0_on - d).normal_force
+        f_off = phantom.contact_force(0.015, 0.015, z0_off - d).normal_force
         print(f"  {d_mm:5.1f} mm     ->  {f_on:7.2f} N        | {f_off:6.2f} N")
 
-    cloud = ground_truth_cloud(phantom, 2000, seed=0)
+    cloud = phantom.ground_truth_cloud(2000, seed=0)
     path = f"gt_{shape}.ply"
     export_ply(cloud, path)
     print(f"wrote {len(cloud)} ground-truth surface points to {path}")

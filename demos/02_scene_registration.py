@@ -10,23 +10,22 @@ cloud (see palpsim.read_ply).
 import numpy as np
 
 from palpsim import (
+    Phantom,
     PhantomConfig,
     RoiBox,
     TumorGeometry,
-    build_phantom,
     crop_roi,
     export_mesh_ply,
     interpolate_grid,
     mesh_from_cloud,
     preprocess_cloud,
-    synth_depth_cloud,
 )
 
-phantom = build_phantom(PhantomConfig(), TumorGeometry("hemisphere"))
+phantom = Phantom(PhantomConfig(), TumorGeometry("hemisphere"))
 roi = RoiBox((-0.02, -0.02), (0.02, 0.02))
 
-raw = synth_depth_cloud(phantom, ((-0.03, -0.03), (0.03, 0.03)),
-                        density=3e6, noise_sigma=0.0005, seed=42)
+raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)),
+                                density=3e6, noise_sigma=0.0005, seed=42)
 print(f"raw scan: {len(raw)} points, noise sigma 0.5 mm")
 
 clean = preprocess_cloud(raw, voxel=0.002, outlier_k=8, outlier_sigma=2.0)

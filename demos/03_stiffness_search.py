@@ -10,22 +10,21 @@ import numpy as np
 
 from palpsim import (
     ControllerGains,
+    Phantom,
     PhantomConfig,
     ProbeParams,
     RoiBox,
     TumorGeometry,
-    build_phantom,
     crop_roi,
     interpolate_grid,
     mesh_from_cloud,
     preprocess_cloud,
     run_policy,
-    synth_depth_cloud,
 )
 
-phantom = build_phantom(PhantomConfig(), TumorGeometry("hemisphere"))
+phantom = Phantom(PhantomConfig(), TumorGeometry("hemisphere"))
 roi = RoiBox((-0.02, -0.02), (0.02, 0.02))
-raw = synth_depth_cloud(phantom, ((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=1)
+raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=1)
 grid = interpolate_grid(crop_roi(mesh_from_cloud(preprocess_cloud(raw)), roi),
                         0.002, 0.002)
 

@@ -10,25 +10,24 @@ import numpy as np
 
 from palpsim import (
     ControllerGains,
+    Phantom,
     PhantomConfig,
     ProbeParams,
     ProbePlant,
     TumorGeometry,
     admissible_force,
-    build_phantom,
     contour_follow,
     crop_roi,
     interpolate_grid,
     mesh_from_cloud,
     preprocess_cloud,
     probe_cell,
-    synth_depth_cloud,
     RoiBox,
 )
 
-phantom = build_phantom(PhantomConfig(), TumorGeometry("hemisphere"))
+phantom = Phantom(PhantomConfig(), TumorGeometry("hemisphere"))
 roi = RoiBox((-0.02, -0.02), (0.02, 0.02))
-raw = synth_depth_cloud(phantom, ((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=3)
+raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=3)
 grid = interpolate_grid(crop_roi(mesh_from_cloud(preprocess_cloud(raw)), roi),
                         0.002, 0.002)
 

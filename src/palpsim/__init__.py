@@ -16,7 +16,6 @@ from .calibration import (
     compensate_tip_weight,
     euler_from_axis,
     remove_z_offset,
-    resultant_force,
     rotation_zyx,
 )
 from .evaluation import (
@@ -48,13 +47,9 @@ from .phantom import (
     PointCloud,
     SurfaceProfile,
     TumorGeometry,
-    build_phantom,
-    contact_force,
     cyl_bump,
     flat_profile,
     gauss_bump,
-    ground_truth_cloud,
-    synth_depth_cloud,
 )
 from .ply import export_mesh_ply, export_ply, read_ply
 from .policy import (

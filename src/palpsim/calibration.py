@@ -45,14 +45,11 @@ class CalibrationParams:
 
     tip_weight_n: float = 0.35
     z_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    resultant_mode: str = "norm"  # "norm" or "per_axis_rms"
     angle_noise: float = 0.0      # rad, optional orientation jitter
 
     def __post_init__(self):
         if self.tip_weight_n < 0:
             raise ConfigInvalid("tip_weight_n must be >= 0")
-        if self.resultant_mode not in ("norm", "per_axis_rms"):
-            raise ConfigInvalid(f"unknown resultant mode {self.resultant_mode!r}")
 
 
 def rotation_zyx(e: EulerZYX) -> np.ndarray:
@@ -98,16 +95,3 @@ def compensate_tip_weight(f_local: ForceReading, e: EulerZYX,
     f_inertial[2] -= cal.tip_weight_n
     return ForceReading(r.T @ f_inertial, LOAD_CELL_LOCAL)
 
-
-def resultant_force(f: ForceReading, mode: str = "norm") -> float:
-    """Scalar reaction force from a 3-axis reading.
-
-    ``norm`` is the Euclidean magnitude (default); ``per_axis_rms``
-    divides by sqrt(3) for the literal per-axis RMS reading.
-    """
-    n = float(np.linalg.norm(f.f))
-    if mode == "per_axis_rms":
-        return n / math.sqrt(3.0)
-    if mode != "norm":
-        raise FrameMismatch(f"unknown resultant mode {mode!r}")
-    return n

@@ -22,7 +22,7 @@ from .experiment import (
     run_matrix,
     table1_matrix,
 )
-from .phantom import build_phantom
+from .phantom import Phantom
 from .ply import export_ply, read_ply
 
 
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
         if args.samples is not None:
             cfg = replace(cfg, gt_samples=args.samples)
-        cloud = _ground_truth(cfg, build_phantom(cfg.phantom, cfg.tumor))
+        cloud = _ground_truth(cfg, Phantom(cfg.phantom, cfg.tumor))
         export_ply(cloud, args.file)
         print(f"wrote {len(cloud)} points to {args.file}")
         return 0

@@ -75,7 +75,3 @@ class Empty(PalpSimError, ValueError):
 
 class AdmissibleForceExceeded(PalpSimError, RuntimeError):
     """Commanded force left the admissible bound (should never happen)."""
-
-
-# File I/O problems surface as the standard OSError.
-IoError = OSError

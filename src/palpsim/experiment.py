@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .calibration import CalibrationParams
-from .errors import Empty, OutOfRange, PalpSimError
+from .errors import ConfigInvalid, Empty, OutOfRange, PalpSimError
 from .evaluation import (
     FScoreReport,
     aggregate_trials,
@@ -35,11 +36,9 @@ from .phantom import (
     Phantom,
     PhantomConfig,
     PointCloud,
-    SurfaceProfile,
     TumorGeometry,
-    build_phantom,
 )
-from .ply import export_mesh_ply, export_ply, read_ply  # noqa: F401
+from .ply import export_mesh_ply, export_ply
 from .policy import (
     BO,
     CONTOUR_FOLLOWING,
@@ -72,11 +71,14 @@ class CloudParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    # field order is the key order of the config.txt echo (``config_to_flat``)
+    label: str = ""
     phantom: PhantomConfig = field(default_factory=PhantomConfig)
     tumor: TumorGeometry = field(default_factory=TumorGeometry)
     roi: RoiBox = field(default_factory=lambda: RoiBox((-0.02, -0.02), (0.02, 0.02)))
     grid_dx: float = 0.002
     grid_dy: float = 0.002
+    cloud: CloudParams = field(default_factory=CloudParams)
     strategy: str = BO
     mode: str = CONTOUR_FOLLOWING
     budget: int = 50
@@ -90,8 +92,6 @@ class ExperimentConfig:
     n_init: int = 3
     r_eval: float = 0.003
     gt_samples: int = 2000
-    cloud: CloudParams = field(default_factory=CloudParams)
-    label: str = ""
 
     def __post_init__(self):
         if self.budget < 1 or self.trials < 1:
@@ -123,7 +123,6 @@ class TrialOutcome:
     n_trajectories: int = 0
     n_waypoints: int = 0
     n_recon: int = 0
-    recon_counts: dict = field(default_factory=dict)
     trajectories: list[TrajectorySummary] = field(default_factory=list)
     recon_points: Optional[np.ndarray] = None
     message: str = ""
@@ -140,14 +139,6 @@ class ConditionReport:
     n_failed: int
     wall_time: float
 
-    @property
-    def ok_reports(self) -> list[FScoreReport]:
-        return [t.report for t in self.trials if t.report is not None]
-
-
-def default_tumor(shape: str = HEMISPHERE) -> TumorGeometry:
-    return TumorGeometry(shape=shape)
-
 
 def default_config(shape: str = HEMISPHERE, strategy: str = BO,
                    mode: str = CONTOUR_FOLLOWING, seed: int = 7,
@@ -160,7 +151,7 @@ def default_config(shape: str = HEMISPHERE, strategy: str = BO,
     probe = ProbeParams(d_thres=phantom_cfg.stack_depth - 0.002)
     return ExperimentConfig(
         phantom=phantom_cfg,
-        tumor=default_tumor(shape),
+        tumor=TumorGeometry(shape=shape),
         strategy=strategy,
         mode=mode,
         budget=budget,
@@ -184,7 +175,8 @@ def table1_matrix(seed: int = 7, trials: int = 10,
 # -- flat-key config files ---------------------------------------------------
 
 def load_config_file(path) -> dict:
-    """Parse ``key = value`` lines; values are JSON where possible."""
+    """Parse ``key = value`` lines; values are JSON where possible.  ``#``
+    starts a comment, except inside a value that is JSON as a whole."""
     flat: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -192,216 +184,105 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        text = value.strip()
-        try:
-            flat[key.strip()] = json.loads(text)
-        except json.JSONDecodeError:
-            flat[key.strip()] = text
+        key, value = raw.split("=", 1)
+        for text in (value, value.split("#", 1)[0]):
+            try:
+                flat[key.strip()] = json.loads(text)
+                break
+            except json.JSONDecodeError:
+                flat[key.strip()] = text.strip()
     return flat
 
 
-def config_from_flat(flat: dict, base: Optional[ExperimentConfig] = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat ``section.key`` entries.
+# Dataclass paths whose file key keeps its older spelling; every other field
+# is written under its own dotted path.
+_FILE_KEYS = {
+    "tumor.shape": "shape",
+    "phantom.surface_profile.kind": "phantom.profile",
+    "phantom.surface_profile.amplitude": "phantom.profile_amplitude",
+    "phantom.surface_profile.radius": "phantom.profile_radius",
+    "phantom.surface_profile.sigma": "phantom.profile_sigma",
+    "roi.min_xy": "roi.min",
+    "roi.max_xy": "roi.max",
+    "grid_dx": "grid.dx",
+    "grid_dy": "grid.dy",
+    "hyper.length_scale": "gp.length_scale",
+    "hyper.signal_var": "gp.signal_var",
+    "hyper.noise_var": "gp.noise_var",
+    "xi": "gp.xi",
+    "n_init": "gp.n_init",
+}
 
-    Unknown keys raise; top-level shape/strategy/mode/budget pick the
-    per-shape defaults first, then the remaining keys override.
+_DEFAULT_KEYS = ("shape", "strategy", "mode", "seed", "trials", "budget")
+
+
+def _leaves(cls, prefix: str = ""):
+    """(dotted path, type) of every non-dataclass field under ``cls``, in field order."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _leaves(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, hints[f.name]
+
+
+# file key -> (dotted field path, field type), one key per field
+_KEYS = {_FILE_KEYS.get(path, path): (path, tp) for path, tp in _leaves(ExperimentConfig)}
+
+
+def _cast(key: str, value, tp):
+    """``value`` as field type ``tp``: float, int, str or a tuple of floats."""
+    try:
+        if get_origin(tp) is tuple:
+            return tuple(t(v) for t, v in zip(get_args(tp), value, strict=True))
+        return tp(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"config key {key!r}: {exc}") from None
+
+
+def _with_values(obj, values: dict, prefix: str = ""):
+    """Copy of dataclass ``obj`` with the fields at ``values``' dotted paths
+    set.  Nested dataclasses are rebuilt first, so every ``__post_init__``
+    check runs on the new values."""
+    changes = {}
+    for f in fields(obj):
+        path = prefix + f.name
+        sub = getattr(obj, f.name)
+        if is_dataclass(sub):
+            changes[f.name] = _with_values(sub, values, path + ".")
+        elif path in values:
+            changes[f.name] = values[path]
+    return replace(obj, **changes)
+
+
+def config_from_flat(flat: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from flat file keys (those ``config_to_flat`` writes).
+
+    ``shape``, ``strategy``, ``mode``, ``seed``, ``trials`` and ``budget``
+    pick the per-shape defaults of ``default_config`` first; the remaining
+    keys then override single fields.  Every value is cast to its field's
+    type.  Unknown keys and values that do not cast raise ``ConfigInvalid``.
     """
-    flat = dict(flat)
-    shape = flat.pop("shape", base.tumor.shape if base else HEMISPHERE)
-    if base is None:
-        base = default_config(
-            shape=shape,
-            strategy=flat.pop("strategy", BO),
-            mode=flat.pop("mode", CONTOUR_FOLLOWING),
-            seed=int(flat.pop("seed", 7)),
-            trials=int(flat.pop("trials", 10)),
-            budget=flat.pop("budget", None),
-        )
-    else:
-        top = {k: flat.pop(k) for k in ("strategy", "mode", "seed", "trials", "budget", "label")
-               if k in flat}
-        if shape != base.tumor.shape:
-            base = replace(base, tumor=default_tumor(shape))
-        if top:
-            base = replace(base, **{k: (int(v) if k in ("seed", "trials", "budget") else v)
-                                    for k, v in top.items()})
-    sections: dict[str, dict] = {}
-    simple: dict[str, object] = {}
-    for key, value in flat.items():
-        if "." in key:
-            sect, sub = key.split(".", 1)
-            sections.setdefault(sect, {})[sub] = value
-        else:
-            simple[key] = value
+    unknown = sorted(set(flat) - set(_KEYS))
+    if unknown:
+        raise ConfigInvalid(f"unknown config keys: {unknown}")
+    values = {_KEYS[key][0]: _cast(key, value, _KEYS[key][1]) for key, value in flat.items()}
+    cfg = default_config(**{key: values.pop(_KEYS[key][0]) for key in _DEFAULT_KEYS
+                            if key in flat})
+    return _with_values(cfg, values)
 
-    cfg = base
-    for key, value in simple.items():
-        if key in ("r_eval", "xi"):
-            cfg = replace(cfg, **{key: float(value)})
-        elif key in ("gt_samples", "n_init"):
-            cfg = replace(cfg, **{key: int(value)})
-        elif key == "label":
-            cfg = replace(cfg, label=str(value))
-        elif key in ("strategy", "mode"):
-            cfg = replace(cfg, **{key: str(value)})
-        elif key in ("seed", "trials", "budget"):
-            cfg = replace(cfg, **{key: int(value)})
-        else:
-            raise ValueError(f"unknown config key {key!r}")
 
-    if "phantom" in sections:
-        sub = sections.pop("phantom")
-        profile = cfg.phantom.surface_profile
-        kind = sub.pop("profile", None)
-        amp = sub.pop("profile_amplitude", None)
-        rad = sub.pop("profile_radius", None)
-        sig = sub.pop("profile_sigma", None)
-        if kind is not None or amp is not None or rad is not None or sig is not None:
-            profile = SurfaceProfile(
-                kind if kind is not None else profile.kind,
-                amplitude=float(amp) if amp is not None else profile.amplitude,
-                radius=float(rad) if rad is not None else profile.radius,
-                sigma=float(sig) if sig is not None else profile.sigma,
-            )
-        cfg = replace(cfg, phantom=replace(
-            cfg.phantom, surface_profile=profile,
-            **{k: float(v) for k, v in sub.items()}))
-    if "tumor" in sections:
-        sub = sections.pop("tumor")
-        kw: dict = {}
-        for k, v in sub.items():
-            if k in ("center_xy", "semi_axes"):
-                kw[k] = tuple(float(x) for x in v)
-            elif k == "shape":
-                kw[k] = str(v)
-            else:
-                kw[k] = float(v)
-        cfg = replace(cfg, tumor=replace(cfg.tumor, **kw))
-    if "roi" in sections:
-        sub = sections.pop("roi")
-        lo = tuple(float(x) for x in sub.get("min", cfg.roi.min_xy))
-        hi = tuple(float(x) for x in sub.get("max", cfg.roi.max_xy))
-        cfg = replace(cfg, roi=RoiBox(lo, hi))
-    if "grid" in sections:
-        sub = sections.pop("grid")
-        cfg = replace(cfg,
-                      grid_dx=float(sub.get("dx", cfg.grid_dx)),
-                      grid_dy=float(sub.get("dy", cfg.grid_dy)))
-    if "cloud" in sections:
-        sub = sections.pop("cloud")
-        cfg = replace(cfg, cloud=replace(
-            cfg.cloud, **{k: (int(v) if k == "outlier_k" else float(v))
-                          for k, v in sub.items()}))
-    if "gains" in sections:
-        sub = sections.pop("gains")
-        cfg = replace(cfg, gains=replace(cfg.gains, **{k: float(v) for k, v in sub.items()}))
-    if "probe" in sections:
-        sub = sections.pop("probe")
-        kw = {k: (int(v) if k == "ticks_per_stroke" else
-                  tuple(float(x) for x in v) if k == "gravity_residual" else float(v))
-              for k, v in sub.items()}
-        cfg = replace(cfg, probe=replace(cfg.probe, **kw))
-    if "cal" in sections:
-        sub = sections.pop("cal")
-        kw = {}
-        for k, v in sub.items():
-            if k == "z_offset":
-                kw[k] = tuple(float(x) for x in v)
-            elif k == "resultant_mode":
-                kw[k] = str(v)
-            else:
-                kw[k] = float(v)
-        cfg = replace(cfg, cal=replace(cfg.cal, **kw))
-    if "gp" in sections:
-        sub = sections.pop("gp")
-        if "xi" in sub:
-            cfg = replace(cfg, xi=float(sub.pop("xi")))
-        if "n_init" in sub:
-            cfg = replace(cfg, n_init=int(sub.pop("n_init")))
-        cfg = replace(cfg, hyper=replace(cfg.hyper, **{k: float(v) for k, v in sub.items()}))
-    if sections:
-        raise ValueError(f"unknown config sections: {sorted(sections)}")
-    return cfg
+def config_to_flat(cfg: ExperimentConfig) -> dict:
+    """Flatten a config to its file keys, top-level keys first (echoed into
+    the output directory so every run records its exact parameters)."""
+    flat = {key: attrgetter(path)(cfg) for key, (path, _) in _KEYS.items()}
+    return dict(sorted(flat.items(), key=lambda item: "." in item[0]))
 
 
 # -- running -------------------------------------------------------------------
 
 def _ground_truth(cfg: ExperimentConfig, phantom: Phantom) -> PointCloud:
     return phantom.ground_truth_cloud(cfg.gt_samples, seed=[cfg.seed, _GT_STREAM])
-
-
-def config_to_flat(cfg: ExperimentConfig) -> dict:
-    """Flatten a config back to ``section.key`` entries (echoed into the
-    output directory so every run records its exact parameters)."""
-    prof = cfg.phantom.surface_profile
-    flat = {
-        "label": cfg.label,
-        "shape": cfg.tumor.shape,
-        "strategy": cfg.strategy,
-        "mode": cfg.mode,
-        "budget": cfg.budget,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "r_eval": cfg.r_eval,
-        "gt_samples": cfg.gt_samples,
-        "phantom.skin_thickness": cfg.phantom.skin_thickness,
-        "phantom.fat_thickness": cfg.phantom.fat_thickness,
-        "phantom.k_skin": cfg.phantom.k_skin,
-        "phantom.k_fat": cfg.phantom.k_fat,
-        "phantom.k_muscle": cfg.phantom.k_muscle,
-        "phantom.k_tumor": cfg.phantom.k_tumor,
-        "phantom.contact_damping": cfg.phantom.contact_damping,
-        "phantom.muscle_plane_z": cfg.phantom.muscle_plane_z,
-        "phantom.profile": prof.kind,
-        "phantom.profile_amplitude": prof.amplitude,
-        "phantom.profile_radius": prof.radius,
-        "phantom.profile_sigma": prof.sigma,
-        "tumor.radius": cfg.tumor.radius,
-        "tumor.center_xy": list(cfg.tumor.center_xy),
-        "tumor.semi_axes": list(cfg.tumor.semi_axes),
-        "tumor.inner_offset": cfg.tumor.inner_offset,
-        "tumor.width": cfg.tumor.width,
-        "tumor.top_height": cfg.tumor.top_height,
-        "tumor.fillet_radius": cfg.tumor.fillet_radius,
-        "roi.min": list(cfg.roi.min_xy),
-        "roi.max": list(cfg.roi.max_xy),
-        "grid.dx": cfg.grid_dx,
-        "grid.dy": cfg.grid_dy,
-        "cloud.density": cfg.cloud.density,
-        "cloud.noise_sigma": cfg.cloud.noise_sigma,
-        "cloud.margin": cfg.cloud.margin,
-        "cloud.voxel": cfg.cloud.voxel,
-        "cloud.outlier_k": cfg.cloud.outlier_k,
-        "cloud.outlier_sigma": cfg.cloud.outlier_sigma,
-        "gains.k_p": cfg.gains.k_p,
-        "gains.k_d": cfg.gains.k_d,
-        "gains.e_thres": cfg.gains.e_thres,
-        "gains.period": cfg.gains.period,
-        "probe.f_thres": cfg.probe.f_thres,
-        "probe.d_thres": cfg.probe.d_thres,
-        "probe.indent_speed": cfg.probe.indent_speed,
-        "probe.amplitude": cfg.probe.amplitude,
-        "probe.osc_rate": cfg.probe.osc_rate,
-        "probe.cf_timeout": cfg.probe.cf_timeout,
-        "probe.probe_mass": cfg.probe.probe_mass,
-        "probe.tip_radius": cfg.probe.tip_radius,
-        "probe.press_force": cfg.probe.press_force,
-        "probe.ticks_per_stroke": cfg.probe.ticks_per_stroke,
-        "probe.hover": cfg.probe.hover,
-        "probe.contact_loss_timeout": cfg.probe.contact_loss_timeout,
-        "probe.gravity_residual": list(cfg.probe.gravity_residual),
-        "cal.tip_weight_n": cfg.cal.tip_weight_n,
-        "cal.z_offset": list(cfg.cal.z_offset),
-        "cal.resultant_mode": cfg.cal.resultant_mode,
-        "cal.angle_noise": cfg.cal.angle_noise,
-        "gp.length_scale": cfg.hyper.length_scale,
-        "gp.signal_var": cfg.hyper.signal_var,
-        "gp.noise_var": cfg.hyper.noise_var,
-        "gp.xi": cfg.xi,
-        "gp.n_init": cfg.n_init,
-    }
-    return flat
 
 
 def _write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
@@ -444,7 +325,6 @@ def run_trial(cfg: ExperimentConfig, phantom: Phantom, gt: PointCloud,
         out.trajs = trajs
         recon = extract_contact_points(trajs, probes, cfg.probe, cfg.probe.tip_radius)
         out.n_recon = len(recon.points)
-        out.recon_counts = dict(recon.source_counts)
         out.recon_points = recon.points.points
         out.report = fscore(recon.points, gt, cfg.r_eval)
     except PalpSimError as exc:
@@ -521,7 +401,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     become failure rows and are excluded from mean/max.
     """
     t0 = time.perf_counter()
-    phantom = build_phantom(cfg.phantom, cfg.tumor)
+    phantom = Phantom(cfg.phantom, cfg.tumor)
     gt = _ground_truth(cfg, phantom)
     trials: list[TrialOutcome] = []
     out_path: Optional[Path] = Path(out_dir) if out_dir is not None else None
@@ -610,7 +490,7 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
         if not points:
             continue
         cfg0 = shape_reports[0].config
-        phantom = build_phantom(cfg0.phantom, cfg0.tumor)
+        phantom = Phantom(cfg0.phantom, cfg0.tumor)
         gt = _ground_truth(cfg0, phantom)
         combined[shape] = fscore(PointCloud(np.vstack(points)), gt, cfg0.r_eval)
 

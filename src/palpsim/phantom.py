@@ -147,9 +147,9 @@ class PhantomConfig:
     k_fat: float = 400.0
     k_muscle: float = 2500.0
     k_tumor: float = 20000.0
-    surface_profile: SurfaceProfile = field(default_factory=cyl_bump)
     contact_damping: float = 2.0
     muscle_plane_z: float = 0.0
+    surface_profile: SurfaceProfile = field(default_factory=cyl_bump)
 
     def __post_init__(self):
         if self.skin_thickness <= 0 or self.fat_thickness <= 0:
@@ -458,20 +458,3 @@ class Phantom:
         zs = self.z_stop_np(xs, ys)
         return PointCloud(np.column_stack([xs, ys, zs]))
 
-
-def build_phantom(cfg: PhantomConfig, tumor: Optional[TumorGeometry] = None) -> Phantom:
-    """Validate configs and assemble the immutable world."""
-    return Phantom(cfg, tumor)
-
-
-def contact_force(phantom: Phantom, q_xy, probe_z: float, probe_vz: float = 0.0) -> ContactResponse:
-    return phantom.contact_force(float(q_xy[0]), float(q_xy[1]), float(probe_z), float(probe_vz))
-
-
-def synth_depth_cloud(phantom: Phantom, region, density: float,
-                      noise_sigma: float = 0.0, seed=0) -> PointCloud:
-    return phantom.synth_depth_cloud(region, density, noise_sigma, seed)
-
-
-def ground_truth_cloud(phantom: Phantom, samples_n: int, seed=0) -> PointCloud:
-    return phantom.ground_truth_cloud(samples_n, seed)

@@ -9,7 +9,6 @@ from palpsim import (
     ForceReading,
     compensate_tip_weight,
     remove_z_offset,
-    resultant_force,
     rotation_zyx,
 )
 from palpsim.calibration import INERTIAL, LOAD_CELL_LOCAL, euler_from_axis
@@ -58,10 +57,6 @@ class TestCalibrationParams:
     def test_negative_tip_weight_is_invalid_config(self):
         with pytest.raises(ConfigInvalid):
             CalibrationParams(tip_weight_n=-0.1)
-
-    def test_unknown_resultant_mode_is_invalid_config(self):
-        with pytest.raises(ConfigInvalid):
-            CalibrationParams(resultant_mode="max")
 
 
 class TestRemoveZOffset:
@@ -139,18 +134,3 @@ class TestCompensateTipWeight:
             reading = r.T @ (f_contact + np.array([0.0, 0.0, cal.tip_weight_n]))
             comp = compensate_tip_weight(ForceReading(reading), e, cal)
             assert np.allclose(r @ comp.f, f_contact, atol=1e-9)
-
-
-class TestResultantForce:
-    def test_pythagorean(self):
-        assert resultant_force(ForceReading([3.0, 4.0, 0.0])) == pytest.approx(5.0)
-
-    def test_zero(self):
-        assert resultant_force(ForceReading([0.0, 0.0, 0.0])) == 0.0
-
-    def test_unit_diagonal(self):
-        assert resultant_force(ForceReading([1.0, 1.0, 1.0])) == pytest.approx(math.sqrt(3))
-
-    def test_per_axis_rms_mode(self):
-        f = ForceReading([1.0, 1.0, 1.0])
-        assert resultant_force(f, mode="per_axis_rms") == pytest.approx(1.0)

@@ -4,12 +4,12 @@ from scipy.spatial.distance import cdist
 
 from palpsim import (
     ControllerGains,
+    Phantom,
     PhantomConfig,
     PointCloud,
     ProbeParams,
     TumorGeometry,
     aggregate_trials,
-    build_phantom,
     extract_contact_points,
     flat_profile,
     fscore,
@@ -79,7 +79,7 @@ class TestExtractContactPoints:
         assert len(out.points) == 2
 
     def test_cf_multiplier_on_shared_seed_runs(self, analytic_grid):
-        ph = build_phantom(PhantomConfig(surface_profile=flat_profile()),
+        ph = Phantom(PhantomConfig(surface_profile=flat_profile()),
                            TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
         params, gains = ProbeParams(), ControllerGains()
@@ -90,7 +90,7 @@ class TestExtractContactPoints:
         assert len(rc_cf.points) >= 10 * len(rc_d.points)
 
     def test_sanity_envelope(self, analytic_grid):
-        ph = build_phantom(PhantomConfig(), TumorGeometry("hemisphere", radius=0.01))
+        ph = Phantom(PhantomConfig(), TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
         params, gains = ProbeParams(), ControllerGains()
         probes, trajs = run_policy(ph, grid, "bo", "cf", 12, params, gains, seed=5)
@@ -174,7 +174,7 @@ class TestReconstructMesh:
             reconstruct_mesh(pts)
 
     def test_hemisphere_heights_close_to_analytic(self, analytic_grid):
-        ph = build_phantom(PhantomConfig(surface_profile=flat_profile()),
+        ph = Phantom(PhantomConfig(surface_profile=flat_profile()),
                            TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
         params, gains = ProbeParams(), ControllerGains()

@@ -1,12 +1,19 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palpsim import (
     ExperimentConfig,
+    PhantomConfig,
     PointCloud,
+    RoiBox,
+    SurfaceProfile,
+    TumorGeometry,
     config_from_flat,
     default_config,
     export_ply,
@@ -15,9 +22,9 @@ from palpsim import (
     run_experiment,
     run_matrix,
 )
-from palpsim.experiment import config_to_flat  # noqa: F401  (echo round trip)
+from palpsim.experiment import _write_config_echo
 from palpsim.cli import main as cli_main
-from palpsim.errors import EmptyCloud, OutOfRange
+from palpsim.errors import ConfigInvalid, EmptyCloud, OutOfRange
 
 
 def small_config(**kw):
@@ -29,6 +36,45 @@ def small_config(**kw):
                          trials=kw.pop("trials", 2),
                          budget=kw.pop("budget", 12))
     return replace(cfg, **kw) if kw else cfg
+
+
+# positive floats, some integral so that the echo holds whole numbers
+POSITIVE = st.one_of(st.floats(1e-4, 1e4), st.integers(1, 10**4).map(float))
+
+
+def drawn(cls, **given_fields):
+    """Strategy for a ``cls`` with every field drawn: nested dataclasses
+    recursively, the rest by type.  ``given_fields`` holds the strategies for
+    fields whose valid values depend on each other."""
+    hints = get_type_hints(cls)
+    kw = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        if f.name in given_fields:
+            kw[f.name] = given_fields[f.name]
+        elif is_dataclass(tp):
+            kw[f.name] = drawn(tp)
+        elif get_origin(tp) is tuple:
+            kw[f.name] = st.tuples(*[POSITIVE] * len(get_args(tp)))
+        else:
+            kw[f.name] = {float: POSITIVE, int: st.integers(1, 10**6), str: st.text()}[tp]
+    return st.builds(cls, **kw)
+
+
+CONFIGS = drawn(
+    ExperimentConfig,
+    phantom=drawn(
+        PhantomConfig,
+        k_fat=st.floats(1.0, 99.0), k_skin=st.floats(100.0, 999.0),
+        k_muscle=st.floats(1e3, 9999.0), k_tumor=st.one_of(st.floats(1e4, 1e6), st.just(30000.0)),
+        surface_profile=drawn(SurfaceProfile,
+                              kind=st.sampled_from(["flat", "cyl_bump", "gauss_bump"]))),
+    # the crescent's inner cut radius, radius - width + inner_offset, must stay > 0
+    tumor=drawn(TumorGeometry, shape=st.sampled_from(["hemisphere", "ellipsoid", "crescent"]),
+                width=st.floats(1e-6, 5e-5)),
+    roi=st.builds(RoiBox, st.tuples(POSITIVE, POSITIVE).map(lambda xy: (-xy[0], -xy[1])),
+                  st.tuples(POSITIVE, POSITIVE)),
+)
 
 
 class TestConfigFile:
@@ -69,6 +115,29 @@ class TestConfigFile:
             config_from_flat({"nonsense": 1})
         with pytest.raises(ValueError):
             config_from_flat({"widget.k": 1})
+        for key, value in (("roi.min_xy", [0, 0]), ("grid.dz", 1), ("gp.jitter", 1e-9),
+                           ("cal.resultant_mode", "norm")):
+            with pytest.raises(ValueError, match="unknown config key"):
+                config_from_flat({key: value})
+
+    def test_values_cast_to_field_types(self):
+        cfg = config_from_flat({"shape": "crescent", "budget": "17", "seed": "3"})
+        assert (cfg.budget, cfg.seed) == (17, 3)
+        for bad in ({"budget": "many"}, {"roi.min": [0.0]}, {"tumor.radius": [1.0]}):
+            with pytest.raises(ConfigInvalid):
+                config_from_flat(bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=CONFIGS)
+    def test_echo_reloads_equal(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("echo") / "config.txt"
+        _write_config_echo(cfg, path)
+        flat = load_config_file(path)
+        assert config_from_flat(flat) == cfg
+        # whole-number floats written as JSON ints are cast back to float
+        ints = {k: int(v) if isinstance(v, float) and v.is_integer() else v
+                for k, v in flat.items()}
+        assert repr(config_from_flat(ints)) == repr(cfg)
 
     def test_flag_style_overrides(self):
         cfg = config_from_flat({"shape": "hemisphere", "budget": 17, "mode": "discrete"})

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from palpsim import (
+    Phantom,
     PhantomConfig,
     TumorGeometry,
-    build_phantom,
-    contact_force,
     flat_profile,
-    ground_truth_cloud,
-    synth_depth_cloud,
 )
 from palpsim.errors import ConfigInvalid, EmptyRegion, NoTumor
 from palpsim.phantom import (
@@ -30,11 +27,11 @@ CFG400 = dict(k_skin=1200.0, k_fat=600.0, k_muscle=2500.0, k_tumor=20000.0)
 
 class TestBuildPhantom:
     def test_hemisphere_apex_height_equals_radius(self):
-        ph = build_phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
+        ph = Phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
         assert ph.z_stop(0.0, 0.0) - ph.z_muscle(0.0, 0.0) == pytest.approx(0.01, abs=1e-12)
 
     def test_no_tumor_outside_footprint(self):
-        ph = build_phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
+        ph = Phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
         assert ph.z_stop(0.05, 0.05) == ph.z_muscle(0.05, 0.05)
 
     def test_stiffness_ordering_rejected(self):
@@ -43,7 +40,7 @@ class TestBuildPhantom:
 
     def test_tumor_taller_than_stack_rejected(self):
         with pytest.raises(ConfigInvalid):
-            build_phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.05))
+            Phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.05))
 
     def test_layer_fields(self):
         cfg = flat_cfg(**CFG400)
@@ -53,72 +50,72 @@ class TestBuildPhantom:
 
 class TestContactForce:
     def test_no_penetration_no_force(self):
-        ph = build_phantom(flat_cfg(**CFG400))
-        cr = contact_force(ph, (0.0, 0.0), ph.z_skin(0.0, 0.0) + 0.001)
+        ph = Phantom(flat_cfg(**CFG400))
+        cr = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) + 0.001)
         assert cr.normal_force == 0.0
         assert cr.regime == NO_CONTACT
 
     def test_soft_stack_hooke(self):
-        ph = build_phantom(flat_cfg(**CFG400))
-        cr = contact_force(ph, (0.0, 0.0), ph.z_skin(0.0, 0.0) - 0.005)
+        ph = Phantom(flat_cfg(**CFG400))
+        cr = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) - 0.005)
         assert cr.normal_force == pytest.approx(2.0, abs=1e-12)
         assert cr.regime == SOFT_STACK
 
     def test_hard_stop_over_apex(self):
-        ph = build_phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
+        ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
         # stack 19 mm, apex 10 mm -> stop depth 9 mm
         assert ph.d_stop(0.0, 0.0) == pytest.approx(0.009)
-        cr = contact_force(ph, (0.0, 0.0), ph.z_skin(0.0, 0.0) - 0.010)
+        cr = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) - 0.010)
         assert cr.normal_force == pytest.approx(400 * 0.009 + 20000 * 0.001, abs=1e-9)
         assert cr.normal_force == pytest.approx(23.6, abs=1e-9)
         assert cr.regime == HARD_STOP_TUMOR
 
     def test_hard_stop_muscle_off_footprint(self):
-        ph = build_phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
-        cr = contact_force(ph, (0.05, 0.0), ph.z_skin(0.05, 0.0) - 0.020)
+        ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
+        cr = ph.contact_force(0.05, 0.0, ph.z_skin(0.05, 0.0) - 0.020)
         assert cr.regime == HARD_STOP_MUSCLE
 
     def test_damping_only_while_descending(self):
-        ph = build_phantom(flat_cfg(**CFG400, contact_damping=10.0))
+        ph = Phantom(flat_cfg(**CFG400, contact_damping=10.0))
         z = ph.z_skin(0.0, 0.0) - 0.005
-        down = contact_force(ph, (0.0, 0.0), z, probe_vz=-0.1)
-        up = contact_force(ph, (0.0, 0.0), z, probe_vz=+0.1)
+        down = ph.contact_force(0.0, 0.0, z, probe_vz=-0.1)
+        up = ph.contact_force(0.0, 0.0, z, probe_vz=+0.1)
         assert down.normal_force == pytest.approx(2.0 + 10.0 * 0.1, abs=1e-12)
         assert up.normal_force == pytest.approx(2.0, abs=1e-12)
 
     def test_continuity_at_regime_boundary(self):
-        ph = build_phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
+        ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
         z_skin = ph.z_skin(0.0, 0.0)
         d_stop = ph.d_stop(0.0, 0.0)
         eps = 1e-9
-        below = contact_force(ph, (0.0, 0.0), z_skin - (d_stop - eps)).normal_force
-        above = contact_force(ph, (0.0, 0.0), z_skin - (d_stop + eps)).normal_force
+        below = ph.contact_force(0.0, 0.0, z_skin - (d_stop - eps)).normal_force
+        above = ph.contact_force(0.0, 0.0, z_skin - (d_stop + eps)).normal_force
         assert abs(above - below) < 1e-4
 
     def test_monotone_in_penetration(self):
-        ph = build_phantom(PhantomConfig(), TumorGeometry("crescent"))
+        ph = Phantom(PhantomConfig(), TumorGeometry("crescent"))
         rng = np.random.default_rng(0)
         for _ in range(50):
             x, y = rng.uniform(-0.02, 0.02, 2)
             depths = np.linspace(0.0, 0.025, 200)
             forces = [
-                contact_force(ph, (x, y), ph.z_skin(x, y) - d).normal_force
+                ph.contact_force(x, y, ph.z_skin(x, y) - d).normal_force
                 for d in depths
             ]
             assert np.all(np.diff(forces) >= -1e-12)
 
     def test_tumor_regime_only_on_footprint(self):
-        ph = build_phantom(PhantomConfig(), TumorGeometry("hemisphere", radius=0.01))
+        ph = Phantom(PhantomConfig(), TumorGeometry("hemisphere", radius=0.01))
         rng = np.random.default_rng(1)
         for _ in range(200):
             x, y = rng.uniform(-0.03, 0.03, 2)
             if ph.h_tumor(x, y) > 0.0:
                 continue
-            cr = contact_force(ph, (x, y), ph.z_skin(x, y) - 0.022)
+            cr = ph.contact_force(x, y, ph.z_skin(x, y) - 0.022)
             assert cr.regime != HARD_STOP_TUMOR
 
     def test_height_field_ordering(self):
-        ph = build_phantom(PhantomConfig(), TumorGeometry("crescent"))
+        ph = Phantom(PhantomConfig(), TumorGeometry("crescent"))
         rng = np.random.default_rng(2)
         xs, ys = rng.uniform(-0.05, 0.05, (2, 500))
         for x, y in zip(xs, ys):
@@ -127,61 +124,61 @@ class TestContactForce:
 
 class TestSynthDepthCloud:
     def test_noiseless_flat_plane(self):
-        ph = build_phantom(flat_cfg(muscle_plane_z=0.1 - 0.019))
-        cloud = synth_depth_cloud(ph, ((-0.05, -0.05), (0.05, 0.05)), 1e5, 0.0, seed=3)
+        ph = Phantom(flat_cfg(muscle_plane_z=0.1 - 0.019))
+        cloud = ph.synth_depth_cloud(((-0.05, -0.05), (0.05, 0.05)), 1e5, 0.0, seed=3)
         assert np.allclose(cloud.points[:, 2], 0.1, atol=1e-12)
 
     def test_deterministic_under_seed(self):
-        ph = build_phantom(PhantomConfig())
-        a = synth_depth_cloud(ph, ((-0.03, -0.03), (0.03, 0.03)), 1e6, 5e-4, seed=42)
-        b = synth_depth_cloud(ph, ((-0.03, -0.03), (0.03, 0.03)), 1e6, 5e-4, seed=42)
+        ph = Phantom(PhantomConfig())
+        a = ph.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 1e6, 5e-4, seed=42)
+        b = ph.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 1e6, 5e-4, seed=42)
         assert np.array_equal(a.points, b.points)
 
     def test_noise_level_matches_request(self):
         sigma = 0.0005
-        ph = build_phantom(flat_cfg())
-        cloud = synth_depth_cloud(ph, ((-0.05, -0.05), (0.05, 0.05)), 1e6, sigma, seed=4)
+        ph = Phantom(flat_cfg())
+        cloud = ph.synth_depth_cloud(((-0.05, -0.05), (0.05, 0.05)), 1e6, sigma, seed=4)
         assert len(cloud) >= 9000
         resid = cloud.points[:, 2] - ph.z_skin(0.0, 0.0)
         assert abs(resid.std() - sigma) < 0.1 * sigma
 
     def test_empty_region_rejected(self):
-        ph = build_phantom(PhantomConfig())
+        ph = Phantom(PhantomConfig())
         with pytest.raises(EmptyRegion):
-            synth_depth_cloud(ph, ((0.0, 0.0), (0.0, 0.1)), 1e6)
+            ph.synth_depth_cloud(((0.0, 0.0), (0.0, 0.1)), 1e6)
         with pytest.raises(EmptyRegion):
-            synth_depth_cloud(ph, ((0.0, 0.0), (0.1, 0.1)), 0.0)
+            ph.synth_depth_cloud(((0.0, 0.0), (0.1, 0.1)), 0.0)
 
 
 class TestGroundTruthCloud:
     def test_hemisphere_points_on_sphere(self):
-        ph = build_phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
-        cloud = ground_truth_cloud(ph, 500, seed=5)
+        ph = Phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
+        cloud = ph.ground_truth_cloud(500, seed=5)
         center = np.array([0.0, 0.0, ph.z_muscle(0.0, 0.0)])
         dist = np.linalg.norm(cloud.points - center, axis=1)
         assert np.all(np.abs(dist - 0.01) <= 0.01 * 1e-7 + 1e-9)
 
     def test_crescent_avoids_inner_cut(self):
         tum = TumorGeometry("crescent")
-        ph = build_phantom(flat_cfg(), tum)
-        cloud = ground_truth_cloud(ph, 800, seed=6)
+        ph = Phantom(flat_cfg(), tum)
+        cloud = ph.ground_truth_cloud(800, seed=6)
         inner_center = np.array([tum.inner_offset, 0.0])
         rho_in = np.linalg.norm(cloud.points[:, :2] - inner_center, axis=1)
         assert np.all(rho_in >= tum.inner_radius - 1e-12)
 
     def test_exact_count(self):
-        ph = build_phantom(flat_cfg(), TumorGeometry("hemisphere"))
-        assert len(ground_truth_cloud(ph, 1000, seed=7)) == 1000
+        ph = Phantom(flat_cfg(), TumorGeometry("hemisphere"))
+        assert len(ph.ground_truth_cloud(1000, seed=7)) == 1000
 
     def test_requires_tumor(self):
-        ph = build_phantom(flat_cfg())
+        ph = Phantom(flat_cfg())
         with pytest.raises(NoTumor):
-            ground_truth_cloud(ph, 10)
+            ph.ground_truth_cloud(10)
 
     def test_deterministic(self):
-        ph = build_phantom(PhantomConfig(), TumorGeometry("crescent"))
-        a = ground_truth_cloud(ph, 300, seed=8)
-        b = ground_truth_cloud(ph, 300, seed=8)
+        ph = Phantom(PhantomConfig(), TumorGeometry("crescent"))
+        a = ph.ground_truth_cloud(300, seed=8)
+        b = ph.ground_truth_cloud(300, seed=8)
         assert np.array_equal(a.points, b.points)
 
 

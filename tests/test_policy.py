@@ -7,13 +7,13 @@ import pytest
 from palpsim import (
     ControllerGains,
     EulerZYX,
+    Phantom,
     PhantomConfig,
     PlantState,
     ProbeParams,
     ProbePlant,
     TumorGeometry,
     admissible_force,
-    build_phantom,
     contour_follow,
     desired_pose,
     flat_profile,
@@ -32,7 +32,7 @@ CFG400 = dict(k_skin=1200.0, k_fat=600.0, k_muscle=2500.0, k_tumor=20000.0)
 
 def flat_phantom(tumor=None, **kw):
     kw.setdefault("surface_profile", flat_profile())
-    return build_phantom(PhantomConfig(**kw), tumor)
+    return Phantom(PhantomConfig(**kw), tumor)
 
 
 class TestMinJerk:
