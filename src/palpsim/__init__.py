@@ -58,18 +58,15 @@ from .policy import (
     TIMEOUT,
     ControllerGains,
     PalpationTrajectory,
-    PlantState,
     ProbeParams,
     ProbePlant,
     ProbeResult,
     admissible_force,
     contour_follow,
-    desired_pose,
     impedance_force,
     min_jerk_offset,
     probe_cell,
     run_policy,
-    step_plant,
 )
 from .registration import (
     RoiBox,

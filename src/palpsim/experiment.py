@@ -42,6 +42,8 @@ from .ply import export_mesh_ply, export_ply
 from .policy import (
     BO,
     CONTOUR_FOLLOWING,
+    DISCRETE,
+    RS,
     ControllerGains,
     ProbeParams,
     run_policy,
@@ -94,6 +96,10 @@ class ExperimentConfig:
     gt_samples: int = 2000
 
     def __post_init__(self):
+        if self.strategy not in (BO, RS):
+            raise ConfigInvalid(f"unknown strategy {self.strategy!r}")
+        if self.mode not in (CONTOUR_FOLLOWING, DISCRETE):
+            raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.budget < 1 or self.trials < 1:
             raise OutOfRange("budget and trials must be >= 1")
 
@@ -235,8 +241,10 @@ def _cast(key: str, value, tp):
     try:
         if get_origin(tp) is tuple:
             return tuple(t(v) for t, v in zip(get_args(tp), value, strict=True))
+        if tp is int and not isinstance(value, str) and value != int(value):
+            raise ValueError(f"{value!r} is not a whole number")
         return tp(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"config key {key!r}: {exc}") from None
 
 

@@ -7,10 +7,12 @@ queries with a piecewise Kelvin-Voigt force law and synthesizes both
 depth-camera-style surface clouds and ground-truth tumor clouds.
 
 Scalar query paths (``z_skin``, ``contact_force``, ``surface_normal``)
-are plain-float math so the 1 kHz control loop stays cheap.  Their
-``*_np`` twins apply the same arithmetic to arrays; the probe descent
-evaluates a window of steps through them, and cloud generation uses
-them too.
+are plain-float math and serve as the reference.  ``contact_law`` is the
+hot path: the same contact law and normal in one closure, set up for the
+profile kind once per palpation, which the 1 kHz contour-follow tick
+calls.  The ``*_np`` twins apply the same arithmetic to arrays; the probe
+descent evaluates a window of steps through them, and cloud generation
+uses them too.
 """
 
 from __future__ import annotations
@@ -266,9 +268,6 @@ class TumorGeometry:
         h = self.top_height * np.sqrt(np.maximum(0.0, 1.0 - t * t))
         return np.where(d_edge > 0.0, h, 0.0)
 
-    def in_footprint(self, x: float, y: float) -> bool:
-        return self.height(x, y) > 0.0
-
 
 @dataclass(frozen=True)
 class ContactResponse:
@@ -388,6 +387,56 @@ class Phantom:
         if probe_vz < 0.0:
             f += self._damping * (-probe_vz)
         return ContactResponse(f, d, regime)
+
+    def contact_law(self):
+        """``contact_force`` and ``fn * surface_normal`` (zeros out of
+        contact) as one closure ``(cx, cy, cz, vz) -> (fn, fx, fy, fz)``,
+        the hot path of contour following.  Same operations in the same
+        order, so the same floats; the slope reuses the profile's ``u``/``s``
+        (cyl_bump) or height (gauss_bump)."""
+        prof = self._profile
+        cyl, gauss = prof.kind == CYL_BUMP, prof.kind == GAUSS_BUMP
+        amp, radius = prof.amplitude, prof.radius
+        sig2 = prof.sigma * prof.sigma
+        two_sig2 = 2.0 * prof.sigma * prof.sigma
+        base, stack, k_soft = self._skin_base, self._stack, self._k_soft
+        k_tumor, k_muscle, damping = self._k_tumor, self._k_muscle, self._damping
+        tumor_height = self.tumor.height if self.tumor is not None else None
+        sqrt, exp = math.sqrt, math.exp
+
+        def law(cx, cy, cz, vz):
+            if cyl:
+                u = cx / radius
+                s = 1.0 - u * u
+                root = sqrt(s) if s > 0.0 else 0.0
+                hs = amp * root
+            elif gauss:
+                hs = amp * exp(-(cx * cx + cy * cy) / two_sig2)
+            else:
+                hs = 0.0
+            d = base + hs - cz
+            if d <= 0.0:
+                return 0.0, 0.0, 0.0, 0.0
+            h = tumor_height(cx, cy) if tumor_height is not None else 0.0
+            d_stop = stack - h
+            if d <= d_stop:
+                f = k_soft * d
+            else:
+                k_hard = k_tumor if h > 0.0 else k_muscle
+                f = k_soft * d_stop + k_hard * (d - d_stop)
+            if vz < 0.0:
+                f += damping * (-vz)
+            if cyl and s > 1e-12:
+                gx, gy = -amp * u / (radius * root), 0.0
+            elif gauss:
+                g = hs / sig2
+                gx, gy = -cx * g, -cy * g
+            else:
+                gx, gy = 0.0, 0.0
+            inv = 1.0 / sqrt(gx * gx + gy * gy + 1.0)
+            return f, f * (-gx * inv), f * (-gy * inv), f * inv
+
+        return law
 
     def contact_force_np(self, qx: np.ndarray, qy: np.ndarray, probe_z: np.ndarray,
                          probe_vz: float = 0.0) -> np.ndarray:

@@ -7,7 +7,12 @@ Euler at the controller period; joint-space dynamics are out of scope.
 The probe descent is kinematic, so it is evaluated a window of steps at
 a time with numpy and stops at the first step that meets a stop rule.
 The contour-follow loop stays scalar, in plain-float arithmetic: each
-1 kHz tick depends on the one before it.
+1 kHz tick depends on the one before it.  Its tick is set up once per
+palpation: the phantom's specialised ``contact_law``, the plant step and
+the axial row of the load-cell map are inlined, and the full reading
+``ProbePlant.measure`` is taken once per stroke.  The scalar
+``Phantom.contact_force`` / ``surface_normal`` path is the reference it
+matches bit for bit (``tests/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -114,29 +119,12 @@ class PalpationTrajectory:
         return self.times.shape[0]
 
 
-@dataclass
-class PlantState:
-    p: np.ndarray
-    v: np.ndarray
-    orientation: EulerZYX
-    in_contact: bool = False
-
-
 def min_jerk_offset(t: float, a: float) -> float:
     """Minimum-jerk stroke offset sweeping -a..+a as t goes 0..1."""
     if t < 0.0 or t > 1.0:
         raise OutOfRange(f"normalized time {t} outside [0, 1]")
     s = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
     return 2.0 * a * s - a
-
-
-def desired_pose(p_now, delta_xy, depth_bias: float = 0.0) -> np.ndarray:
-    """Advance XY by delta and bias Z downward to keep compressive contact."""
-    return np.array([
-        float(p_now[0]) + float(delta_xy[0]),
-        float(p_now[1]) + float(delta_xy[1]),
-        float(p_now[2]) - depth_bias,
-    ])
 
 
 def impedance_force(p_d, p, v_d, v, gains: ControllerGains) -> np.ndarray:
@@ -180,7 +168,6 @@ class ProbePlant:
         self.gravity_residual = tuple(float(g) for g in params.gravity_residual)
         self.px = self.py = self.pz = 0.0
         self.vx = self.vy = self.vz = 0.0
-        self.in_contact = False
         self.align((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
 
     # -- pose / orientation --------------------------------------------------
@@ -191,7 +178,6 @@ class ProbePlant:
         self.px, self.py, self.pz = (float(position[0]), float(position[1]),
                                      float(position[2]))
         self.vx = self.vy = self.vz = 0.0
-        self.in_contact = False
         n = math.sqrt(sum(float(a) ** 2 for a in axis))
         self.axis = (float(axis[0]) / n, float(axis[1]) / n, float(axis[2]) / n)
         self.euler = euler_from_axis(self.axis)
@@ -209,19 +195,6 @@ class ProbePlant:
                    for i in range(3)]
         self._axial = [r_est[0][2], r_est[1][2], r_est[2][2]]
         self._w = float(self.cal.tip_weight_n)
-
-    def state(self) -> PlantState:
-        return PlantState(
-            np.array([self.px, self.py, self.pz]),
-            np.array([self.vx, self.vy, self.vz]),
-            self.euler,
-            self.in_contact,
-        )
-
-    def tip_point(self) -> tuple[float, float, float]:
-        ax, ay, az = self.axis
-        r = self.tip_radius
-        return self.px - r * ax, self.py - r * ay, self.pz - r * az
 
     # -- sensing ---------------------------------------------------------------
 
@@ -248,61 +221,6 @@ class ProbePlant:
         """
         axial, ox, oy, oz = self.load_cell(fx, fy, fz)
         return axial, np.array([ox, oy, oz])
-
-
-def step_plant(state: PlantState, f_cmd, phantom: Phantom, dt: float,
-               mass: float = 0.1, tip_radius: float = 0.0,
-               gravity_residual=(0.0, 0.0, 0.0)) -> PlantState:
-    """One semi-implicit Euler step: m*a = f_cmd + contact - residual.
-
-    Contact is evaluated at the tip contact point (probe position offset
-    by tip_radius along the tip axis) and acts along the local surface
-    normal.  Raises NumericalBlowup past the velocity safety bound.
-    """
-    axis = rotation_zyx(state.orientation) @ np.array([0.0, 0.0, 1.0])
-    p = np.asarray(state.p, dtype=float)
-    v = np.asarray(state.v, dtype=float)
-    f = np.asarray(f_cmd, dtype=float)
-    out = _step(
-        float(p[0]), float(p[1]), float(p[2]),
-        float(v[0]), float(v[1]), float(v[2]),
-        float(f[0]), float(f[1]), float(f[2]),
-        phantom, dt, mass, tip_radius,
-        float(axis[0]), float(axis[1]), float(axis[2]),
-        float(gravity_residual[0]), float(gravity_residual[1]), float(gravity_residual[2]),
-    )
-    px, py, pz, vx, vy, vz, in_contact, _, _, _, _ = out
-    return PlantState(np.array([px, py, pz]), np.array([vx, vy, vz]),
-                      state.orientation, in_contact)
-
-
-def _step(px, py, pz, vx, vy, vz, fcx, fcy, fcz, phantom, dt, mass, tip_r,
-          ax, ay, az, grx, gry, grz):
-    """Float-only plant step shared by step_plant and the inner loops.
-
-    Returns the new state plus the contact force vector and magnitude:
-    (px, py, pz, vx, vy, vz, in_contact, f_contact, fvx, fvy, fvz).
-    """
-    cx = px - tip_r * ax
-    cy = py - tip_r * ay
-    cz = pz - tip_r * az
-    cr = phantom.contact_force(cx, cy, cz, vz)
-    fn = cr.normal_force
-    if fn > 0.0:
-        nsx, nsy, nsz = phantom.surface_normal(cx, cy)
-        fvx, fvy, fvz = fn * nsx, fn * nsy, fn * nsz
-    else:
-        fvx = fvy = fvz = 0.0
-    inv_m = 1.0 / mass
-    vx += (fcx + fvx - grx) * inv_m * dt
-    vy += (fcy + fvy - gry) * inv_m * dt
-    vz += (fcz + fvz - grz) * inv_m * dt
-    if vx * vx + vy * vy + vz * vz > V_MAX * V_MAX:
-        raise NumericalBlowup(f"plant speed exceeded {V_MAX} m/s")
-    px += vx * dt
-    py += vy * dt
-    pz += vz * dt
-    return px, py, pz, vx, vy, vz, fn > 0.0, fn, fvx, fvy, fvz
 
 
 _MAX_WINDOW = 4096  # descent steps evaluated per pass
@@ -377,7 +295,6 @@ def probe_cell(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     f_axial, f_vec = plant.measure(float(fx[i]), float(fy[i]), float(fz[i]))
     plant.px, plant.py, plant.pz = px, py, pz
     plant.vx = plant.vy = plant.vz = 0.0
-    plant.in_contact = True
     d_z = abs(pz - p_zi)
     k = f_axial / d_z if d_z > 0.0 else f_axial / step_len
     classified = (f_axial > params.f_thres) and (d_z < params.d_thres)
@@ -422,19 +339,27 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     f_thres, d_thres = params.f_thres, params.d_thres
     amp = params.amplitude
     ticks_per_stroke = params.ticks_per_stroke
-    mass, tip_r = plant.mass, plant.tip_radius
+    tip_r = plant.tip_radius
     ax, ay, az = plant.axis
     grx, gry, grz = plant.gravity_residual
     sample_height = grid.sample_height
+    # the tick, set up once: contact law, plant step, axial load-cell row
+    law = phantom.contact_law()
+    inv_m = 1.0 / plant.mass
+    v_max2 = V_MAX * V_MAX
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant._m
+    a0, a1, a2 = plant._axial
+    w = plant._w
 
     px, py, pz = plant.px, plant.py, plant.pz
     vx, vy, vz = plant.vx, plant.vy, plant.vz
 
-    cx0 = px - tip_r * ax
-    cy0 = py - tip_r * ay
-    cz0 = pz - tip_r * az
-    cr0 = phantom.contact_force(cx0, cy0, cz0, vz)
-    ns = phantom.surface_normal(cx0, cy0)
+    # tip contact point, kept up to date with the position
+    cx = px - tip_r * ax
+    cy = py - tip_r * ay
+    cz = pz - tip_r * az
+    cr0 = phantom.contact_force(cx, cy, cz, vz)
+    ns = phantom.surface_normal(cx, cy)
     _, f_vec0 = plant.measure(cr0.normal_force * ns[0], cr0.normal_force * ns[1],
                               cr0.normal_force * ns[2])
 
@@ -482,7 +407,6 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
         pdx = anchor_x + dir_x * off
         pdy = anchor_y + dir_y * off
         pdz = pz - depth_bias
-        f_vec = (0.0, 0.0, 0.0)
         for _ in range(inner_n):
             ex = pdx - px
             if ex > e_lim:
@@ -506,20 +430,35 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
                 raise AdmissibleForceExceeded(
                     f"|f_cmd| exceeded admissible bound {math.sqrt(f_adm2):.1f} N"
                 )
-            (px, py, pz, vx, vy, vz, in_contact, fn, fvx, fvy, fvz) = _step(
-                px, py, pz, vx, vy, vz, fcx, fcy, fcz, phantom, dt, mass,
-                tip_r, ax, ay, az, grx, gry, grz)
+            # plant step, semi-implicit Euler: m a = f_cmd + contact - residual
+            fn, fvx, fvy, fvz = law(cx, cy, cz, vz)
+            vx += (fcx + fvx - grx) * inv_m * dt
+            vy += (fcy + fvy - gry) * inv_m * dt
+            vz += (fcz + fvz - grz) * inv_m * dt
+            if vx * vx + vy * vy + vz * vz > v_max2:
+                raise NumericalBlowup(f"plant speed exceeded {V_MAX} m/s")
+            px += vx * dt
+            py += vy * dt
+            pz += vz * dt
+            cx = px - tip_r * ax
+            cy = py - tip_r * ay
+            cz = pz - tip_r * az
             t += dt
-            f_axial, f_vec = plant.measure(fvx, fvy, fvz)
-            if in_contact:
+            # axial row of ProbePlant.load_cell
+            gz = fvz + w
+            ox = m00 * fvx + m01 * fvy + m02 * gz
+            oy = m10 * fvx + m11 * fvy + m12 * gz
+            oz = m20 * fvx + m21 * fvy + m22 * gz - w
+            f_axial = a0 * ox + a1 * oy + a2 * oz
+            if fn > 0.0:
                 last_contact = t
             elif t - last_contact > params.contact_loss_timeout:
                 outcome = LOST_CONTACT
                 break
-            ctip_z = pz - tip_r * az
-            d_z = sample_height(px - tip_r * ax, py - tip_r * ay) - ctip_z
-            if d_z > d_thres and f_axial < f_thres:
-                if armed:
+            # boundary depth d_z = sample_height(cx, cy) - cz, read only
+            # on the branches that use it
+            if f_axial < f_thres:
+                if armed and sample_height(cx, cy) - cz > d_thres:
                     if not reversed_once and tick < ticks_per_stroke:
                         reversed_once = True
                         do_reverse = True
@@ -529,9 +468,9 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
                         break
                     else:
                         latched = True
-            elif not armed and not do_reverse and \
-                    f_axial >= f_thres and d_z < d_thres:
+            elif not armed and not do_reverse and sample_height(cx, cy) - cz < d_thres:
                 armed = True  # back on the inclusion; boundary test live again
+        _, f_vec = plant.measure(fvx, fvy, fvz)  # the stroke's last tick
         times.append(t)
         poses.append((px, py, pz))
         forces.append(tuple(f_vec))

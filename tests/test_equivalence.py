@@ -6,6 +6,9 @@
     both do the same operations, so they must agree exactly.
 (c) The windowed ``probe_cell`` descent against a step-by-step scalar
     descent, ported here from the loop it replaced.
+(d) ``Phantom.contact_law`` against ``contact_force`` and ``surface_normal``.
+(e) ``contour_follow`` (one specialised tick) against the loop it
+    replaced, ported here with its plant step ``reference_step``.
 """
 
 import math
@@ -14,18 +17,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from palpsim import (
     CalibrationParams,
     ControllerGains,
     ForceReading,
+    PalpationTrajectory,
     PhantomConfig,
     ProbeParams,
     ProbePlant,
     TumorGeometry,
     compensate_tip_weight,
+    contour_follow,
     cyl_bump,
     flat_profile,
     gauss_bump,
@@ -34,7 +39,7 @@ from palpsim import (
     rotation_zyx,
 )
 from palpsim import policy
-from palpsim.errors import NoContact
+from palpsim.errors import AdmissibleForceExceeded, NoContact, NumericalBlowup, OutOfRange
 from palpsim.phantom import Phantom
 from palpsim.registration import SurfaceGrid, cell_to_surface
 
@@ -195,3 +200,240 @@ def test_probe_cell_stops_where_the_scalar_descent_stops(
     event("force stop" if f_z >= params.f_thres else "depth stop")
     assert (plant.px, plant.py, plant.pz) == stop
     assert (res.p_zi, res.p_zf, res.d_z, res.f_z) == (p_zi, stop[2], d_z, f_z)
+
+
+# -- (d) specialised contact law against contact_force and surface_normal -------
+
+def bits(values) -> tuple[str, ...]:
+    """Exact float identity, the sign of zero included."""
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("shape", SHAPES + (None,))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contact_law_matches_contact_force_and_normal(shape, profile, data):
+    ph = make_phantom(shape, profile)
+    law = ph.contact_law()
+    radius = ph.cfg.surface_profile.radius
+    # cyl_bump's rim, where s = 1 - (x / radius)^2 is at or just around 1e-12
+    rim = [sign * radius * (1.0 - e) for sign in (1.0, -1.0) for e in (0.0, 4e-13, 6e-13)]
+    x = data.draw(st.one_of(st.floats(-0.06, 0.06, **finite), st.sampled_from(rim)))
+    y = data.draw(st.floats(-0.03, 0.03, **finite))
+    where = data.draw(st.sampled_from(["free", "skin", "stop"]))
+    if where == "skin":
+        z = ph.z_skin(x, y)              # d == 0
+    elif where == "stop":
+        z = ph.z_skin(x, y) - ph.d_stop(x, y)  # d == d_stop
+    else:
+        z = ph.z_skin(x, y) - data.draw(st.floats(-0.005, 0.03, **finite))
+    vz = data.draw(st.one_of(st.floats(-0.05, 0.05, **finite), st.sampled_from([0.0, -0.0])))
+    event(where)
+    fn = ph.contact_force(x, y, z, vz).normal_force
+    if fn > 0.0:
+        nx, ny, nz = ph.surface_normal(x, y)
+        want = (fn, fn * nx, fn * ny, fn * nz)
+    else:
+        want = (fn, 0.0, 0.0, 0.0)
+    assert bits(law(x, y, z, vz)) == bits(want)
+
+
+# -- (e) contour_follow against the loop it replaced --------------------------------
+
+def reference_step(px, py, pz, vx, vy, vz, fcx, fcy, fcz, phantom, dt, mass, tip_r,
+                   ax, ay, az, grx, gry, grz):
+    """One semi-implicit Euler plant step, m a = f_cmd + contact - residual,
+    with contact at the tip point along the skin normal.  Returns
+    (px, py, pz, vx, vy, vz, in_contact, f_contact, fvx, fvy, fvz)."""
+    cx = px - tip_r * ax
+    cy = py - tip_r * ay
+    cz = pz - tip_r * az
+    cr = phantom.contact_force(cx, cy, cz, vz)
+    fn = cr.normal_force
+    if fn > 0.0:
+        nsx, nsy, nsz = phantom.surface_normal(cx, cy)
+        fvx, fvy, fvz = fn * nsx, fn * nsy, fn * nsz
+    else:
+        fvx = fvy = fvz = 0.0
+    inv_m = 1.0 / mass
+    vx += (fcx + fvx - grx) * inv_m * dt
+    vy += (fcy + fvy - gry) * inv_m * dt
+    vz += (fcz + fvz - grz) * inv_m * dt
+    if vx * vx + vy * vy + vz * vz > policy.V_MAX * policy.V_MAX:
+        raise NumericalBlowup(f"plant speed exceeded {policy.V_MAX} m/s")
+    px += vx * dt
+    py += vy * dt
+    pz += vz * dt
+    return px, py, pz, vx, vy, vz, fn > 0.0, fn, fvx, fvy, fvz
+
+
+def reference_follow(plant, phantom, grid, start, params, gains, rng):
+    """``contour_follow`` as a plain loop: ``reference_step`` and a full
+    load-cell ``measure`` on every tick, and the boundary depth read on
+    every tick.  Its events show which boundary-test paths an example ran."""
+    if not start.classified_tumor:
+        raise OutOfRange("contour following requires a tumor-classified probe")
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    dir_x, dir_y = math.cos(theta), math.sin(theta)
+    dt = gains.period
+    inner_n = max(1, int(round(1.0 / (params.osc_rate * dt))))
+    outer_dt = inner_n * dt
+    depth_bias = params.press_force / gains.k_p
+    k_p, k_d, e_lim = gains.k_p, gains.k_d, gains.e_thres
+    f_adm2 = policy.admissible_force(gains) ** 2
+    f_thres, d_thres = params.f_thres, params.d_thres
+    ticks_per_stroke = params.ticks_per_stroke
+    mass, tip_r = plant.mass, plant.tip_radius
+    ax, ay, az = plant.axis
+    grx, gry, grz = plant.gravity_residual
+    px, py, pz = plant.px, plant.py, plant.pz
+    vx, vy, vz = plant.vx, plant.vy, plant.vz
+    cx0, cy0, cz0 = px - tip_r * ax, py - tip_r * ay, pz - tip_r * az
+    fn0 = phantom.contact_force(cx0, cy0, cz0, vz).normal_force
+    ns = phantom.surface_normal(cx0, cy0)
+    _, f_vec0 = plant.measure(fn0 * ns[0], fn0 * ns[1], fn0 * ns[2])
+    times, poses, forces = [0.0], [(px, py, pz)], [tuple(f_vec0)]
+    t = last_contact = 0.0
+    outcome = None
+    anchor_x = anchor_y = 0.0
+    start_x, start_y = px, py
+    tick = phase = 0
+    reversed_once = do_reverse = latched = False
+    armed = True
+    min_waypoints = min(10, ticks_per_stroke)
+    while outcome is None:
+        if t + outer_dt > params.cf_timeout + 1e-12:
+            outcome = policy.TIMEOUT
+            break
+        if do_reverse:
+            do_reverse = False
+            back_x, back_y = start_x - px, start_y - py
+            norm = math.hypot(back_x, back_y)
+            if norm > 1e-9:
+                dir_x, dir_y = back_x / norm, back_y / norm
+            else:
+                dir_x, dir_y = -dir_x, -dir_y
+            anchor_x, anchor_y = px, py
+            phase = ticks_per_stroke // 2
+        elif phase == 0:
+            anchor_x, anchor_y = px, py
+        off = policy.min_jerk_offset((phase + 1) / ticks_per_stroke, params.amplitude)
+        pdx, pdy, pdz = anchor_x + dir_x * off, anchor_y + dir_y * off, pz - depth_bias
+        f_vec = (0.0, 0.0, 0.0)
+        for _ in range(inner_n):
+            ex = min(max(pdx - px, -e_lim), e_lim)
+            ey = min(max(pdy - py, -e_lim), e_lim)
+            ez = min(max(pdz - pz, -e_lim), e_lim)
+            fcx = k_p * ex - k_d * vx
+            fcy = k_p * ey - k_d * vy
+            fcz = k_p * ez - k_d * vz
+            if fcx * fcx + fcy * fcy + fcz * fcz > f_adm2:
+                raise AdmissibleForceExceeded(
+                    f"|f_cmd| exceeded admissible bound {math.sqrt(f_adm2):.1f} N")
+            (px, py, pz, vx, vy, vz, in_contact, _, fvx, fvy, fvz) = reference_step(
+                px, py, pz, vx, vy, vz, fcx, fcy, fcz, phantom, dt, mass,
+                tip_r, ax, ay, az, grx, gry, grz)
+            t += dt
+            f_axial, f_vec = plant.measure(fvx, fvy, fvz)
+            if in_contact:
+                last_contact = t
+            elif t - last_contact > params.contact_loss_timeout:
+                outcome = policy.LOST_CONTACT
+                break
+            d_z = grid.sample_height(px - tip_r * ax, py - tip_r * ay) - (pz - tip_r * az)
+            if d_z > d_thres and f_axial < f_thres:
+                if armed:
+                    if not reversed_once and tick < ticks_per_stroke:
+                        event("reversed")
+                        reversed_once = do_reverse = True
+                        armed = False
+                    elif len(times) >= min_waypoints:
+                        outcome = policy.BOUNDARY_REACHED
+                        break
+                    else:
+                        event("latched")
+                        latched = True
+            elif not armed and not do_reverse and f_axial >= f_thres and d_z < d_thres:
+                event("re-armed")
+                armed = True
+        times.append(t)
+        poses.append((px, py, pz))
+        forces.append(tuple(f_vec))
+        tick += 1
+        phase = (phase + 1) % ticks_per_stroke
+        if outcome is None and latched and len(times) >= min_waypoints:
+            outcome = policy.BOUNDARY_REACHED
+    plant.px, plant.py, plant.pz = px, py, pz
+    plant.vx, plant.vy, plant.vz = vx, vy, vz
+    return PalpationTrajectory(np.array(times), np.array(poses), np.array(forces), outcome,
+                               start.cell, (dir_x, dir_y), np.array(plant.axis))
+
+
+def follow_or_error(follow, plant, ph, grid, start, params, gains, seed):
+    try:
+        return follow(plant, ph, grid, start, params, gains, np.random.default_rng(seed))
+    except (AdmissibleForceExceeded, NumericalBlowup, OutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+def edge_grid(ph, x, y):
+    """21 x 21 cells of the true skin, 2 mm apart, with cell (10, 10) at (x, y)."""
+    gx = x - 0.02 + 0.002 * np.arange(21)
+    gy = y - 0.02 + 0.002 * np.arange(21)
+    mx, my = np.meshgrid(gx, gy, indexing="ij")
+    normal = np.stack(ph.surface_normal_np(mx.ravel(), my.ravel()), axis=1)
+    return SurfaceGrid((gx[0], gy[0]), 0.002, 0.002, ph.z_skin_np(mx, my),
+                       normal.reshape(21, 21, 3), np.ones((21, 21), dtype=bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(SHAPES), profile=st.sampled_from(sorted(PROFILES)),
+       r=st.one_of(st.just(0.0), st.floats(0.005, 0.012, **finite)),
+       azimuth=st.floats(0.0, 2 * math.pi, **finite),
+       angle_noise=st.sampled_from([0.0, 0.02]),
+       gravity=st.sampled_from([(0.0, 0.0, 0.0), (0.01, 0.0, 0.02), (-0.3, 0.2, 0.5),
+                                (0.0, 0.0, -8.0)]),
+       cf_timeout=st.sampled_from([5.0] * 3 + [0.0, 0.02, 0.15]),
+       d_thres=st.sampled_from([0.017, 0.013]),
+       # mostly the default controller; the others reach both raising guards
+       gains=st.sampled_from([ControllerGains()] * 4 + [ControllerGains(k_d=0.0),
+                                                        ControllerGains(k_p=4000.0, k_d=2.0)]),
+       probe_mass=st.sampled_from([0.1] * 4 + [0.002]),
+       seed=st.integers(0, 2**32 - 1))
+# reverses in the opening stroke, re-arms, then latches for 19 ticks
+@example(shape="ellipsoid", profile="gauss_bump", r=0.008506565698919407,
+         azimuth=1.1520612526577858, angle_noise=0.0, gravity=(0.0, 0.0, 0.0), cf_timeout=5.0,
+         d_thres=0.013, gains=ControllerGains(), probe_mass=0.1, seed=259)
+def test_contour_follow_matches_the_reference_loop(shape, profile, r, azimuth, angle_noise,
+                                                    gravity, cf_timeout, d_thres, gains,
+                                                    probe_mass, seed):
+    ph = make_phantom(shape, profile)
+    # start cells out to the inclusion's edge, where the boundary test fires
+    # early and the reverse and latch paths run
+    x, y = r * math.cos(azimuth), r * math.sin(azimuth)
+    grid = edge_grid(ph, x, y)
+    params = ProbeParams(cf_timeout=cf_timeout, gravity_residual=gravity, d_thres=d_thres,
+                         probe_mass=probe_mass)
+    cal = CalibrationParams(angle_noise=angle_noise)
+    plants = [ProbePlant(ph, params, cal) for _ in range(2)]
+    starts = [probe_cell(p, ph, grid, (10, 10), params, gains, np.random.default_rng(seed))
+              for p in plants]
+    event("classified" if starts[0].classified_tumor else "not classified")
+    want = follow_or_error(reference_follow, plants[0], ph, grid, starts[0], params, gains,
+                           seed)
+    got = follow_or_error(contour_follow, plants[1], ph, grid, starts[1], params, gains, seed)
+    if isinstance(want, tuple):
+        event(want[0].__name__)
+        assert got == want
+        return
+    event(want.outcome)
+    assert isinstance(got, PalpationTrajectory)
+    for name in ("times", "poses", "forces", "tip_normal"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.outcome, got.direction, got.start_cell) == \
+        (want.outcome, want.direction, want.start_cell)
+    assert bits((plants[1].px, plants[1].py, plants[1].pz,
+                 plants[1].vx, plants[1].vy, plants[1].vz)) == \
+        bits((plants[0].px, plants[0].py, plants[0].pz,
+              plants[0].vx, plants[0].vy, plants[0].vz))

@@ -63,6 +63,8 @@ def drawn(cls, **given_fields):
 
 CONFIGS = drawn(
     ExperimentConfig,
+    strategy=st.sampled_from(["bo", "rs"]),
+    mode=st.sampled_from(["cf", "discrete"]),
     phantom=drawn(
         PhantomConfig,
         k_fat=st.floats(1.0, 99.0), k_skin=st.floats(100.0, 999.0),
@@ -138,6 +140,21 @@ class TestConfigFile:
         ints = {k: int(v) if isinstance(v, float) and v.is_integer() else v
                 for k, v in flat.items()}
         assert repr(config_from_flat(ints)) == repr(cfg)
+
+    def test_int_fields_reject_fractions(self):
+        cfg = config_from_flat({"budget": 17.0, "probe.ticks_per_stroke": "9"})
+        assert (cfg.budget, cfg.probe.ticks_per_stroke) == (17, 9)
+        for key, value in (("budget", 17.9), ("probe.ticks_per_stroke", 2.5),
+                           ("trials", "2.5"), ("seed", float("inf"))):
+            with pytest.raises(ConfigInvalid, match=f"config key '{key}'"):
+                config_from_flat({key: value})
+
+    @pytest.mark.parametrize("key", ["strategy", "mode"])
+    def test_unknown_strategy_or_mode_rejected(self, key):
+        with pytest.raises(ConfigInvalid, match=f"unknown {key} 'xx'"):
+            config_from_flat({key: "xx", "trials": 1, "budget": 3})
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(**{key: "xx"})
 
     def test_flag_style_overrides(self):
         cfg = config_from_flat({"shape": "hemisphere", "budget": 17, "mode": "discrete"})

@@ -1,27 +1,25 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from test_equivalence import reference_step
 
 from palpsim import (
     ControllerGains,
-    EulerZYX,
     Phantom,
     PhantomConfig,
-    PlantState,
     ProbeParams,
     ProbePlant,
     TumorGeometry,
     admissible_force,
     contour_follow,
-    desired_pose,
     flat_profile,
     impedance_force,
     min_jerk_offset,
     probe_cell,
     run_policy,
-    step_plant,
 )
 from palpsim.errors import Exhausted, NoContact, NumericalBlowup, OutOfRange
 from palpsim.policy import BOUNDARY_REACHED, TIMEOUT
@@ -56,24 +54,6 @@ class TestMinJerk:
     def test_monotone(self):
         vals = [min_jerk_offset(t, 1.0) for t in np.linspace(0, 1, 1000)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-class TestDesiredPose:
-    def test_identity(self):
-        p = np.array([0.1, 0.2, 0.3])
-        assert np.allclose(desired_pose(p, (0.0, 0.0), 0.0), p)
-
-    def test_xy_advance(self):
-        p = np.array([0.1, 0.2, 0.3])
-        out = desired_pose(p, (0.001, 0.0), 0.0)
-        assert out[0] - p[0] == pytest.approx(0.001)
-
-    def test_compressive_bias_sign(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            p = rng.normal(size=3)
-            out = desired_pose(p, rng.normal(size=2), depth_bias=abs(rng.normal()))
-            assert out[2] <= p[2]
 
 
 class TestImpedanceForce:
@@ -118,38 +98,45 @@ class TestAdmissibleForce:
         assert admissible_force(g2) == pytest.approx(2 * admissible_force(g1), abs=1e-12)
 
 
+def step(ph, p, v, f_cmd, mass=0.1):
+    """The reference plant step for a tip-less probe pointing up:
+    (position, velocity, in contact)."""
+    out = reference_step(*p, *v, *f_cmd, ph, 0.001, mass, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    return np.array(out[0:3]), np.array(out[3:6]), out[6]
+
+
 class TestStepPlant:
     def test_rest_stays_at_rest(self):
         ph = flat_phantom()
-        state = PlantState(np.array([0.0, 0.0, 1.0]), np.zeros(3), EulerZYX())
-        out = step_plant(state, np.zeros(3), ph, 0.001)
-        assert np.allclose(out.p, state.p)
-        assert np.allclose(out.v, 0.0)
-        assert not out.in_contact
+        p0 = np.array([0.0, 0.0, 1.0])
+        p, v, in_contact = step(ph, p0, np.zeros(3), np.zeros(3))
+        assert np.allclose(p, p0)
+        assert np.allclose(v, 0.0)
+        assert not in_contact
 
     def test_ballistic_pull(self):
         ph = flat_phantom()
-        state = PlantState(np.array([0.0, 0.0, 1.0]), np.zeros(3), EulerZYX())
+        p, v = np.array([0.0, 0.0, 1.0]), np.zeros(3)
         for _ in range(100):
-            state = step_plant(state, np.array([0.0, 0.0, -1.0]), ph, 0.001, mass=0.1)
-        assert state.v[2] == pytest.approx(-1.0, abs=1e-9)
+            p, v, _ = step(ph, p, v, np.array([0.0, 0.0, -1.0]), mass=0.1)
+        assert v[2] == pytest.approx(-1.0, abs=1e-9)
 
     def test_static_equilibrium_penetration(self):
         ph = flat_phantom()  # k_soft = 266.67
         z0 = ph.z_skin(0.0, 0.0)
-        state = PlantState(np.array([0.0, 0.0, z0 + 0.001]), np.zeros(3), EulerZYX())
+        p, v = np.array([0.0, 0.0, z0 + 0.001]), np.zeros(3)
         f_cmd = np.array([0.0, 0.0, -3.0])
         for _ in range(3000):
-            state = step_plant(state, f_cmd, ph, 0.001, mass=0.1)
-        d = z0 - state.p[2]
+            p, v, _ = step(ph, p, v, f_cmd, mass=0.1)
+        d = z0 - p[2]
         assert ph.cfg.k_soft * d == pytest.approx(3.0, rel=0.01)
 
     def test_velocity_blowup_guard(self):
         ph = flat_phantom()
-        state = PlantState(np.array([0.0, 0.0, 1.0]), np.zeros(3), EulerZYX())
+        p, v = np.array([0.0, 0.0, 1.0]), np.zeros(3)
         with pytest.raises(NumericalBlowup):
             for _ in range(10000):
-                state = step_plant(state, np.array([0.0, 0.0, -50.0]), ph, 0.001, mass=0.1)
+                p, v, _ = step(ph, p, v, np.array([0.0, 0.0, -50.0]), mass=0.1)
 
 
 class TestProbeCell:
@@ -255,6 +242,23 @@ class TestContourFollow:
         # waypoint cadence: inner steps x controller period
         expect = round(1.0 / (params.osc_rate * gains.period)) * gains.period
         assert np.allclose(dts[:-1], expect, atol=1e-9)
+
+    def test_hot_calls_once_per_stroke_not_per_tick(self, analytic_grid):
+        ph, params, gains, plant = self._setup()
+        grid = analytic_grid(ph)
+        start = probe_cell(plant, ph, grid, (10, 10), params, gains)
+        with mock.patch.object(ph, "contact_force", wraps=ph.contact_force) as contact, \
+                mock.patch.object(ph, "surface_normal", wraps=ph.surface_normal) as normal, \
+                mock.patch.object(plant, "measure", wraps=plant.measure) as measure, \
+                mock.patch.object(grid, "sample_height", wraps=grid.sample_height) as depth:
+            traj = contour_follow(plant, ph, grid, start, params, gains,
+                                  np.random.default_rng(3))
+        ticks = round((traj.times[-1] - traj.times[0]) / gains.period)
+        assert ticks > 5 * len(traj)
+        for hot in (contact, normal, measure):
+            assert hot.call_count <= len(traj) + 1
+        # the boundary depth is read only while the axial force is below f_thres
+        assert depth.call_count < ticks
 
     def test_all_outcomes_declared_within_timeout(self, analytic_grid):
         ph, params, gains, plant = self._setup()
