@@ -20,7 +20,6 @@ from .calibration import (
 )
 from .evaluation import (
     FScoreReport,
-    ReconCloud,
     aggregate_trials,
     extract_contact_points,
     fscore,

@@ -13,6 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .errors import ConfigInvalid
 from .evaluation import fscore
 from .experiment import (
     _ground_truth,
@@ -20,9 +21,9 @@ from .experiment import (
     load_config_file,
     run_experiment,
     run_matrix,
-    table1_matrix,
 )
-from .phantom import Phantom
+from .phantom import CRESCENT, HEMISPHERE, Phantom
+from .policy import BO, CONTOUR_FOLLOWING, DISCRETE, RS
 from .ply import export_ply, read_ply
 
 
@@ -46,10 +47,23 @@ def _flags_to_flat(args) -> dict:
     return flat
 
 
-def _build_config(args):
+def _flat_config(args) -> dict:
     flat = load_config_file(args.config) if args.config else {}
     flat.update(_flags_to_flat(args))
-    return config_from_flat(flat)
+    return flat
+
+
+def _matrix_configs(args) -> list:
+    """The ``table1_matrix`` conditions, each built from the config file and
+    flags; a ``shape``, ``strategy`` or ``mode`` given there fixes that axis."""
+    flat = _flat_config(args)
+    if flat.get("label"):
+        raise ConfigInvalid("matrix conditions cannot share one label")
+    shapes = [flat["shape"]] if "shape" in flat else [HEMISPHERE, CRESCENT]
+    strategies = [flat["strategy"]] if "strategy" in flat else [RS, BO]
+    modes = [flat["mode"]] if "mode" in flat else [CONTOUR_FOLLOWING, DISCRETE]
+    return [config_from_flat({**flat, "shape": shape, "strategy": strategy, "mode": mode})
+            for shape in shapes for strategy in strategies for mode in modes]
 
 
 def main(argv=None) -> int:
@@ -77,23 +91,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        cfg = _build_config(args)
+        cfg = config_from_flat(_flat_config(args))
         rep = run_experiment(cfg, args.out)
         return 0 if rep.n_failed < len(rep.trials) else 1
 
     if args.command == "matrix":
-        base = _build_config(args)
-        shapes = [args.shape] if args.shape else ["hemisphere", "crescent"]
-        cfgs = table1_matrix(seed=base.seed, trials=base.trials, shapes=shapes)
-        if args.strategy:
-            cfgs = [c for c in cfgs if c.strategy == args.strategy]
-        if args.mode:
-            cfgs = [c for c in cfgs if c.mode == args.mode]
-        run_matrix(cfgs, args.out)
+        run_matrix(_matrix_configs(args), args.out)
         return 0
 
     if args.command == "export-gt":
-        cfg = _build_config(args)
+        cfg = config_from_flat(_flat_config(args))
         if args.samples is not None:
             cfg = replace(cfg, gt_samples=args.samples)
         cloud = _ground_truth(cfg, Phantom(cfg.phantom, cfg.tumor))

@@ -1,9 +1,9 @@
 """Reconstruction harvesting and F-score evaluation.
 
 Contact waypoints from contour-following palpations (plus discrete
-probe terminal contacts) become the reconstructed tumor-surface cloud;
-precision/recall against a ground-truth cloud at a distance threshold r
-give the F-score.
+probe terminal contacts) become the reconstructed tumor-surface cloud,
+a deduplicated ``PointCloud``; precision/recall against a ground-truth
+cloud at a distance threshold r give the F-score.
 """
 
 from __future__ import annotations
@@ -32,87 +32,46 @@ class FScoreReport:
     n_gt: int
 
 
-@dataclass
-class ReconCloud:
-    points: PointCloud
-    source_counts: dict[str, int]
-
-
 def _dedup_indices(points: np.ndarray) -> list[int]:
-    """Indices kept by a greedy spatial dedup in input order (deterministic)."""
+    """Indices kept by a greedy spatial dedup in input order (deterministic):
+    a point is dropped when a kept point in its own or a neighbouring
+    bucket lies closer than _DEDUP_RADIUS."""
     cell = _DEDUP_RADIUS
     r2 = _DEDUP_RADIUS * _DEDUP_RADIUS
-    buckets: dict[tuple[int, int, int], list[int]] = {}
+    buckets: dict[tuple[int, int, int], list[tuple[float, float, float]]] = {}
     kept: list[int] = []
-    for i, p in enumerate(points):
-        key = (int(math.floor(p[0] / cell)), int(math.floor(p[1] / cell)),
-               int(math.floor(p[2] / cell)))
-        close = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in buckets.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
-                        q = points[j]
-                        if ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-                                + (p[2] - q[2]) ** 2) < r2:
-                            close = True
-                            break
-                    if close:
-                        break
-                if close:
-                    break
-            if close:
-                break
-        if not close:
+    for i, (x, y, z) in enumerate(points.tolist()):
+        kx, ky, kz = math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)
+        if not any((x - qx) ** 2 + (y - qy) ** 2 + (z - qz) ** 2 < r2
+                   for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+                   for qx, qy, qz in buckets.get((kx + dx, ky + dy, kz + dz), ())):
             kept.append(i)
-            buckets.setdefault(key, []).append(i)
+            buckets.setdefault((kx, ky, kz), []).append((x, y, z))
     return kept
 
 
 def extract_contact_points(trajectories: list[PalpationTrajectory],
                            probe_results: list[ProbeResult],
-                           params: ProbeParams,
-                           tip_radius: float) -> ReconCloud:
-    """Harvest tumor-surface contact points.
+                           params: ProbeParams) -> PointCloud:
+    """Harvest the reconstructed tumor-surface cloud.
 
     Tumor-classified probes contribute their terminal contact point;
     contour-following waypoints contribute wherever the axial contact
     force stays at or above f_thres (the on-tumor condition, which drops
     the low-force boundary oscillations).  Tip-center poses are offset
-    by tip_radius along the indentation direction.  Near-duplicate
-    points (< 0.2 mm apart) are collapsed.
+    by ``params.tip_radius`` along the indentation direction.
+    Near-duplicate points (< 0.2 mm apart) are collapsed.
     """
-    chunks: list[np.ndarray] = []
-    labels: list[str] = []
-    n_probe = 0
-    for res in probe_results:
-        if res.classified_tumor:
-            chunks.append(res.contact_point.reshape(1, 3))
-            labels.append("probe")
-            n_probe += 1
+    chunks = [res.contact_point.reshape(1, 3) for res in probe_results
+              if res.classified_tumor]
     for traj in trajectories:
-        if len(traj) == 0:
-            continue
-        axial = traj.forces @ traj.tip_normal
-        keep = axial >= params.f_thres
-        if not keep.any():
-            continue
-        pts = traj.poses[keep] - tip_radius * traj.tip_normal[None, :]
-        chunks.append(pts)
-        labels.append("contour")
+        keep = traj.forces @ traj.tip_normal >= params.f_thres
+        if keep.any():
+            chunks.append(traj.poses[keep] - params.tip_radius * traj.tip_normal[None, :])
     if not chunks:
         raise EmptyReconstruction("no qualifying contact points")
     stacked = np.vstack(chunks)
-    phase = np.concatenate([
-        np.full(c.shape[0], 0 if lbl == "probe" else 1, dtype=int)
-        for c, lbl in zip(chunks, labels)
-    ])
-    kept = _dedup_indices(stacked)
-    counts = {
-        "probe": int((phase[kept] == 0).sum()),
-        "contour": int((phase[kept] == 1).sum()),
-    }
-    return ReconCloud(PointCloud(stacked[kept]), counts)
+    return PointCloud(stacked[_dedup_indices(stacked)])
 
 
 def fscore(recon: PointCloud, gt: PointCloud, r: float) -> FScoreReport:
@@ -127,15 +86,14 @@ def fscore(recon: PointCloud, gt: PointCloud, r: float) -> FScoreReport:
     return FScoreReport(precision, recall, f, r, len(recon), len(gt))
 
 
-def reconstruct_mesh(cloud) -> SurfaceMesh:
+def reconstruct_mesh(cloud: PointCloud) -> SurfaceMesh:
     """Delaunay mesh over the contact points' XY projection.
 
     Triangles with any 3D edge longer than 3x the median edge are
     dropped so the mesh does not bridge concave gaps (e.g. the crescent
     bite).
     """
-    points = cloud.points.points if isinstance(cloud, ReconCloud) else cloud.points
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = np.asarray(cloud.points, dtype=float).reshape(-1, 3)
     if points.shape[0] < 3:
         raise DegenerateCloud("need at least 3 points")
     try:

@@ -331,10 +331,10 @@ def run_trial(cfg: ExperimentConfig, phantom: Phantom, gt: PointCloud,
         ]
         out.probes = probes
         out.trajs = trajs
-        recon = extract_contact_points(trajs, probes, cfg.probe, cfg.probe.tip_radius)
-        out.n_recon = len(recon.points)
-        out.recon_points = recon.points.points
-        out.report = fscore(recon.points, gt, cfg.r_eval)
+        recon = extract_contact_points(trajs, probes, cfg.probe)
+        out.n_recon = len(recon)
+        out.recon_points = recon.points
+        out.report = fscore(recon, gt, cfg.r_eval)
     except PalpSimError as exc:
         out.status = type(exc).__name__
         out.message = str(exc)

@@ -7,10 +7,10 @@ Euler at the controller period; joint-space dynamics are out of scope.
 The probe descent is kinematic, so it is evaluated a window of steps at
 a time with numpy and stops at the first step that meets a stop rule.
 The contour-follow loop stays scalar, in plain-float arithmetic: each
-1 kHz tick depends on the one before it.  Its tick is set up once per
-palpation: the phantom's specialised ``contact_law``, the plant step and
-the axial row of the load-cell map are inlined, and the full reading
-``ProbePlant.measure`` is taken once per stroke.  The scalar
+1 kHz control step depends on the one before it.  The step is set up
+once per palpation: the phantom's specialised ``contact_law``, the plant
+step and the axial row of the load-cell map are inlined, and the full
+reading ``ProbePlant.measure`` is taken once per stroke.  The scalar
 ``Phantom.contact_force`` / ``surface_normal`` path is the reference it
 matches bit for bit (``tests/test_equivalence.py``).
 """
@@ -83,8 +83,9 @@ class ProbeParams:
     gravity_residual: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.f_thres <= 0 or self.d_thres <= 0:
-            raise OutOfRange("amplitude, f_thres, d_thres must be > 0")
+        if (self.amplitude <= 0 or self.f_thres <= 0 or self.d_thres <= 0
+                or self.indent_speed <= 0):
+            raise OutOfRange("amplitude, f_thres, d_thres, indent_speed must be > 0")
         if self.osc_rate <= 0 or self.ticks_per_stroke < 1 or self.probe_mass <= 0:
             raise OutOfRange("osc_rate, ticks_per_stroke, probe_mass must be positive")
 
@@ -161,7 +162,6 @@ class ProbePlant:
     def __init__(self, phantom: Phantom, params: ProbeParams,
                  cal: Optional[CalibrationParams] = None):
         self.phantom = phantom
-        self.params = params
         self.cal = cal if cal is not None else CalibrationParams()
         self.mass = params.probe_mass
         self.tip_radius = params.tip_radius
@@ -322,7 +322,7 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     Strokes advance along a fixed random XY direction; a downward pose
     bias keeps the press force near ``press_force``.  Termination:
     BOUNDARY_REACHED when the probe sinks past d_thres with the axial
-    force below f_thres (checked every control tick), TIMEOUT after
+    force below f_thres (checked every control step), TIMEOUT after
     cf_timeout, LOST_CONTACT after contact_loss_timeout out of contact.
     """
     if not start.classified_tumor:
@@ -343,7 +343,7 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     ax, ay, az = plant.axis
     grx, gry, grz = plant.gravity_residual
     sample_height = grid.sample_height
-    # the tick, set up once: contact law, plant step, axial load-cell row
+    # the control step, set up once: contact law, plant step, axial load-cell row
     law = phantom.contact_law()
     inv_m = 1.0 / plant.mass
     v_max2 = V_MAX * V_MAX
@@ -372,26 +372,29 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     outcome = None
     anchor_x = anchor_y = 0.0
     start_x, start_y = px, py
-    tick = 0
     phase = 0
-    # A start cell right at the inclusion edge can satisfy the boundary
-    # test within a couple of ticks.  The first such event inside the
-    # opening stroke redirects travel back toward the follow's start
-    # point (a confirmed on-tumor coordinate) instead of ending a follow
-    # that mapped nothing; later events latch and terminate once the
-    # trajectory holds the minimum waypoint count a palpation is
-    # expected to produce.
-    reversed_once = False
-    do_reverse = False
-    armed = True
-    latched = False
+    # The boundary test ("deep": depth past d_thres, axial force below
+    # f_thres) runs in one of five states.  A start cell at the inclusion
+    # edge can be deep within a few control steps, so a deep event in the
+    # opening stroke turns travel back toward the follow's start point (a
+    # confirmed on-tumor coordinate) rather than end a follow that mapped nothing.
+    #   OPENING    live; deep -> TURNING while len(times) <= ticks_per_stroke
+    #   TURNING    off; the next stroke start redirects -> RETURNING
+    #   RETURNING  off until force >= f_thres and depth < d_thres -> ARMED
+    #   ARMED      live; deep ends the follow, or -> LATCHED below min_waypoints
+    #   LATCHED    the follow ends at the first stroke end with min_waypoints
+    # OPENING never latches: after the opening stroke len(times) >
+    # ticks_per_stroke >= min_waypoints, so a deep event there ends the
+    # follow.  The depth is read only where a state uses it.
+    OPENING, ARMED, LATCHED, TURNING, RETURNING = range(5)
+    state = OPENING
     min_waypoints = min(10, ticks_per_stroke)
     while outcome is None:
         if t + outer_dt > params.cf_timeout + 1e-12:
             outcome = TIMEOUT
             break
-        if do_reverse:
-            do_reverse = False
+        if state == TURNING:
+            state = RETURNING
             back_x = start_x - px
             back_y = start_y - py
             norm = math.hypot(back_x, back_y)
@@ -455,28 +458,24 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
             elif t - last_contact > params.contact_loss_timeout:
                 outcome = LOST_CONTACT
                 break
-            # boundary depth d_z = sample_height(cx, cy) - cz, read only
-            # on the branches that use it
+            # boundary depth d_z = sample_height(cx, cy) - cz
             if f_axial < f_thres:
-                if armed and sample_height(cx, cy) - cz > d_thres:
-                    if not reversed_once and tick < ticks_per_stroke:
-                        reversed_once = True
-                        do_reverse = True
-                        armed = False
+                if state < TURNING and sample_height(cx, cy) - cz > d_thres:
+                    if state == OPENING and len(times) <= ticks_per_stroke:
+                        state = TURNING
                     elif len(times) >= min_waypoints:
                         outcome = BOUNDARY_REACHED
                         break
                     else:
-                        latched = True
-            elif not armed and not do_reverse and sample_height(cx, cy) - cz < d_thres:
-                armed = True  # back on the inclusion; boundary test live again
-        _, f_vec = plant.measure(fvx, fvy, fvz)  # the stroke's last tick
+                        state = LATCHED
+            elif state == RETURNING and sample_height(cx, cy) - cz < d_thres:
+                state = ARMED  # back on the inclusion
+        _, f_vec = plant.measure(fvx, fvy, fvz)  # the stroke's last control step
         times.append(t)
         poses.append((px, py, pz))
         forces.append(tuple(f_vec))
-        tick += 1
         phase = (phase + 1) % ticks_per_stroke
-        if outcome is None and latched and len(times) >= min_waypoints:
+        if outcome is None and state == LATCHED and len(times) >= min_waypoints:
             outcome = BOUNDARY_REACHED
 
     plant.px, plant.py, plant.pz = px, py, pz

@@ -9,6 +9,7 @@
 (d) ``Phantom.contact_law`` against ``contact_force`` and ``surface_normal``.
 (e) ``contour_follow`` (one specialised tick) against the loop it
     replaced, ported here with its plant step ``reference_step``.
+(f) The reconstruction dedup against the nested-loop dedup it replaced.
 """
 
 import math
@@ -38,7 +39,7 @@ from palpsim import (
     remove_z_offset,
     rotation_zyx,
 )
-from palpsim import policy
+from palpsim import evaluation, policy
 from palpsim.errors import AdmissibleForceExceeded, NoContact, NumericalBlowup, OutOfRange
 from palpsim.phantom import Phantom
 from palpsim.registration import SurfaceGrid, cell_to_surface
@@ -400,21 +401,43 @@ def edge_grid(ph, x, y):
        gains=st.sampled_from([ControllerGains()] * 4 + [ControllerGains(k_d=0.0),
                                                         ControllerGains(k_p=4000.0, k_d=2.0)]),
        probe_mass=st.sampled_from([0.1] * 4 + [0.002]),
+       # 1 and 3 make min_waypoints equal to ticks_per_stroke
+       ticks_per_stroke=st.sampled_from([12] * 2 + [1, 3]),
        seed=st.integers(0, 2**32 - 1))
-# reverses in the opening stroke, re-arms, then latches for 19 ticks
+# OPENING -> TURNING -> RETURNING -> ARMED -> LATCHED (19 ticks) -> boundary
 @example(shape="ellipsoid", profile="gauss_bump", r=0.008506565698919407,
          azimuth=1.1520612526577858, angle_noise=0.0, gravity=(0.0, 0.0, 0.0), cf_timeout=5.0,
-         d_thres=0.013, gains=ControllerGains(), probe_mass=0.1, seed=259)
+         d_thres=0.013, gains=ControllerGains(), probe_mass=0.1, ticks_per_stroke=12, seed=259)
+# OPENING -> boundary after the opening stroke, at waypoint 19
+@example(shape="hemisphere", profile="gauss_bump", r=0.0, azimuth=5.501143899310936,
+         angle_noise=0.02, gravity=(0.0, 0.0, 0.0), cf_timeout=5.0, d_thres=0.013,
+         gains=ControllerGains(), probe_mass=0.1, ticks_per_stroke=3, seed=2426401943)
+# OPENING -> TURNING, back on the inclusion while still TURNING (no re-arm
+# before the redirect) -> RETURNING -> ARMED -> boundary
+@example(shape="hemisphere", profile="flat", r=0.009571098967754411,
+         azimuth=6.208375397697188, angle_noise=0.0, gravity=(-0.3, 0.2, 0.5), cf_timeout=5.0,
+         d_thres=0.017, gains=ControllerGains(k_p=4000.0, k_d=2.0), probe_mass=0.1,
+         ticks_per_stroke=3, seed=881746527)
+# OPENING -> TURNING -> RETURNING -> timeout
+@example(shape="hemisphere", profile="gauss_bump", r=0.011974913923579378,
+         azimuth=5.140763421071379, angle_noise=0.0, gravity=(0.01, 0.0, 0.02),
+         cf_timeout=0.15, d_thres=0.017, gains=ControllerGains(), probe_mass=0.1,
+         ticks_per_stroke=3, seed=2963043486)
+# OPENING -> TURNING -> RETURNING -> ARMED -> boundary, one tick per stroke
+@example(shape="hemisphere", profile="gauss_bump", r=0.009246888700605194,
+         azimuth=2.356261098317091, angle_noise=0.02, gravity=(0.01, 0.0, 0.02),
+         cf_timeout=5.0, d_thres=0.013, gains=ControllerGains(), probe_mass=0.1,
+         ticks_per_stroke=1, seed=2036397013)
 def test_contour_follow_matches_the_reference_loop(shape, profile, r, azimuth, angle_noise,
                                                     gravity, cf_timeout, d_thres, gains,
-                                                    probe_mass, seed):
+                                                    probe_mass, ticks_per_stroke, seed):
     ph = make_phantom(shape, profile)
     # start cells out to the inclusion's edge, where the boundary test fires
     # early and the reverse and latch paths run
     x, y = r * math.cos(azimuth), r * math.sin(azimuth)
     grid = edge_grid(ph, x, y)
     params = ProbeParams(cf_timeout=cf_timeout, gravity_residual=gravity, d_thres=d_thres,
-                         probe_mass=probe_mass)
+                         probe_mass=probe_mass, ticks_per_stroke=ticks_per_stroke)
     cal = CalibrationParams(angle_noise=angle_noise)
     plants = [ProbePlant(ph, params, cal) for _ in range(2)]
     starts = [probe_cell(p, ph, grid, (10, 10), params, gains, np.random.default_rng(seed))
@@ -429,6 +452,11 @@ def test_contour_follow_matches_the_reference_loop(shape, profile, r, azimuth, a
         return
     event(want.outcome)
     assert isinstance(got, PalpationTrajectory)
+    assert got.outcome in (policy.BOUNDARY_REACHED, policy.TIMEOUT, policy.LOST_CONTACT)
+    if got.outcome == policy.BOUNDARY_REACHED:
+        assert len(got) >= min(10, ticks_per_stroke)
+    # the loop's own timeout test allows 1e-12 s of rounding in the summed periods
+    assert got.times[-1] - got.times[0] <= cf_timeout + 1e-12
     for name in ("times", "poses", "forces", "tip_normal"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert (got.outcome, got.direction, got.start_cell) == \
@@ -437,3 +465,69 @@ def test_contour_follow_matches_the_reference_loop(shape, profile, r, azimuth, a
                  plants[1].vx, plants[1].vy, plants[1].vz)) == \
         bits((plants[0].px, plants[0].py, plants[0].pz,
               plants[0].vx, plants[0].vy, plants[0].vz))
+
+
+# -- (f) dedup against the nested-loop dedup it replaced ---------------------------
+
+def reference_dedup_indices(points: np.ndarray) -> list[int]:
+    """Greedy spatial dedup in input order, with early exits from the
+    27-bucket neighbourhood scan."""
+    cell = evaluation._DEDUP_RADIUS
+    r2 = cell * cell
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    kept: list[int] = []
+    for i, p in enumerate(points):
+        key = (int(math.floor(p[0] / cell)), int(math.floor(p[1] / cell)),
+               int(math.floor(p[2] / cell)))
+        close = False
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for j in buckets.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
+                        q = points[j]
+                        if ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+                                + (p[2] - q[2]) ** 2) < r2:
+                            close = True
+                            break
+                    if close:
+                        break
+                if close:
+                    break
+            if close:
+                break
+        if not close:
+            kept.append(i)
+            buckets.setdefault(key, []).append(i)
+    return kept
+
+
+DEDUP_R = evaluation._DEDUP_RADIUS
+# exact duplicates, and partners at the radius and one ulp either side of it
+RADIUS_STEPS = [0.0] + [sign * d for sign in (1.0, -1.0)
+                        for d in (DEDUP_R, math.nextafter(DEDUP_R, 0.0),
+                                  math.nextafter(DEDUP_R, 1.0))]
+# bucket edges (multiples of the radius) and free coordinates, both signs
+DEDUP_COORD = st.one_of(st.integers(-5, 5).map(lambda k: k * DEDUP_R),
+                        st.floats(-1e-3, 1e-3, **finite))
+# a point, or a partner of an earlier point offset along one axis; chains of
+# partners test that only kept points are bucketed
+DEDUP_ITEM = st.tuples(
+    st.tuples(DEDUP_COORD, DEDUP_COORD, DEDUP_COORD),
+    st.none() | st.tuples(st.integers(0, 39), st.integers(0, 2),
+                          st.sampled_from(RADIUS_STEPS)
+                          | st.floats(-1.5 * DEDUP_R, 1.5 * DEDUP_R, **finite)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(DEDUP_ITEM, min_size=1, max_size=40))
+def test_dedup_keeps_what_the_reference_keeps(items):
+    pts: list[tuple[float, float, float]] = []
+    for point, partner in items:
+        if partner is not None and pts:
+            j, axis, step = partner
+            p = list(pts[j % len(pts)])
+            p[axis] += step
+            point = tuple(p)
+        pts.append(point)
+    points = np.array(pts)
+    assert evaluation._dedup_indices(points) == reference_dedup_indices(points)

@@ -54,28 +54,27 @@ class TestExtractContactPoints:
     def test_below_threshold_is_empty(self):
         traj = fake_traj([[0, 0, 0.01]] * 5, [[0, 0, 2.0]] * 5)
         with pytest.raises(EmptyReconstruction):
-            extract_contact_points([traj], [], ProbeParams(f_thres=5.0), 0.0025)
+            extract_contact_points([traj], [], ProbeParams(f_thres=5.0))
 
     def test_single_discrete_probe(self):
-        out = extract_contact_points([], [fake_probe([0.0, 0.0, 0.019])],
-                                     ProbeParams(), 0.0025)
-        assert len(out.points) == 1
-        assert out.source_counts == {"probe": 1, "contour": 0}
+        out = extract_contact_points([], [fake_probe([0.0, 0.0, 0.019])], ProbeParams())
+        assert isinstance(out, PointCloud)
+        assert out.points.tolist() == [[0.0, 0.0, 0.019]]
 
     def test_unclassified_probe_ignored(self):
         with pytest.raises(EmptyReconstruction):
             extract_contact_points([], [fake_probe([0, 0, 0.019], classified=False)],
-                                   ProbeParams(), 0.0025)
+                                   ProbeParams())
 
     def test_tip_offset_along_normal(self):
         traj = fake_traj([[0.0, 0.0, 0.0125]], [[0.0, 0.0, 6.0]])
-        out = extract_contact_points([traj], [], ProbeParams(f_thres=5.0), 0.0025)
-        assert np.allclose(out.points.points[0], [0.0, 0.0, 0.01])
+        out = extract_contact_points([traj], [], ProbeParams(f_thres=5.0, tip_radius=0.0025))
+        assert np.allclose(out.points[0], [0.0, 0.0, 0.01])
 
     def test_dedup_under_200um(self):
         poses = [[0.0, 0.0, 0.01], [0.00005, 0.0, 0.01], [0.001, 0.0, 0.01]]
         traj = fake_traj(poses, [[0, 0, 6.0]] * 3)
-        out = extract_contact_points([traj], [], ProbeParams(f_thres=5.0), 0.0)
+        out = extract_contact_points([traj], [], ProbeParams(f_thres=5.0, tip_radius=0.0))
         assert len(out.points) == 2
 
     def test_cf_multiplier_on_shared_seed_runs(self, analytic_grid):
@@ -85,17 +84,17 @@ class TestExtractContactPoints:
         params, gains = ProbeParams(), ControllerGains()
         p_cf, t_cf = run_policy(ph, grid, "bo", "cf", 15, params, gains, seed=4)
         p_d, t_d = run_policy(ph, grid, "bo", "discrete", 15, params, gains, seed=4)
-        rc_cf = extract_contact_points(t_cf, p_cf, params, params.tip_radius)
-        rc_d = extract_contact_points(t_d, p_d, params, params.tip_radius)
-        assert len(rc_cf.points) >= 10 * len(rc_d.points)
+        rc_cf = extract_contact_points(t_cf, p_cf, params)
+        rc_d = extract_contact_points(t_d, p_d, params)
+        assert len(rc_cf) >= 10 * len(rc_d)
 
     def test_sanity_envelope(self, analytic_grid):
         ph = Phantom(PhantomConfig(), TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
         params, gains = ProbeParams(), ControllerGains()
         probes, trajs = run_policy(ph, grid, "bo", "cf", 12, params, gains, seed=5)
-        recon = extract_contact_points(trajs, probes, params, params.tip_radius)
-        for p in recon.points.points:
+        recon = extract_contact_points(trajs, probes, params)
+        for p in recon.points:
             assert p[2] >= ph.z_muscle(p[0], p[1]) - 0.001
             assert p[2] <= ph.z_skin(p[0], p[1]) + 0.001
 
@@ -179,7 +178,7 @@ class TestReconstructMesh:
         grid = analytic_grid(ph)
         params, gains = ProbeParams(), ControllerGains()
         probes, trajs = run_policy(ph, grid, "bo", "cf", 25, params, gains, seed=6)
-        recon = extract_contact_points(trajs, probes, params, params.tip_radius)
+        recon = extract_contact_points(trajs, probes, params)
         mesh = reconstruct_mesh(recon)
         for v in mesh.vertices:
             assert abs(v[2] - ph.z_stop(v[0], v[1])) < 0.002

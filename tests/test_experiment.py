@@ -21,8 +21,10 @@ from palpsim import (
     read_ply,
     run_experiment,
     run_matrix,
+    table1_matrix,
 )
 from palpsim.experiment import _write_config_echo
+from palpsim import cli
 from palpsim.cli import main as cli_main
 from palpsim.errors import ConfigInvalid, EmptyCloud, OutOfRange
 
@@ -245,6 +247,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: -3})
 
+    @pytest.mark.parametrize("speed", [0.0, -0.02])
+    def test_nonpositive_indent_speed_is_out_of_range(self, speed):
+        with pytest.raises(OutOfRange):
+            config_from_flat({"probe.indent_speed": speed})
+
 
 class TestRunMatrix:
     def test_summary_rows_and_combined(self, tmp_path):
@@ -339,6 +346,33 @@ class TestCli:
         assert cli_main(["export-gt", "--config", str(cfg_file), "--file", str(gt_path)]) == 0
         assert len(read_ply(gt_path)) == 700
         assert gt_path.read_bytes() == (tmp_path / "out" / "gt.ply").read_bytes()
+
+    def _matrix_configs(self, monkeypatch, argv):
+        ran = []
+        monkeypatch.setattr(cli, "run_matrix", lambda cfgs, out: ran.append(cfgs))
+        assert cli_main(["matrix", *argv]) == 0
+        return ran[0]
+
+    def test_matrix_without_a_config_is_table1(self, monkeypatch):
+        assert self._matrix_configs(monkeypatch, []) == table1_matrix()
+        assert self._matrix_configs(monkeypatch, ["--seed", "3", "--trials", "2"]) == \
+            table1_matrix(seed=3, trials=2)
+        assert self._matrix_configs(monkeypatch, ["--shape", "ellipsoid", "--mode", "cf"]) == \
+            [c for c in table1_matrix(shapes=["ellipsoid"]) if c.mode == "cf"]
+
+    def test_matrix_applies_every_config_key_and_flag(self, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("probe.f_thres = 4.0\nbudget = 5\nstrategy = bo\n")
+        cfgs = self._matrix_configs(monkeypatch, ["--config", str(cfg_file), "--budget", "3"])
+        assert [c.condition for c in cfgs] == \
+            [c.condition for c in table1_matrix() if c.strategy == "bo"]
+        assert {(c.budget, c.probe.f_thres) for c in cfgs} == {(3, 4.0)}
+
+    def test_matrix_rejects_a_shared_label(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text('label = "mine"\n')
+        with pytest.raises(ConfigInvalid):
+            cli_main(["matrix", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
 
     def test_eval_against_sim_recon(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
