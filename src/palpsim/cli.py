@@ -13,17 +13,17 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import ConfigInvalid
+from .errors import PalpSimError
 from .evaluation import fscore
 from .experiment import (
     _ground_truth,
     config_from_flat,
     load_config_file,
+    matrix_configs,
     run_experiment,
     run_matrix,
 )
-from .phantom import CRESCENT, HEMISPHERE, Phantom
-from .policy import BO, CONTOUR_FOLLOWING, DISCRETE, RS
+from .phantom import Phantom
 from .ply import export_ply, read_ply
 
 
@@ -53,19 +53,6 @@ def _flat_config(args) -> dict:
     return flat
 
 
-def _matrix_configs(args) -> list:
-    """The ``table1_matrix`` conditions, each built from the config file and
-    flags; a ``shape``, ``strategy`` or ``mode`` given there fixes that axis."""
-    flat = _flat_config(args)
-    if flat.get("label"):
-        raise ConfigInvalid("matrix conditions cannot share one label")
-    shapes = [flat["shape"]] if "shape" in flat else [HEMISPHERE, CRESCENT]
-    strategies = [flat["strategy"]] if "strategy" in flat else [RS, BO]
-    modes = [flat["mode"]] if "mode" in flat else [CONTOUR_FOLLOWING, DISCRETE]
-    return [config_from_flat({**flat, "shape": shape, "strategy": strategy, "mode": mode})
-            for shape in shapes for strategy in strategies for mode in modes]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="palpsim",
                                      description="Tactile tumor localization simulator")
@@ -89,14 +76,21 @@ def main(argv=None) -> int:
     p_eval.add_argument("--r", type=float, default=0.003, help="distance threshold (m)")
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except PalpSimError as exc:
+        print(f"palpsim: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
     if args.command == "run":
         cfg = config_from_flat(_flat_config(args))
         rep = run_experiment(cfg, args.out)
         return 0 if rep.n_failed < len(rep.trials) else 1
 
     if args.command == "matrix":
-        run_matrix(_matrix_configs(args), args.out)
+        run_matrix(matrix_configs(_flat_config(args)), args.out)
         return 0
 
     if args.command == "export-gt":
@@ -108,16 +102,12 @@ def main(argv=None) -> int:
         print(f"wrote {len(cloud)} points to {args.file}")
         return 0
 
-    if args.command == "eval":
-        recon = read_ply(args.recon)
-        gt = read_ply(args.gt)
-        rep = fscore(recon, gt, args.r)
-        print(f"precision={rep.precision:.4f} recall={rep.recall:.4f} "
-              f"fscore={rep.fscore:.4f} (r={args.r * 1e3:.1f} mm, "
-              f"n_recon={rep.n_recon}, n_gt={rep.n_gt})")
-        return 0
-
-    return 2
+    # eval
+    rep = fscore(read_ply(args.recon), read_ply(args.gt), args.r)
+    print(f"precision={rep.precision:.4f} recall={rep.recall:.4f} "
+          f"fscore={rep.fscore:.4f} (r={args.r * 1e3:.1f} mm, "
+          f"n_recon={rep.n_recon}, n_gt={rep.n_gt})")
+    return 0
 
 
 if __name__ == "__main__":

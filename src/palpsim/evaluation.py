@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateCloud, Empty, EmptyCloud, EmptyReconstruction
 from .phantom import PointCloud
 from .policy import PalpationTrajectory, ProbeParams, ProbeResult
-from .registration import SurfaceMesh, _vertex_normals
+from .registration import SurfaceMesh, _vertex_normals, mesh_from_cloud
 
 _DEDUP_RADIUS = 2e-4  # m, points closer than this collapse to one
 
@@ -87,30 +87,15 @@ def fscore(recon: PointCloud, gt: PointCloud, r: float) -> FScoreReport:
 
 
 def reconstruct_mesh(cloud: PointCloud) -> SurfaceMesh:
-    """Delaunay mesh over the contact points' XY projection.
-
-    Triangles with any 3D edge longer than 3x the median edge are
-    dropped so the mesh does not bridge concave gaps (e.g. the crescent
-    bite).
+    """Registration's height-field mesh (``mesh_from_cloud``) over the
+    contact points, without the triangles that have any 3D edge longer
+    than 3x the median edge, so the mesh does not bridge concave gaps
+    (e.g. the crescent bite).
     """
-    points = np.asarray(cloud.points, dtype=float).reshape(-1, 3)
-    if points.shape[0] < 3:
-        raise DegenerateCloud("need at least 3 points")
-    try:
-        tri = Delaunay(points[:, :2])
-    except QhullError as exc:
-        raise DegenerateCloud(f"triangulation failed: {exc}") from exc
-    simplices = tri.simplices
-    if simplices.shape[0] == 0:
-        raise DegenerateCloud("no triangles produced")
-    edges = np.stack([
-        np.linalg.norm(points[simplices[:, 0]] - points[simplices[:, 1]], axis=1),
-        np.linalg.norm(points[simplices[:, 1]] - points[simplices[:, 2]], axis=1),
-        np.linalg.norm(points[simplices[:, 2]] - points[simplices[:, 0]], axis=1),
-    ], axis=1)
-    med = np.median(edges)
-    keep = (edges <= 3.0 * med).all(axis=1)
-    simplices = simplices[keep]
+    mesh = mesh_from_cloud(cloud)
+    points, simplices = mesh.vertices, mesh.triangles
+    edges = np.linalg.norm(points[simplices] - points[np.roll(simplices, -1, axis=1)], axis=2)
+    simplices = simplices[(edges <= 3.0 * np.median(edges)).all(axis=1)]
     if simplices.shape[0] == 0:
         raise DegenerateCloud("all triangles dropped by the edge filter")
     return SurfaceMesh(points, simplices, _vertex_normals(points, simplices))

@@ -102,6 +102,9 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.budget < 1 or self.trials < 1:
             raise OutOfRange("budget and trials must be >= 1")
+        if not (self.xi >= 0 and self.n_init >= 2 and self.r_eval > 0
+                and self.gt_samples >= 1):
+            raise OutOfRange("need xi >= 0, n_init >= 2, r_eval > 0 and gt_samples >= 1")
 
     @property
     def condition(self) -> str:
@@ -153,29 +156,28 @@ def default_config(shape: str = HEMISPHERE, strategy: str = BO,
     budget 50 for the hemisphere/ellipsoid ROI, 80 for the crescent."""
     if budget is None:
         budget = 80 if shape == CRESCENT else 50
-    phantom_cfg = PhantomConfig()
-    probe = ProbeParams(d_thres=phantom_cfg.stack_depth - 0.002)
-    return ExperimentConfig(
-        phantom=phantom_cfg,
-        tumor=TumorGeometry(shape=shape),
-        strategy=strategy,
-        mode=mode,
-        budget=budget,
-        trials=trials,
-        seed=seed,
-        probe=probe,
-    )
+    return ExperimentConfig(tumor=TumorGeometry(shape=shape), strategy=strategy, mode=mode,
+                            budget=budget, trials=trials, seed=seed)
+
+
+def matrix_configs(flat: dict) -> list[ExperimentConfig]:
+    """Both strategies x both modes per shape, each condition built from the
+    flat config keys ``flat``; a ``shape``, ``strategy`` or ``mode`` there
+    fixes that axis.  The conditions cannot share a ``label``."""
+    if flat.get("label"):
+        raise ConfigInvalid("matrix conditions cannot share one label")
+    shapes = [flat["shape"]] if "shape" in flat else [HEMISPHERE, CRESCENT]
+    strategies = [flat["strategy"]] if "strategy" in flat else [RS, BO]
+    modes = [flat["mode"]] if "mode" in flat else [CONTOUR_FOLLOWING, DISCRETE]
+    return [config_from_flat({**flat, "shape": shape, "strategy": strategy, "mode": mode})
+            for shape in shapes for strategy in strategies for mode in modes]
 
 
 def table1_matrix(seed: int = 7, trials: int = 10,
                   shapes=(HEMISPHERE, CRESCENT)) -> list[ExperimentConfig]:
     """The full condition matrix: both strategies x both modes per shape."""
-    cfgs = []
-    for shape in shapes:
-        for strategy in ("rs", "bo"):
-            for mode in ("cf", "discrete"):
-                cfgs.append(default_config(shape, strategy, mode, seed=seed, trials=trials))
-    return cfgs
+    return [cfg for shape in shapes
+            for cfg in matrix_configs({"seed": seed, "trials": trials, "shape": shape})]
 
 
 # -- flat-key config files ---------------------------------------------------
@@ -189,7 +191,7 @@ def load_config_file(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigInvalid(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = raw.split("=", 1)
         for text in (value, value.split("#", 1)[0]):
             try:
@@ -345,6 +347,10 @@ def _csv_num(v: float) -> str:
     return f"{v:.9g}"
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    path.write_text("".join(f"{line}\n" for line in (header, *rows)))
+
+
 def _metrics_row(cfg: ExperimentConfig, t: TrialOutcome) -> str:
     rep = t.report
     return ",".join([
@@ -424,12 +430,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
             trial = run_trial(cfg, phantom, gt, i)
             trials.append(trial)
             if out_path is not None:
-                if trial.recon_points is not None and trial.recon_points.shape[0] > 0:
-                    export_ply(PointCloud(trial.recon_points),
-                               out_path / f"recon_{i}.ply")
+                if trial.recon_points is not None:
+                    recon = PointCloud(trial.recon_points)
+                    export_ply(recon, out_path / f"recon_{i}.ply")
                     try:
-                        mesh = reconstruct_mesh(PointCloud(trial.recon_points))
-                        export_mesh_ply(mesh, out_path / f"recon_mesh_{i}.ply")
+                        export_mesh_ply(reconstruct_mesh(recon),
+                                        out_path / f"recon_mesh_{i}.ply")
                     except PalpSimError:
                         pass  # too few/degenerate points for a mesh
                 _write_trajectories(traj_fh, cfg, trial)
@@ -446,13 +452,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
                           n_failed=sum(1 for t in trials if t.status != "ok"),
                           wall_time=time.perf_counter() - t0)
     if out_path is not None:
-        with open(out_path / "metrics.csv", "w") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for t in trials:
-                fh.write(_metrics_row(cfg, t) + "\n")
-        with open(out_path / "summary.csv", "w") as fh:
-            fh.write(SUMMARY_HEADER + "\n")
-            fh.write(_summary_row(rep) + "\n")
+        _write_csv(out_path / "metrics.csv", METRICS_HEADER,
+                   [_metrics_row(cfg, t) for t in trials])
+        _write_csv(out_path / "summary.csv", SUMMARY_HEADER, [_summary_row(rep)])
     if verbose:
         print(f"[{cfg.condition}] mean_F={mean_f:.3f} max_F={max_f:.3f} "
               f"({rep.wall_time:.1f}s)")
@@ -494,7 +496,7 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
         by_shape.setdefault(rep.config.tumor.shape, []).append(rep)
     for shape, shape_reports in by_shape.items():
         points = [t.recon_points for rep in shape_reports for t in rep.trials
-                  if t.recon_points is not None and t.recon_points.shape[0] > 0]
+                  if t.recon_points is not None]
         if not points:
             continue
         cfg0 = shape_reports[0].config
@@ -504,27 +506,15 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
 
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        with open(out_path / "metrics.csv", "w") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for rep in reports:
-                for t in rep.trials:
-                    fh.write(_metrics_row(rep.config, t) + "\n")
-        with open(out_path / "summary.csv", "w") as fh:
-            fh.write(SUMMARY_HEADER + "\n")
-            for rep in reports:
-                fh.write(_summary_row(rep) + "\n")
-            for shape in sorted(combined):
-                score = combined[shape]
-                n_palp = sum(r.config.budget * r.config.trials
-                             for r in by_shape[shape])
-                fh.write(",".join([
-                    "combined", shape, "", "", "combined", "", "",
-                    _csv_num(score.fscore), "", str(n_palp),
-                ]) + "\n")
-            for condition, _ in failed:
-                fh.write(",".join([
-                    condition, "", "", "", "failed", "", "", "", "", "",
-                ]) + "\n")
+        _write_csv(out_path / "metrics.csv", METRICS_HEADER,
+                   [_metrics_row(rep.config, t) for rep in reports for t in rep.trials])
+        rows = [_summary_row(rep) for rep in reports]
+        for shape in sorted(combined):
+            n_palp = sum(r.config.budget * r.config.trials for r in by_shape[shape])
+            rows.append(f"combined,{shape},,,combined,,,{_csv_num(combined[shape].fscore)},,"
+                        f"{n_palp}")
+        rows += [f"{condition},,,,failed,,,,," for condition, _ in failed]
+        _write_csv(out_path / "summary.csv", SUMMARY_HEADER, rows)
     if verbose:
         for rep in reports:
             cfg = rep.config

@@ -358,10 +358,7 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     cx = px - tip_r * ax
     cy = py - tip_r * ay
     cz = pz - tip_r * az
-    cr0 = phantom.contact_force(cx, cy, cz, vz)
-    ns = phantom.surface_normal(cx, cy)
-    _, f_vec0 = plant.measure(cr0.normal_force * ns[0], cr0.normal_force * ns[1],
-                              cr0.normal_force * ns[2])
+    _, f_vec0 = plant.measure(*law(cx, cy, cz, vz)[1:])
 
     times = [0.0]
     poses = [(px, py, pz)]

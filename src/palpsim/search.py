@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .errors import Exhausted, SingularKernel
+from .errors import Exhausted, OutOfRange, SingularKernel
 from .registration import SurfaceGrid
 
 _JITTER = 1e-10
@@ -42,6 +42,10 @@ class GPHyper:
     signal_var: float = 2.5e4      # (N/m)^2
     noise_var: float = 25.0        # (N/m)^2
 
+    def __post_init__(self):
+        if not (self.length_scale > 0 and self.signal_var > 0 and self.noise_var >= 0):
+            raise OutOfRange("need length_scale > 0, signal_var > 0 and noise_var >= 0")
+
 
 @dataclass(frozen=True)
 class Acquisition:
@@ -52,7 +56,7 @@ class Acquisition:
 
     def __post_init__(self):
         if self.xi < 0:
-            raise ValueError("xi must be >= 0")
+            raise OutOfRange("xi must be >= 0")
 
 
 class GPModel:

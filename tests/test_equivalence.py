@@ -10,6 +10,8 @@
 (e) ``contour_follow`` (one specialised tick) against the loop it
     replaced, ported here with its plant step ``reference_step``.
 (f) The reconstruction dedup against the nested-loop dedup it replaced.
+(g) ``reconstruct_mesh`` (registration's mesher plus the edge filter)
+    against the standalone mesher it replaced, ported here.
 """
 
 import math
@@ -18,8 +20,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+
+from scipy.spatial import Delaunay, QhullError
 
 from palpsim import (
     CalibrationParams,
@@ -27,22 +31,34 @@ from palpsim import (
     ForceReading,
     PalpationTrajectory,
     PhantomConfig,
+    PointCloud,
     ProbeParams,
     ProbePlant,
+    SurfaceMesh,
     TumorGeometry,
     compensate_tip_weight,
     contour_follow,
     cyl_bump,
+    extract_contact_points,
     flat_profile,
     gauss_bump,
+    mesh_from_cloud,
     probe_cell,
+    reconstruct_mesh,
     remove_z_offset,
     rotation_zyx,
+    run_policy,
 )
 from palpsim import evaluation, policy
-from palpsim.errors import AdmissibleForceExceeded, NoContact, NumericalBlowup, OutOfRange
+from palpsim.errors import (
+    AdmissibleForceExceeded,
+    DegenerateCloud,
+    NoContact,
+    NumericalBlowup,
+    OutOfRange,
+)
 from palpsim.phantom import Phantom
-from palpsim.registration import SurfaceGrid, cell_to_surface
+from palpsim.registration import SurfaceGrid, _vertex_normals, cell_to_surface
 
 PROFILES = {"flat": flat_profile, "cyl_bump": cyl_bump, "gauss_bump": gauss_bump}
 SHAPES = ("hemisphere", "ellipsoid", "crescent")
@@ -531,3 +547,69 @@ def test_dedup_keeps_what_the_reference_keeps(items):
         pts.append(point)
     points = np.array(pts)
     assert evaluation._dedup_indices(points) == reference_dedup_indices(points)
+
+
+# -- (g) reconstruction mesh against the standalone mesher it replaced ----------
+
+def reference_reconstruct_mesh(cloud: PointCloud) -> SurfaceMesh:
+    """Delaunay mesh over the XY projection, without the triangles that have
+    any 3D edge longer than 3x the median edge."""
+    points = np.asarray(cloud.points, dtype=float).reshape(-1, 3)
+    if points.shape[0] < 3:
+        raise DegenerateCloud("need at least 3 points")
+    try:
+        tri = Delaunay(points[:, :2])
+    except QhullError as exc:
+        raise DegenerateCloud(f"triangulation failed: {exc}") from exc
+    simplices = tri.simplices
+    if simplices.shape[0] == 0:
+        raise DegenerateCloud("no triangles produced")
+    edges = np.stack([
+        np.linalg.norm(points[simplices[:, 0]] - points[simplices[:, 1]], axis=1),
+        np.linalg.norm(points[simplices[:, 1]] - points[simplices[:, 2]], axis=1),
+        np.linalg.norm(points[simplices[:, 2]] - points[simplices[:, 0]], axis=1),
+    ], axis=1)
+    med = np.median(edges)
+    keep = (edges <= 3.0 * med).all(axis=1)
+    simplices = simplices[keep]
+    if simplices.shape[0] == 0:
+        raise DegenerateCloud("all triangles dropped by the edge filter")
+    return SurfaceMesh(points, simplices, _vertex_normals(points, simplices))
+
+
+def no_zero_area_triangles(cloud: PointCloud) -> bool:
+    """The reference keeps zero-area triangles, which registration's mesher drops."""
+    return len(mesh_from_cloud(cloud).triangles) == len(Delaunay(cloud.points[:, :2]).simplices)
+
+
+def assert_same_mesh(cloud: PointCloud) -> None:
+    got, want = reconstruct_mesh(cloud), reference_reconstruct_mesh(cloud)
+    for name in ("vertices", "triangles", "vertex_normals"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("shape", ["hemisphere", "crescent"])
+@pytest.mark.parametrize("strategy", ["bo", "rs"])
+def test_recon_mesh_matches_the_reference_on_run_clouds(analytic_grid, shape, strategy):
+    ph = Phantom(PhantomConfig(), TumorGeometry(shape))
+    params = ProbeParams()
+    probes, trajs = run_policy(ph, analytic_grid(ph), strategy, "cf", 50, params,
+                               ControllerGains(), seed=11)
+    cloud = extract_contact_points(trajs, probes, params)
+    assert len(cloud) > 30 and no_zero_area_triangles(cloud)
+    assert_same_mesh(cloud)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300),
+       scale=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0), st.floats(0.0, 1.0)),
+       gap=st.floats(0.0, 5.0))
+def test_recon_mesh_matches_the_reference_on_random_clouds(seed, n, scale, gap):
+    """Uniform clouds, half of them shifted ``gap`` box widths along x, so
+    that triangles bridge the gap between two clusters."""
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 3)) * scale
+    pts[: n // 2, 0] += gap * scale[0]
+    cloud = PointCloud(pts)
+    assume(no_zero_area_triangles(cloud))
+    assert_same_mesh(cloud)

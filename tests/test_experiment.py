@@ -67,6 +67,7 @@ CONFIGS = drawn(
     ExperimentConfig,
     strategy=st.sampled_from(["bo", "rs"]),
     mode=st.sampled_from(["cf", "discrete"]),
+    n_init=st.integers(2, 10**6),
     phantom=drawn(
         PhantomConfig,
         k_fat=st.floats(1.0, 99.0), k_skin=st.floats(100.0, 999.0),
@@ -252,6 +253,19 @@ class TestConfigValidation:
         with pytest.raises(OutOfRange):
             config_from_flat({"probe.indent_speed": speed})
 
+    @pytest.mark.parametrize("key,value", [
+        ("gp.length_scale", 0.0), ("gp.signal_var", 0.0), ("gp.noise_var", -30.0),
+        ("gp.xi", -1.0), ("gp.n_init", 0), ("gp.n_init", 1),
+        ("r_eval", -1.0), ("r_eval", 0.0), ("gt_samples", 0)])
+    def test_gp_and_scoring_values_out_of_range(self, key, value):
+        with pytest.raises(OutOfRange):
+            config_from_flat({key: value})
+
+    def test_gp_and_scoring_edges_accepted(self):
+        cfg = config_from_flat({"gp.noise_var": 0.0, "gp.xi": 0.0, "gp.n_init": 2,
+                                "gt_samples": 1})
+        assert (cfg.hyper.noise_var, cfg.xi, cfg.n_init, cfg.gt_samples) == (0.0, 0.0, 2, 1)
+
 
 class TestRunMatrix:
     def test_summary_rows_and_combined(self, tmp_path):
@@ -264,6 +278,8 @@ class TestRunMatrix:
         kinds = [l.split(",")[4] for l in lines[1:]]
         assert kinds.count("per_trial") == 4
         assert kinds.count("combined") == 1
+        score = rep.combined["hemisphere"].fscore
+        assert lines[-1] == f"combined,hemisphere,,,combined,,,{score:.9g},,40"
         assert (tmp_path / "metrics.csv").exists()
 
     def test_empty_rejected(self):
@@ -280,7 +296,7 @@ class TestRunMatrix:
         assert len(rep.failed) == 1
         assert rep.failed[0][0] == "bad_condition"
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
-        assert any(l.startswith("bad_condition") and ",failed," in l for l in lines)
+        assert lines[-1] == "bad_condition,,,,failed,,,,,"
 
 
 class TestPly:
@@ -368,11 +384,34 @@ class TestCli:
             [c.condition for c in table1_matrix() if c.strategy == "bo"]
         assert {(c.budget, c.probe.f_thres) for c in cfgs} == {(3, 4.0)}
 
-    def test_matrix_rejects_a_shared_label(self, tmp_path):
+    def test_matrix_rejects_a_shared_label(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text('label = "mine"\n')
-        with pytest.raises(ConfigInvalid):
-            cli_main(["matrix", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert cli_main(["matrix", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "palpsim: error: ConfigInvalid: matrix conditions cannot share one label\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("trials = 1\nbogus line\n", "expected 'key = value', got 'bogus line'"),
+        ("trials = 1\nwidget.k = 3\n", "unknown config keys: ['widget.k']"),
+    ])
+    def test_bad_config_file_is_one_error_line(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(text)
+        for command in ("run", "matrix", "export-gt"):
+            assert cli_main([command, "--config", str(cfg_file),
+                             "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("palpsim: error: ConfigInvalid: ") and message in err
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):
+        assert cli_main(["run", "--budget", "0", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "palpsim: error: OutOfRange: budget and trials must be >= 1\n"
 
     def test_eval_against_sim_recon(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

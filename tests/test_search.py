@@ -17,7 +17,7 @@ from palpsim import (
     next_cell_bo,
     next_cell_random,
 )
-from palpsim.errors import Exhausted
+from palpsim.errors import Exhausted, OutOfRange
 from palpsim.search import GPModel, _ei
 
 
@@ -58,6 +58,12 @@ class TestGPFit:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             gp_fit([])
+
+    @pytest.mark.parametrize("kw", [dict(length_scale=0.0), dict(signal_var=0.0),
+                                    dict(noise_var=-30.0), dict(length_scale=float("nan"))])
+    def test_hyperparameters_out_of_range(self, kw):
+        with pytest.raises(OutOfRange):
+            GPHyper(**kw)
 
     def test_noise_free_interpolation(self):
         rng = np.random.default_rng(0)
@@ -113,6 +119,10 @@ class TestGPPredict:
 
 
 class TestExpectedImprovement:
+    def test_negative_xi_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="xi must be >= 0"):
+            Acquisition(xi=-1.0, best_k=500.0)
+
     def test_zero_sigma_no_improvement(self):
         assert _ei(np.array([400.0]), np.array([0.0]), 450.0, 0.0)[0] == 0.0
 
