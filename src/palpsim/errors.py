@@ -65,6 +65,10 @@ class EmptyReconstruction(PalpSimError, ValueError):
     """No waypoint/probe qualified as a reconstruction point."""
 
 
+class MalformedPly(PalpSimError, ValueError):
+    """File is not an ASCII PLY with an x, y, z vertex element."""
+
+
 class EmptyCloud(PalpSimError, ValueError):
     """Metric requires nonempty point clouds."""
 

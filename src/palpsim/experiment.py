@@ -185,8 +185,12 @@ def table1_matrix(seed: int = 7, trials: int = 10,
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines; values are JSON where possible.  ``#``
     starts a comment, except inside a value that is JSON as a whole."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigInvalid(f"{path}: cannot read config file: {exc.strerror}") from exc
     flat: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

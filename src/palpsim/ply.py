@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyCloud
+from .errors import EmptyCloud, MalformedPly
 from .phantom import PointCloud
 from .registration import SurfaceMesh
 
@@ -60,37 +60,16 @@ def export_mesh_ply(mesh: SurfaceMesh, path) -> None:
 
 
 def read_ply(path) -> PointCloud:
-    """Read the vertex element of an ASCII PLY file."""
-    with open(path) as fh:
-        line = fh.readline().strip()
-        if line != "ply":
-            raise ValueError(f"{path}: not a PLY file")
-        n_vertex = None
-        props: list[str] = []
-        in_vertex = False
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated header")
-            line = line.strip()
-            if line.startswith("format"):
-                if "ascii" not in line:
-                    raise ValueError(f"{path}: only ascii PLY supported")
-            elif line.startswith("element"):
-                parts = line.split()
-                in_vertex = parts[1] == "vertex"
-                if in_vertex:
-                    n_vertex = int(parts[2])
-            elif line.startswith("property") and in_vertex:
-                props.append(line.split()[-1])
-            elif line == "end_header":
-                break
-        if n_vertex is None:
-            raise ValueError(f"{path}: no vertex element")
-        rows = np.empty((n_vertex, len(props)))
-        for i in range(n_vertex):
-            rows[i] = [float(v) for v in fh.readline().split()]
-    cols = {name: rows[:, j] for j, name in enumerate(props)}
+    """Read the vertex element of an ASCII PLY file.
+
+    Anything else (another format, a broken header, no x/y/z, short or
+    non-numeric vertex rows) raises ``MalformedPly``.
+    """
+    try:
+        with open(path) as fh:
+            cols = _read_vertex_columns(fh)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise MalformedPly(f"{path}: {exc}") from exc
     points = np.column_stack([cols["x"], cols["y"], cols["z"]])
     normals = None
     if {"nx", "ny", "nz"} <= cols.keys():
@@ -99,3 +78,41 @@ def read_ply(path) -> PointCloud:
         norms[norms == 0] = 1.0
         normals = normals / norms
     return PointCloud(points, normals)
+
+
+def _read_vertex_columns(fh) -> dict[str, np.ndarray]:
+    if fh.readline().strip() != "ply":
+        raise ValueError("not a PLY file")
+    n_vertex = None
+    props: list[str] = []
+    in_vertex = False
+    while True:
+        line = fh.readline()
+        if not line:
+            raise ValueError("truncated header")
+        line = line.strip()
+        if line.startswith("format"):
+            if "ascii" not in line:
+                raise ValueError("only ascii PLY supported")
+        elif line.startswith("element"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"bad element line {line!r}")
+            in_vertex = parts[1] == "vertex"
+            if in_vertex:
+                n_vertex = int(parts[2])
+        elif line.startswith("property") and in_vertex:
+            props.append(line.split()[-1])
+        elif line == "end_header":
+            break
+    if n_vertex is None:
+        raise ValueError("no vertex element")
+    if not {"x", "y", "z"} <= set(props):
+        raise ValueError(f"vertex element has no x, y, z: {props}")
+    rows = np.empty((n_vertex, len(props)))
+    for i in range(n_vertex):
+        values = fh.readline().split()
+        if len(values) != len(props):
+            raise ValueError(f"vertex {i} has {len(values)} values, expected {len(props)}")
+        rows[i] = [float(v) for v in values]
+    return {name: rows[:, j] for j, name in enumerate(props)}

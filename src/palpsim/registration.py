@@ -245,6 +245,43 @@ def _masked_gradient(h: np.ndarray, step: float, axis: int) -> np.ndarray:
     return g
 
 
+class _Triangulation(Delaunay):
+    """``Delaunay`` whose barycentric transforms come from one stacked inverse.
+
+    scipy builds ``transform`` with one LAPACK ``dgetrs`` per simplex, and
+    scipy's OpenBLAS runs ``dgetrs`` threaded at any size: each call wakes a
+    helper thread that then spins for about 0.1 s, doubling the process's CPU
+    time.  numpy's OpenBLAS does not wake its pool for ``np.linalg.inv``,
+    which factors each matrix by the same LU, so the floats are scipy's bit
+    for bit.
+    """
+
+    @property
+    def transform(self) -> np.ndarray:
+        """Per simplex, ``inv(A)ᵀ`` in rows 0-1 and ``r`` in row 2, where ``r``
+        is the third vertex and ``A`` holds the first two minus ``r``.  As in
+        scipy, a simplex is all NaN when it is exactly singular or its
+        reciprocal 1-norm condition number is under ``1000·eps``."""
+        if self._transform is None:
+            p = self.points[self.simplices]
+            r = p[:, 2]
+            a = p[:, :2] - r[:, None, :]
+            out = np.full((len(p), 3, 2), np.nan)
+            # an exactly singular A would make inv raise for the whole stack
+            nonsingular = np.flatnonzero(np.linalg.slogdet(a)[0] != 0)
+            a = a[nonsingular]
+            inv = np.linalg.inv(a)
+            with np.errstate(over="ignore"):
+                inv_norm = np.abs(inv).sum(axis=1).max(axis=1)  # 1-norm: max column sum
+            rcond = (1.0 / inv_norm) / np.abs(a).sum(axis=1).max(axis=1)  # LAPACK dgecon's order
+            keep = rcond >= 1000 * np.finfo(float).eps
+            ok = nonsingular[keep]
+            out[ok, :2] = inv[keep].transpose(0, 2, 1)
+            out[ok, 2] = r[ok]
+            self._transform = out
+        return self._transform
+
+
 def interpolate_grid(mesh: SurfaceMesh, dx: float, dy: float) -> SurfaceGrid:
     """C1 cubic (Clough-Tocher) interpolation of mesh heights onto a lattice.
 
@@ -267,7 +304,7 @@ def interpolate_grid(mesh: SurfaceMesh, dx: float, dy: float) -> SurfaceGrid:
             f"({xmax - xmin:.4f}, {ymax - ymin:.4f})"
         )
     try:
-        interp = CloughTocher2DInterpolator(xy, z)
+        interp = CloughTocher2DInterpolator(_Triangulation(xy), z)
     except QhullError as exc:
         raise DegenerateCloud(f"interpolation triangulation failed: {exc}") from exc
     gx = xmin + dx * np.arange(nx)

@@ -12,6 +12,9 @@
 (f) The reconstruction dedup against the nested-loop dedup it replaced.
 (g) ``reconstruct_mesh`` (registration's mesher plus the edge filter)
     against the standalone mesher it replaced, ported here.
+(h) The barycentric transforms of ``registration._Triangulation`` against
+    scipy's ``Delaunay.transform``, and ``interpolate_grid`` against the
+    plain ``CloughTocher2DInterpolator(xy, z)`` version it replaced.
 """
 
 import math
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from scipy.interpolate import CloughTocher2DInterpolator
 from scipy.spatial import Delaunay, QhullError
 
 from palpsim import (
@@ -37,12 +41,16 @@ from palpsim import (
     SurfaceMesh,
     TumorGeometry,
     compensate_tip_weight,
+    config_from_flat,
     contour_follow,
+    crop_roi,
     cyl_bump,
     extract_contact_points,
     flat_profile,
     gauss_bump,
+    interpolate_grid,
     mesh_from_cloud,
+    preprocess_cloud,
     probe_cell,
     reconstruct_mesh,
     remove_z_offset,
@@ -56,9 +64,18 @@ from palpsim.errors import (
     NoContact,
     NumericalBlowup,
     OutOfRange,
+    PalpSimError,
+    ResolutionTooCoarse,
 )
+from palpsim.experiment import _CLOUD_STREAM
 from palpsim.phantom import Phantom
-from palpsim.registration import SurfaceGrid, _vertex_normals, cell_to_surface
+from palpsim.registration import (
+    SurfaceGrid,
+    _masked_gradient,
+    _Triangulation,
+    _vertex_normals,
+    cell_to_surface,
+)
 
 PROFILES = {"flat": flat_profile, "cyl_bump": cyl_bump, "gauss_bump": gauss_bump}
 SHAPES = ("hemisphere", "ellipsoid", "crescent")
@@ -613,3 +630,159 @@ def test_recon_mesh_matches_the_reference_on_random_clouds(seed, n, scale, gap):
     cloud = PointCloud(pts)
     assume(no_zero_area_triangles(cloud))
     assert_same_mesh(cloud)
+
+
+# -- (h) barycentric transforms and interpolation against scipy's own path -------
+
+def assert_same_transform(xy: np.ndarray):
+    """Compare the transforms; return them, or None when qhull rejects ``xy``."""
+    try:
+        want = Delaunay(xy)
+    except QhullError:
+        return None
+    got = _Triangulation(xy)
+    assert got.simplices.tobytes() == want.simplices.tobytes()
+    t_got, t_want = got.transform, want.transform
+    assert t_got.dtype == t_want.dtype and t_got.shape == t_want.shape
+    assert t_got.tobytes() == t_want.tobytes()  # NaN positions included
+    return t_got
+
+
+@st.composite
+def uniform_clouds(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 300))
+    scale = draw(st.tuples(st.floats(1e-4, 1.0), st.floats(1e-4, 1.0)))
+    return rng.uniform(-0.5, 0.5, (n, 2)) * scale + draw(st.floats(-1.0, 1.0))
+
+
+@st.composite
+def jittered_lattices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 25))
+    spacing = draw(st.floats(1e-4, 0.1))
+    jitter = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.3]))
+    u, v = np.meshgrid(np.arange(k), np.arange(draw(st.integers(2, 25))), indexing="ij")
+    xy = np.column_stack([u.ravel(), v.ravel()]).astype(float)
+    return (xy + rng.uniform(-jitter, jitter, xy.shape)) * spacing
+
+
+NEAR_LINE_OFFSETS = (0.0, 1e-17, 1e-15, 1e-13, 1e-12)
+
+
+@st.composite
+def near_collinear_clouds(draw):
+    """Points scattered within ``offset`` of a line, plus one point off it:
+    thin triangles whose condition sits on either side of scipy's limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 20))
+    offset = draw(st.sampled_from(NEAR_LINE_OFFSETS))
+    t = rng.uniform(0.0, 1.0, n)
+    slope, shift = draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0))
+    line = np.column_stack([t, slope * t + shift + rng.uniform(-offset, offset, n)])
+    apex = rng.uniform(-1.0, 2.0, (1, 2))
+    return np.vstack([line, apex])
+
+
+@settings(max_examples=400, deadline=None)
+@given(xy=st.one_of(uniform_clouds(), jittered_lattices(), near_collinear_clouds()))
+def test_transforms_match_scipy(xy):
+    transform = assert_same_transform(xy)
+    event("qhull rejects the cloud" if transform is None
+          else f"NaN simplices: {bool(np.isnan(transform).any())}")
+
+
+def test_transforms_match_scipy_on_seeded_near_collinear_clouds():
+    """A fixed batch that holds simplices on both sides of the condition limit
+    and exactly singular ones, so the NaN rule is always exercised."""
+    rng = np.random.default_rng(2024)
+    n_nan = n_total = 0
+    for i in range(600):
+        offset = NEAR_LINE_OFFSETS[i % len(NEAR_LINE_OFFSETS)]
+        n = int(rng.integers(2, 12))
+        t = rng.uniform(0.0, 1.0, n)
+        xy = np.vstack([np.column_stack([t, 0.7 * t + 0.2 + rng.uniform(-offset, offset, n)]),
+                        rng.uniform(-1.0, 2.0, (1, 2))])
+        transform = assert_same_transform(xy)
+        if transform is None:
+            continue
+        n_nan += int(np.isnan(transform[:, 0, 0]).sum())
+        n_total += transform.shape[0]
+    assert 0 < n_nan < n_total
+
+
+def reference_interpolate_grid(mesh: SurfaceMesh, dx: float, dy: float) -> SurfaceGrid:
+    """``interpolate_grid`` as it was with scipy's own triangulation."""
+    xy = mesh.vertices[:, :2]
+    z = mesh.vertices[:, 2]
+    xmin, ymin = xy.min(axis=0)
+    xmax, ymax = xy.max(axis=0)
+    nx = int(np.floor((xmax - xmin) / dx + 1e-9)) + 1
+    ny = int(np.floor((ymax - ymin) / dy + 1e-9)) + 1
+    if nx < 2 or ny < 2:
+        raise ResolutionTooCoarse("grid too small")
+    interp = CloughTocher2DInterpolator(xy, z)
+    gx = xmin + dx * np.arange(nx)
+    gy = ymin + dy * np.arange(ny)
+    mx, my = np.meshgrid(gx, gy, indexing="ij")
+    height = interp(np.column_stack([mx.ravel(), my.ravel()])).reshape(nx, ny)
+    dzdx = _masked_gradient(height, dx, axis=0)
+    dzdy = _masked_gradient(height, dy, axis=1)
+    valid = np.isfinite(height) & np.isfinite(dzdx) & np.isfinite(dzdy)
+    if valid.sum() < 4:
+        raise ResolutionTooCoarse("too few valid cells")
+    normal = np.stack([-dzdx, -dzdy, np.ones_like(height)], axis=-1)
+    with np.errstate(invalid="ignore"):
+        normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal[~valid] = np.nan
+    height = np.where(valid, height, np.nan)
+    return SurfaceGrid((xmin, ymin), dx, dy, height, normal, valid)
+
+
+def assert_same_grid(mesh: SurfaceMesh, dx: float, dy: float) -> None:
+    grids = []
+    for build in (interpolate_grid, reference_interpolate_grid):
+        try:
+            grids.append(build(mesh, dx, dy))
+        except ResolutionTooCoarse:
+            grids.append(ResolutionTooCoarse)
+    got, want = grids
+    if want is ResolutionTooCoarse or got is ResolutionTooCoarse:
+        assert got is want
+        return
+    assert got.origin_xy == want.origin_xy and (got.nx, got.ny) == (want.nx, want.ny)
+    for name in ("height", "normal", "valid_mask"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def scan_mesh(shape: str, seed: int) -> tuple[SurfaceMesh, float, float]:
+    """The ROI mesh of ``run_trial``'s registration for a default config."""
+    cfg = config_from_flat({"shape": shape, "seed": seed})
+    m = cfg.cloud.margin
+    region = ((cfg.roi.min_xy[0] - m, cfg.roi.min_xy[1] - m),
+              (cfg.roi.max_xy[0] + m, cfg.roi.max_xy[1] + m))
+    raw = Phantom(cfg.phantom, cfg.tumor).synth_depth_cloud(
+        region, cfg.cloud.density, cfg.cloud.noise_sigma, seed=[seed, _CLOUD_STREAM])
+    cloud = preprocess_cloud(raw, cfg.cloud.voxel, cfg.cloud.outlier_k, cfg.cloud.outlier_sigma)
+    return crop_roi(mesh_from_cloud(cloud), cfg.roi), cfg.grid_dx, cfg.grid_dy
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("seed", [7, 8, 2007])
+def test_interpolate_grid_matches_the_reference_on_scans(shape, seed):
+    mesh, dx, dy = scan_mesh(shape, seed)
+    assert_same_grid(mesh, dx, dy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xy=st.one_of(uniform_clouds(), jittered_lattices()),
+       seed=st.integers(0, 2**32 - 1), cells=st.integers(2, 60))
+def test_interpolate_grid_matches_the_reference_on_random_clouds(xy, seed, cells):
+    z = np.random.default_rng(seed).uniform(0.0, 1.0, xy.shape[0]) * np.ptp(xy)
+    try:
+        mesh = mesh_from_cloud(PointCloud(np.column_stack([xy, z])))
+    except PalpSimError:
+        event("no mesh")
+        return
+    step = max(np.ptp(xy, axis=0).max(), 1e-300) / cells
+    assert_same_grid(mesh, step, step)

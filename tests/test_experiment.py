@@ -26,7 +26,7 @@ from palpsim import (
 from palpsim.experiment import _write_config_echo
 from palpsim import cli
 from palpsim.cli import main as cli_main
-from palpsim.errors import ConfigInvalid, EmptyCloud, OutOfRange
+from palpsim.errors import ConfigInvalid, EmptyCloud, MalformedPly, OutOfRange
 
 
 def small_config(**kw):
@@ -334,6 +334,27 @@ class TestPly:
         with pytest.raises(EmptyCloud):
             export_ply(PointCloud(np.zeros((0, 3))), tmp_path / "x.ply")
 
+    @pytest.mark.parametrize("content,message", [
+        (b"hello\n", "not a PLY file"),
+        (b"ply\nformat binary_little_endian 1.0\nend_header\n", "only ascii PLY supported"),
+        (b"ply\nformat ascii 1.0\nelement vertex 2\n", "truncated header"),
+        (b"ply\nformat ascii 1.0\nelement vertex\nend_header\n", "bad element line"),
+        (b"ply\nformat ascii 1.0\nend_header\n", "no vertex element"),
+        (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nend_header\n1\n",
+         "no x, y, z"),
+        (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+         b"property float z\nend_header\n1 2 3\n", "vertex 1 has 0 values, expected 3"),
+        (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+         b"property float z\nend_header\n1 2 q\n", "could not convert"),
+        (b"\x89PNG\r\n\x1a\n\xff\xfe", "codec can't decode"),
+    ])
+    def test_malformed_file_raises_malformed_ply(self, tmp_path, content, message):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(content)
+        with pytest.raises(MalformedPly, match=message) as info:
+            read_ply(path)
+        assert isinstance(info.value, ValueError) and str(path) in str(info.value)
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path):
@@ -407,6 +428,24 @@ class TestCli:
             assert err.startswith("palpsim: error: ConfigInvalid: ") and message in err
             assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "matrix", "export-gt"])
+    def test_missing_config_file_is_one_error_line(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.cfg"
+        argv = [command, "--config", str(missing), "--out", str(tmp_path / "out")]
+        if command == "export-gt":
+            argv += ["--file", str(tmp_path / "gt.ply")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (f"palpsim: error: ConfigInvalid: {missing}: "
+                                           "cannot read config file: No such file or directory\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "gt.ply").exists()
+
+    def test_eval_on_a_file_that_is_not_ply_is_one_error_line(self, tmp_path, capsys):
+        text = tmp_path / "hello.txt"
+        text.write_text("hello\n")
+        assert cli_main(["eval", str(text), str(text)]) == 2
+        assert capsys.readouterr().err == \
+            f"palpsim: error: MalformedPly: {text}: not a PLY file\n"
 
     def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--budget", "0", "--out", str(tmp_path / "out")]) == 2

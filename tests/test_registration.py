@@ -3,13 +3,16 @@ import pytest
 from scipy.spatial import Delaunay
 
 from palpsim import (
+    Phantom,
     PointCloud,
     RoiBox,
     cell_to_surface,
+    config_from_flat,
     crop_roi,
     interpolate_grid,
     mesh_from_cloud,
     preprocess_cloud,
+    run_trial,
 )
 from palpsim.errors import (
     DegenerateCloud,
@@ -18,6 +21,7 @@ from palpsim.errors import (
     InvalidCell,
     ResolutionTooCoarse,
 )
+from palpsim.experiment import _ground_truth
 
 
 def lattice_cloud(n=40, extent=0.1, z_fn=lambda x, y: np.zeros_like(x)):
@@ -191,6 +195,19 @@ class TestInterpolateGrid:
             p, _ = cell_to_surface(grid, u, v)
             assert p[0] == pytest.approx(grid.origin_xy[0] + u * grid.dx, abs=1e-15)
             assert p[1] == pytest.approx(grid.origin_xy[1] + v * grid.dy, abs=1e-15)
+
+    def test_never_reads_scipys_barycentric_transforms(self, monkeypatch):
+        """scipy computes ``Delaunay.transform`` with one threaded LAPACK solve
+        per simplex; registration must use its own stacked inverse instead."""
+        def forbidden(self):
+            raise AssertionError("scipy's Delaunay.transform was read")
+
+        monkeypatch.setattr(Delaunay, "transform", property(forbidden))
+        mesh = mesh_from_cloud(lattice_cloud(25, z_fn=lambda x, y: x * y))
+        assert interpolate_grid(mesh, 0.005, 0.005).valid_mask.sum() >= 4
+        cfg = config_from_flat({"trials": 1, "budget": 20, "seed": 3})
+        phantom = Phantom(cfg.phantom, cfg.tumor)
+        assert run_trial(cfg, phantom, _ground_truth(cfg, phantom), 0).status == "ok"
 
 
 class TestCellToSurface:
