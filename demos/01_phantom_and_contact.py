@@ -35,7 +35,7 @@ for shape in ("hemisphere", "ellipsoid", "crescent"):
     print(f"\n=== {shape} ===")
     print(f"apex at ({ax * 1e3:+.1f}, {ay * 1e3:+.1f}) mm, height "
           f"{h.max() * 1e3:.1f} mm; stop depth there "
-          f"{phantom.d_stop(ax, ay) * 1e3:.1f} mm "
+          f"{(cfg.stack_depth - phantom.h_tumor(ax, ay)) * 1e3:.1f} mm "
           f"(vs {cfg.stack_depth * 1e3:.0f} mm off-tumor)")
 
     # force-displacement sweep over the apex vs. 15 mm away

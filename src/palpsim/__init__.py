@@ -82,9 +82,7 @@ from .search import (
     GPHyper,
     GPModel,
     StiffnessSample,
-    expected_improvement,
     gp_fit,
-    gp_predict,
     next_cell_bo,
     next_cell_random,
 )

@@ -384,31 +384,20 @@ def _summary_row(rep: ConditionReport) -> str:
     ])
 
 
-def _write_trajectories(fh, cfg: ExperimentConfig, trial: TrialOutcome) -> None:
-    probes = trial.probes
-    trajs = trial.trajs
-    for j, res in enumerate(probes):
-        rec = {
-            "trial": trial.index, "palpation_index": j, "t": 0.0,
-            "p": [float(x) for x in res.contact_point],
-            "f": [float(x) for x in res.f_vec],
-            "phase": "probe",
-            "outcome": "tumor" if res.classified_tumor else "no_tumor",
-        }
-        fh.write(json.dumps(rec) + "\n")
-    probe_index = {res.cell: j for j, res in enumerate(probes)}
-    for t in trajs:
-        pi = probe_index.get(t.start_cell, -1)
-        for i in range(len(t)):
-            rec = {
-                "trial": trial.index, "palpation_index": pi,
-                "t": float(t.times[i]),
-                "p": [float(x) for x in t.poses[i]],
-                "f": [float(x) for x in t.forces[i]],
-                "phase": "contour",
-                "outcome": t.outcome,
-            }
-            fh.write(json.dumps(rec) + "\n")
+def _write_trajectories(fh, trial: TrialOutcome) -> None:
+    """One JSON line per probe, then one per contour waypoint."""
+    def record(j, t, p, f, phase, outcome):
+        return json.dumps({"trial": trial.index, "palpation_index": j, "t": t,
+                           "p": p, "f": f, "phase": phase, "outcome": outcome}) + "\n"
+
+    fh.writelines(record(j, 0.0, res.contact_point.tolist(), res.f_vec.tolist(), "probe",
+                         "tumor" if res.classified_tumor else "no_tumor")
+                  for j, res in enumerate(trial.probes))
+    probe_index = {res.cell: j for j, res in enumerate(trial.probes)}
+    for traj in trial.trajs:
+        j = probe_index.get(traj.start_cell, -1)
+        fh.writelines(record(j, t, p, f, "contour", traj.outcome) for t, p, f in
+                      zip(traj.times.tolist(), traj.poses.tolist(), traj.forces.tolist()))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None,
@@ -442,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
                                         out_path / f"recon_mesh_{i}.ply")
                     except PalpSimError:
                         pass  # too few/degenerate points for a mesh
-                _write_trajectories(traj_fh, cfg, trial)
+                _write_trajectories(traj_fh, trial)
             if verbose:
                 f = trial.report.fscore if trial.report else float("nan")
                 print(f"[{cfg.condition}] trial {i}: status={trial.status} "

@@ -330,18 +330,8 @@ class Phantom:
     def z_skin(self, x: float, y: float) -> float:
         return self._skin_base + self._profile.height(x, y)
 
-    def z_muscle(self, x: float, y: float) -> float:
-        return self.z_skin(x, y) - self._stack
-
     def h_tumor(self, x: float, y: float) -> float:
         return self.tumor.height(x, y) if self.tumor is not None else 0.0
-
-    def z_stop(self, x: float, y: float) -> float:
-        return self.z_muscle(x, y) + self.h_tumor(x, y)
-
-    def d_stop(self, x: float, y: float) -> float:
-        """Penetration depth at which the hard stop engages."""
-        return self._stack - self.h_tumor(x, y)
 
     def surface_normal(self, x: float, y: float) -> tuple[float, float, float]:
         """Outward unit normal of the skin surface."""

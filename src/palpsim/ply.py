@@ -13,50 +13,34 @@ from .phantom import PointCloud
 from .registration import SurfaceMesh
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def export_ply(cloud: PointCloud, path) -> None:
     """Write a point cloud (and normals, if present) as ASCII PLY."""
     if len(cloud) == 0:
         raise EmptyCloud("refusing to write an empty cloud")
-    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
-             "property float x", "property float y", "property float z"]
-    if cloud.normals is not None:
-        lines += ["property float nx", "property float ny", "property float nz"]
-    lines.append("end_header")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        if cloud.normals is None:
-            for p in cloud.points:
-                fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        else:
-            for p, n in zip(cloud.points, cloud.normals):
-                fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} "
-                         f"{_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}\n")
+    _write_ply(path, cloud.points, cloud.normals)
 
 
 def export_mesh_ply(mesh: SurfaceMesh, path) -> None:
     """Write a triangle mesh (vertices + faces) as ASCII PLY."""
-    nv = mesh.vertices.shape[0]
-    nf = mesh.triangles.shape[0]
-    header = [
-        "ply", "format ascii 1.0",
-        f"element vertex {nv}",
-        "property float x", "property float y", "property float z",
-        "property float nx", "property float ny", "property float nz",
-        f"element face {nf}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
+    _write_ply(path, mesh.vertices, mesh.vertex_normals, mesh.triangles)
+
+
+def _write_ply(path, points: np.ndarray, normals: np.ndarray | None,
+               faces: np.ndarray | None = None) -> None:
+    header = ["ply", "format ascii 1.0", f"element vertex {len(points)}",
+              "property float x", "property float y", "property float z"]
+    if normals is not None:
+        header += ["property float nx", "property float ny", "property float nz"]
+        points = np.hstack([points, normals])
+    if faces is not None:
+        header += [f"element face {len(faces)}", "property list uchar int vertex_indices"]
+    header.append("end_header")
+    row = " ".join(["{:.6g}"] * points.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for p, n in zip(mesh.vertices, mesh.vertex_normals):
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} "
-                     f"{_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.writelines(row.format(*p) for p in points.tolist())
+        if faces is not None:
+            fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in faces.tolist())
 
 
 def read_ply(path) -> PointCloud:

@@ -106,10 +106,6 @@ class GPModel:
     def y(self) -> np.ndarray:
         return np.array(self._y)
 
-    @property
-    def mean_y(self) -> float:
-        return float(self.y.mean())
-
     def add(self, sample: StiffnessSample) -> None:
         """Record one sample; its factor row is appended on the next read."""
         cell = (int(sample.cell[0]), int(sample.cell[1]))
@@ -213,11 +209,6 @@ def gp_fit(samples: list[StiffnessSample], hyper: GPHyper = GPHyper()) -> GPMode
     return gp
 
 
-def gp_predict(gp: GPModel, cell) -> tuple[float, float]:
-    mu, var = gp.predict_many(np.array([cell], dtype=float))
-    return float(mu[0]), float(var[0])
-
-
 def _ei(mu: np.ndarray, sigma: np.ndarray, best_k: float, xi: float) -> np.ndarray:
     imp = mu - best_k - xi
     out = np.maximum(imp, 0.0)
@@ -226,12 +217,6 @@ def _ei(mu: np.ndarray, sigma: np.ndarray, best_k: float, xi: float) -> np.ndarr
         z = imp[pos] / sigma[pos]
         out[pos] = imp[pos] * ndtr(z) + sigma[pos] * np.exp(-0.5 * z * z) / _SQRT_2PI
     return np.maximum(out, 0.0)
-
-
-def expected_improvement(gp: GPModel, cell, acq: Acquisition) -> float:
-    """EI of probing ``cell``: E[max(K - best_k - xi, 0)], K ~ posterior."""
-    mu, var = gp_predict(gp, cell)
-    return float(_ei(np.array([mu]), np.array([math.sqrt(var)]), acq.best_k, acq.xi)[0])
 
 
 def _unvisited(grid: SurfaceGrid, visited) -> np.ndarray:

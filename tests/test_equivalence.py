@@ -259,7 +259,7 @@ def test_contact_law_matches_contact_force_and_normal(shape, profile, data):
     if where == "skin":
         z = ph.z_skin(x, y)              # d == 0
     elif where == "stop":
-        z = ph.z_skin(x, y) - ph.d_stop(x, y)  # d == d_stop
+        z = ph.z_skin(x, y) - (ph.cfg.stack_depth - ph.h_tumor(x, y))  # d == d_stop
     else:
         z = ph.z_skin(x, y) - data.draw(st.floats(-0.005, 0.03, **finite))
     vz = data.draw(st.one_of(st.floats(-0.05, 0.05, **finite), st.sampled_from([0.0, -0.0])))

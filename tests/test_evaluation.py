@@ -95,7 +95,7 @@ class TestExtractContactPoints:
         probes, trajs = run_policy(ph, grid, "bo", "cf", 12, params, gains, seed=5)
         recon = extract_contact_points(trajs, probes, params)
         for p in recon.points:
-            assert p[2] >= ph.z_muscle(p[0], p[1]) - 0.001
+            assert p[2] >= ph.z_skin(p[0], p[1]) - ph.cfg.stack_depth - 0.001
             assert p[2] <= ph.z_skin(p[0], p[1]) + 0.001
 
 
@@ -180,8 +180,8 @@ class TestReconstructMesh:
         probes, trajs = run_policy(ph, grid, "bo", "cf", 25, params, gains, seed=6)
         recon = extract_contact_points(trajs, probes, params)
         mesh = reconstruct_mesh(recon)
-        for v in mesh.vertices:
-            assert abs(v[2] - ph.z_stop(v[0], v[1])) < 0.002
+        v = mesh.vertices
+        assert np.all(np.abs(v[:, 2] - ph.z_stop_np(v[:, 0], v[:, 1])) < 0.002)
 
     def test_long_edges_dropped(self):
         # two dense clusters far apart: no triangle may bridge the gap

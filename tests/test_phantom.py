@@ -28,11 +28,14 @@ CFG400 = dict(k_skin=1200.0, k_fat=600.0, k_muscle=2500.0, k_tumor=20000.0)
 class TestBuildPhantom:
     def test_hemisphere_apex_height_equals_radius(self):
         ph = Phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
-        assert ph.z_stop(0.0, 0.0) - ph.z_muscle(0.0, 0.0) == pytest.approx(0.01, abs=1e-12)
+        z_muscle = ph.z_skin(0.0, 0.0) - ph.cfg.stack_depth
+        z_stop = ph.z_stop_np(np.zeros(1), np.zeros(1))[0]
+        assert z_stop - z_muscle == pytest.approx(0.01, abs=1e-12)
 
     def test_no_tumor_outside_footprint(self):
         ph = Phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
-        assert ph.z_stop(0.05, 0.05) == ph.z_muscle(0.05, 0.05)
+        z_muscle = ph.z_skin(0.05, 0.05) - ph.cfg.stack_depth
+        assert ph.z_stop_np(np.full(1, 0.05), np.full(1, 0.05))[0] == z_muscle
 
     def test_stiffness_ordering_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -64,7 +67,7 @@ class TestContactForce:
     def test_hard_stop_over_apex(self):
         ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
         # stack 19 mm, apex 10 mm -> stop depth 9 mm
-        assert ph.d_stop(0.0, 0.0) == pytest.approx(0.009)
+        assert ph.cfg.stack_depth - ph.h_tumor(0.0, 0.0) == pytest.approx(0.009)
         cr = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) - 0.010)
         assert cr.normal_force == pytest.approx(400 * 0.009 + 20000 * 0.001, abs=1e-9)
         assert cr.normal_force == pytest.approx(23.6, abs=1e-9)
@@ -86,7 +89,7 @@ class TestContactForce:
     def test_continuity_at_regime_boundary(self):
         ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
         z_skin = ph.z_skin(0.0, 0.0)
-        d_stop = ph.d_stop(0.0, 0.0)
+        d_stop = ph.cfg.stack_depth - ph.h_tumor(0.0, 0.0)
         eps = 1e-9
         below = ph.contact_force(0.0, 0.0, z_skin - (d_stop - eps)).normal_force
         above = ph.contact_force(0.0, 0.0, z_skin - (d_stop + eps)).normal_force
@@ -118,8 +121,9 @@ class TestContactForce:
         ph = Phantom(PhantomConfig(), TumorGeometry("crescent"))
         rng = np.random.default_rng(2)
         xs, ys = rng.uniform(-0.05, 0.05, (2, 500))
-        for x, y in zip(xs, ys):
-            assert ph.z_muscle(x, y) <= ph.z_stop(x, y) <= ph.z_skin(x, y)
+        z_skin, z_stop = ph.z_skin_np(xs, ys), ph.z_stop_np(xs, ys)
+        assert np.all(z_skin - ph.cfg.stack_depth <= z_stop)
+        assert np.all(z_stop <= z_skin)
 
 
 class TestSynthDepthCloud:
@@ -154,7 +158,7 @@ class TestGroundTruthCloud:
     def test_hemisphere_points_on_sphere(self):
         ph = Phantom(flat_cfg(), TumorGeometry("hemisphere", radius=0.01))
         cloud = ph.ground_truth_cloud(500, seed=5)
-        center = np.array([0.0, 0.0, ph.z_muscle(0.0, 0.0)])
+        center = np.array([0.0, 0.0, ph.z_skin(0.0, 0.0) - ph.cfg.stack_depth])
         dist = np.linalg.norm(cloud.points - center, axis=1)
         assert np.all(np.abs(dist - 0.01) <= 0.01 * 1e-7 + 1e-9)
 

@@ -288,7 +288,8 @@ class TestClassificationAgainstGeometry:
         for u, v in picks:
             res = probe_cell(plant, ph, grid, (int(u), int(v)), params, gains)
             p = grid.cell_point(int(u), int(v))
-            margin_ok = (params.d_thres - ph.d_stop(p[0], p[1])) >= 0.001
+            d_stop = ph.cfg.stack_depth - ph.h_tumor(p[0], p[1])
+            margin_ok = (params.d_thres - d_stop) >= 0.001
             inside = ph.h_tumor(p[0], p[1]) > 0.0
             if res.classified_tumor == (inside and margin_ok):
                 agree += 1

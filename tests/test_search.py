@@ -11,9 +11,7 @@ from palpsim import (
     GPHyper,
     SurfaceGrid,
     StiffnessSample,
-    expected_improvement,
     gp_fit,
-    gp_predict,
     next_cell_bo,
     next_cell_random,
 )
@@ -52,8 +50,8 @@ class TestGPFit:
     def test_single_sample_interpolates(self):
         hyper = GPHyper(noise_var=0.0)
         gp = gp_fit([StiffnessSample((3, 4), 500.0)], hyper)
-        mu, var = gp_predict(gp, (3, 4))
-        assert mu == pytest.approx(500.0, abs=1e-6)
+        mu, var = gp.predict_many([(3, 4)])
+        assert mu[0] == pytest.approx(500.0, abs=1e-6)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -72,15 +70,15 @@ class TestGPFit:
         hyper = GPHyper(noise_var=0.0)
         gp = gp_fit([StiffnessSample(c, k) for c, k in zip(cells, ks)], hyper)
         for c, k in zip(cells, ks):
-            mu, var = gp_predict(gp, c)
-            assert mu == pytest.approx(k, abs=1e-6)
-            assert var <= 1e-9
+            mu, var = gp.predict_many([c])
+            assert mu[0] == pytest.approx(k, abs=1e-6)
+            assert var[0] <= 1e-9
 
     def test_duplicate_cells_averaged(self):
         hyper = GPHyper(noise_var=0.0)
         gp = gp_fit([StiffnessSample((2, 2), 400.0), StiffnessSample((2, 2), 600.0)], hyper)
-        mu, _ = gp_predict(gp, (2, 2))
-        assert mu == pytest.approx(500.0, abs=1e-6)
+        mu, _ = gp.predict_many([(2, 2)])
+        assert mu[0] == pytest.approx(500.0, abs=1e-6)
 
 
 class TestGPPredict:
@@ -88,9 +86,9 @@ class TestGPPredict:
         hyper = GPHyper(length_scale=2.0, signal_var=1e4, noise_var=1.0)
         samples = [StiffnessSample((0, 0), 300.0), StiffnessSample((1, 0), 500.0)]
         gp = gp_fit(samples, hyper)
-        mu, var = gp_predict(gp, (200, 200))
-        assert mu == pytest.approx(400.0, abs=1e-6)   # prior mean = sample mean
-        assert var == pytest.approx(hyper.signal_var, abs=1e-6)
+        mu, var = gp.predict_many([(200, 200)])
+        assert mu[0] == pytest.approx(400.0, abs=1e-6)   # prior mean = sample mean
+        assert var[0] == pytest.approx(hyper.signal_var, abs=1e-6)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
@@ -154,11 +152,11 @@ class TestExpectedImprovement:
             assert all(v >= 0.0 for v in vals)
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_public_op(self):
+    def test_nonnegative_on_a_posterior(self):
         gp = gp_fit([StiffnessSample((0, 0), 300.0), StiffnessSample((5, 5), 600.0)],
                     GPHyper())
-        ei = expected_improvement(gp, (2, 2), Acquisition(xi=1.0, best_k=600.0))
-        assert ei >= 0.0
+        mu, var = gp.predict_many([(2, 2)])
+        assert _ei(mu, np.sqrt(var), 600.0, 1.0)[0] >= 0.0
 
 
 class TestNextCellBO:
@@ -201,7 +199,8 @@ class TestNextCellBO:
             for v in range(grid.ny):
                 if (u, v) in visited:
                     continue
-                val = expected_improvement(gp, (u, v), acq)
+                mu, var = gp.predict_many([(u, v)])
+                val = _ei(mu, np.sqrt(var), acq.best_k, acq.xi)[0]
                 if val > best_val:
                     best_val, best_cells = val, [(u, v)]
                 elif val == best_val:
@@ -483,7 +482,7 @@ class TestGPModel:
         gp.add(StiffnessSample((1, 1), 400.0))
         assert gp.n == 2
         assert gp.y.tolist() == [350.0, 500.0]
-        assert gp.mean_y == 425.0
+        assert gp.y.mean() == 425.0
 
     def test_grid_cache_follows_a_changed_mask(self):
         grid = make_grid(4, 4)
