@@ -66,7 +66,7 @@ class EmptyReconstruction(PalpSimError, ValueError):
 
 
 class MalformedPly(PalpSimError, ValueError):
-    """File is not an ASCII PLY with an x, y, z vertex element."""
+    """File cannot be read, or is not an ASCII PLY with an x, y, z vertex element."""
 
 
 class EmptyCloud(PalpSimError, ValueError):

@@ -70,6 +70,10 @@ class CloudParams:
     outlier_k: int = 8
     outlier_sigma: float = 2.0
 
+    def __post_init__(self):
+        if not all(v >= 0 for v in (self.noise_sigma, self.margin, self.voxel, self.outlier_k)):
+            raise OutOfRange("noise_sigma, margin, voxel and outlier_k must be >= 0")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,6 +106,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.budget < 1 or self.trials < 1:
             raise OutOfRange("budget and trials must be >= 1")
+        if self.seed < 0:
+            raise OutOfRange("seed must be >= 0")
         if not (self.xi >= 0 and self.n_init >= 2 and self.r_eval > 0
                 and self.gt_samples >= 1):
             raise OutOfRange("need xi >= 0, n_init >= 2, r_eval > 0 and gt_samples >= 1")

@@ -46,12 +46,15 @@ def _write_ply(path, points: np.ndarray, normals: np.ndarray | None,
 def read_ply(path) -> PointCloud:
     """Read the vertex element of an ASCII PLY file.
 
-    Anything else (another format, a broken header, no x/y/z, short or
-    non-numeric vertex rows) raises ``MalformedPly``.
+    A path that cannot be opened, or anything else (another format, a
+    broken header, no x/y/z, short or non-numeric vertex rows), raises
+    ``MalformedPly``.
     """
     try:
         with open(path) as fh:
             cols = _read_vertex_columns(fh)
+    except OSError as exc:
+        raise MalformedPly(f"{path}: cannot read PLY file: {exc.strerror}") from exc
     except ValueError as exc:  # UnicodeDecodeError included
         raise MalformedPly(f"{path}: {exc}") from exc
     points = np.column_stack([cols["x"], cols["y"], cols["z"]])

@@ -23,7 +23,7 @@ from palpsim import (
     run_matrix,
     table1_matrix,
 )
-from palpsim.experiment import _write_config_echo
+from palpsim.experiment import _write_config_echo, config_to_flat
 from palpsim import cli
 from palpsim.cli import main as cli_main
 from palpsim.errors import ConfigInvalid, EmptyCloud, MalformedPly, OutOfRange
@@ -261,6 +261,19 @@ class TestConfigValidation:
         with pytest.raises(OutOfRange):
             config_from_flat({key: value})
 
+    @pytest.mark.parametrize("key", [
+        "seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
+        "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k"])
+    def test_negative_value_is_out_of_range(self, key):
+        with pytest.raises(OutOfRange):
+            config_from_flat({key: -1 if key in ("seed", "cloud.outlier_k") else -0.01})
+
+    def test_zero_values_accepted(self):
+        keys = ["seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
+                "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k"]
+        flat = config_to_flat(config_from_flat(dict.fromkeys(keys, 0)))
+        assert [flat[key] for key in keys] == [0] * len(keys)
+
     def test_gp_and_scoring_edges_accepted(self):
         cfg = config_from_flat({"gp.noise_var": 0.0, "gp.xi": 0.0, "gp.n_init": 2,
                                 "gt_samples": 1})
@@ -446,6 +459,17 @@ class TestCli:
         assert cli_main(["eval", str(text), str(text)]) == 2
         assert capsys.readouterr().err == \
             f"palpsim: error: MalformedPly: {text}: not a PLY file\n"
+
+    def test_eval_on_a_missing_file_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "nothere.ply"
+        assert cli_main(["eval", str(missing), str(missing)]) == 2
+        assert capsys.readouterr().err == (f"palpsim: error: MalformedPly: {missing}: "
+                                           "cannot read PLY file: No such file or directory\n")
+
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        assert cli_main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "palpsim: error: OutOfRange: seed must be >= 0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--budget", "0", "--out", str(tmp_path / "out")]) == 2
