@@ -106,11 +106,9 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.budget < 1 or self.trials < 1:
             raise OutOfRange("budget and trials must be >= 1")
-        if self.seed < 0:
-            raise OutOfRange("seed must be >= 0")
-        if not (self.xi >= 0 and self.n_init >= 2 and self.r_eval > 0
+        if not (self.seed >= 0 and self.xi >= 0 and self.n_init >= 2 and self.r_eval > 0
                 and self.gt_samples >= 1):
-            raise OutOfRange("need xi >= 0, n_init >= 2, r_eval > 0 and gt_samples >= 1")
+            raise OutOfRange("need seed >= 0, xi >= 0, n_init >= 2, r_eval > 0 and gt_samples >= 1")
 
     @property
     def condition(self) -> str:

@@ -12,6 +12,8 @@ from .errors import EmptyCloud, MalformedPly
 from .phantom import PointCloud
 from .registration import SurfaceMesh
 
+_ROWS_PER_WRITE = 256  # vertex rows per tolist(), which bounds the temporary lists
+
 
 def export_ply(cloud: PointCloud, path) -> None:
     """Write a point cloud (and normals, if present) as ASCII PLY."""
@@ -38,7 +40,8 @@ def _write_ply(path, points: np.ndarray, normals: np.ndarray | None,
     row = " ".join(["{:.6g}"] * points.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        fh.writelines(row.format(*p) for p in points.tolist())
+        for i in range(0, len(points), _ROWS_PER_WRITE):
+            fh.writelines(row.format(*p) for p in points[i:i + _ROWS_PER_WRITE].tolist())
         if faces is not None:
             fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in faces.tolist())
 

@@ -468,7 +468,8 @@ class TestCli:
 
     def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "palpsim: error: OutOfRange: seed must be >= 0\n"
+        assert capsys.readouterr().err == ("palpsim: error: OutOfRange: need seed >= 0, xi >= 0, "
+                                           "n_init >= 2, r_eval > 0 and gt_samples >= 1\n")
         assert not (tmp_path / "out").exists()
 
     def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):
