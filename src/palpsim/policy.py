@@ -88,8 +88,10 @@ class ProbeParams:
             raise OutOfRange("amplitude, f_thres, d_thres, indent_speed must be > 0")
         if self.osc_rate <= 0 or self.ticks_per_stroke < 1 or self.probe_mass <= 0:
             raise OutOfRange("osc_rate, ticks_per_stroke, probe_mass must be positive")
-        if not (self.hover >= 0 and self.cf_timeout >= 0 and self.contact_loss_timeout >= 0):
-            raise OutOfRange("hover, cf_timeout, contact_loss_timeout must be >= 0")
+        if not (self.hover >= 0 and self.cf_timeout >= 0 and self.contact_loss_timeout >= 0
+                and self.tip_radius >= 0 and self.press_force >= 0):
+            raise OutOfRange("hover, cf_timeout, contact_loss_timeout, tip_radius and "
+                             "press_force must be >= 0")
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .errors import (
     EmptyAfterFilter,
     EmptyRoi,
     InvalidCell,
+    OutOfRange,
     ResolutionTooCoarse,
 )
 from .phantom import PointCloud
@@ -147,11 +148,22 @@ def preprocess_cloud(raw: PointCloud, voxel: float = 0.002, outlier_k: int = 8,
     if pts.shape[0] == 0:
         raise EmptyAfterFilter("input cloud is empty")
     if voxel > 0:
-        keys = np.floor((pts[:, :2] - pts[:, :2].min(axis=0)) / voxel).astype(np.int64)
-        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-        sums = np.zeros((uniq.shape[0], 3))
-        np.add.at(sums, inv, pts)
-        counts = np.bincount(inv, minlength=uniq.shape[0]).astype(float)
+        with np.errstate(over="ignore"):  # an infinite index is rejected below
+            cells = np.floor((pts[:, :2] - pts[:, :2].min(axis=0)) / voxel)
+        n_x, n_y = (int(t) + 1 if np.isfinite(t) else 2**63 for t in cells.max(axis=0))
+        if n_x * n_y > 2**63 - 1:
+            extent = np.ptp(pts[:, :2], axis=0)
+            raise OutOfRange(f"voxel {voxel} m is too fine for a cloud extent of "
+                             f"({extent[0]:.4g}, {extent[1]:.4g}) m: the voxel key "
+                             "would overflow int64")
+        # one key per XY pillar; it sorts as the (kx, ky) rows do
+        keys = cells.astype(np.int64)
+        _, inv = np.unique(keys[:, 0] * n_y + keys[:, 1], return_inverse=True)
+        counts = np.bincount(inv).astype(float)
+        # bincount sums each column point by point in input order, from 0.0
+        sums = np.empty((counts.size, 3))
+        for c in range(3):
+            sums[:, c] = np.bincount(inv, weights=pts[:, c], minlength=counts.size)
         pts = sums / counts[:, None]
     if outlier_k > 0 and pts.shape[0] > outlier_k + 1:
         tree = cKDTree(pts)
@@ -172,9 +184,12 @@ def _vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     cross = np.cross(v1 - v0, v2 - v0)  # magnitude = 2 * area
     flip = cross[:, 2] < 0
     cross[flip] *= -1.0
-    acc = np.zeros_like(vertices)
-    for col in range(3):
-        np.add.at(acc, triangles[:, col], cross)
+    # each vertex sums its triangles' normals in corner-column order 0, 1, 2
+    corners = triangles.T.ravel()
+    acc = np.empty_like(vertices)
+    for c in range(3):
+        acc[:, c] = np.bincount(corners, weights=np.tile(cross[:, c], 3),
+                                minlength=vertices.shape[0])
     norms = np.linalg.norm(acc, axis=1)
     lonely = norms < 1e-300
     acc[lonely] = (0.0, 0.0, 1.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -227,7 +228,8 @@ def _unvisited(grid: SurfaceGrid, visited) -> np.ndarray:
     """
     free = grid.valid_mask.copy()
     if len(visited):
-        uv = np.array([(int(u), int(v)) for u, v in visited])
+        uv = np.fromiter(chain.from_iterable(visited), np.int64,
+                         2 * len(visited)).reshape(-1, 2)
         inside = (uv >= 0).all(axis=1) & (uv[:, 0] < grid.nx) & (uv[:, 1] < grid.ny)
         free[uv[inside, 0], uv[inside, 1]] = False
     return free

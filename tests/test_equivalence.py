@@ -15,6 +15,9 @@
 (h) The barycentric transforms of ``registration._Triangulation`` against
     scipy's ``Delaunay.transform``, and ``interpolate_grid`` against the
     plain ``CloughTocher2DInterpolator(xy, z)`` version it replaced.
+(i) ``preprocess_cloud`` (one flat voxel key, ``bincount`` sums) and
+    ``_vertex_normals`` (one ``bincount`` per component) against the
+    row-key ``np.unique`` / ``np.add.at`` versions they replaced, ported here.
 """
 
 import math
@@ -27,11 +30,12 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from scipy.interpolate import CloughTocher2DInterpolator
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from palpsim import (
     CalibrationParams,
     ControllerGains,
+    ExperimentConfig,
     ForceReading,
     PalpationTrajectory,
     PhantomConfig,
@@ -61,6 +65,7 @@ from palpsim import evaluation, policy
 from palpsim.errors import (
     AdmissibleForceExceeded,
     DegenerateCloud,
+    EmptyAfterFilter,
     NoContact,
     NumericalBlowup,
     OutOfRange,
@@ -755,14 +760,21 @@ def assert_same_grid(mesh: SurfaceMesh, dx: float, dy: float) -> None:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-def scan_mesh(shape: str, seed: int) -> tuple[SurfaceMesh, float, float]:
-    """The ROI mesh of ``run_trial``'s registration for a default config."""
+def scan_cloud(shape: str, seed: int, noise: float = 1.0) -> tuple[PointCloud, ExperimentConfig]:
+    """The raw depth scan of ``run_trial`` for a default config, with its
+    noise scaled by ``noise``."""
     cfg = config_from_flat({"shape": shape, "seed": seed})
     m = cfg.cloud.margin
     region = ((cfg.roi.min_xy[0] - m, cfg.roi.min_xy[1] - m),
               (cfg.roi.max_xy[0] + m, cfg.roi.max_xy[1] + m))
     raw = Phantom(cfg.phantom, cfg.tumor).synth_depth_cloud(
-        region, cfg.cloud.density, cfg.cloud.noise_sigma, seed=[seed, _CLOUD_STREAM])
+        region, cfg.cloud.density, noise * cfg.cloud.noise_sigma, seed=[seed, _CLOUD_STREAM])
+    return raw, cfg
+
+
+def scan_mesh(shape: str, seed: int) -> tuple[SurfaceMesh, float, float]:
+    """The ROI mesh of ``run_trial``'s registration for a default config."""
+    raw, cfg = scan_cloud(shape, seed)
     cloud = preprocess_cloud(raw, cfg.cloud.voxel, cfg.cloud.outlier_k, cfg.cloud.outlier_sigma)
     return crop_roi(mesh_from_cloud(cloud), cfg.roi), cfg.grid_dx, cfg.grid_dy
 
@@ -786,3 +798,126 @@ def test_interpolate_grid_matches_the_reference_on_random_clouds(xy, seed, cells
         return
     step = max(np.ptp(xy, axis=0).max(), 1e-300) / cells
     assert_same_grid(mesh, step, step)
+
+
+# -- (i) voxel centroids and vertex normals against the np.add.at versions -------
+
+def reference_preprocess_cloud(raw: PointCloud, voxel: float, outlier_k: int,
+                               outlier_sigma: float) -> PointCloud:
+    """``preprocess_cloud`` as it was: voxels keyed by (kx, ky) rows."""
+    pts = raw.points
+    if voxel > 0:
+        keys = np.floor((pts[:, :2] - pts[:, :2].min(axis=0)) / voxel).astype(np.int64)
+        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+        sums = np.zeros((uniq.shape[0], 3))
+        np.add.at(sums, inv, pts)
+        counts = np.bincount(inv, minlength=uniq.shape[0]).astype(float)
+        pts = sums / counts[:, None]
+    if outlier_k > 0 and pts.shape[0] > outlier_k + 1:
+        dists, _ = cKDTree(pts).query(pts, k=outlier_k + 1)
+        mean_d = dists[:, 1:].mean(axis=1)
+        pts = pts[mean_d <= mean_d.mean() + outlier_sigma * mean_d.std()]
+    if pts.shape[0] == 0:
+        raise EmptyAfterFilter("all points filtered out")
+    return PointCloud(pts)
+
+
+def reference_vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """``_vertex_normals`` as it was: one ``np.add.at`` per triangle column."""
+    v0 = vertices[triangles[:, 0]]
+    v1 = vertices[triangles[:, 1]]
+    v2 = vertices[triangles[:, 2]]
+    cross = np.cross(v1 - v0, v2 - v0)
+    cross[cross[:, 2] < 0] *= -1.0
+    acc = np.zeros_like(vertices)
+    for col in range(3):
+        np.add.at(acc, triangles[:, col], cross)
+    norms = np.linalg.norm(acc, axis=1)
+    lonely = norms < 1e-300
+    acc[lonely] = (0.0, 0.0, 1.0)
+    norms[lonely] = 1.0
+    return acc / norms[:, None]
+
+
+def assert_same_cloud(pts: np.ndarray, voxel: float, outlier_k: int,
+                      outlier_sigma: float = 2.0) -> None:
+    clouds = []
+    for build in (preprocess_cloud, reference_preprocess_cloud):
+        try:
+            clouds.append(build(PointCloud(pts), voxel, outlier_k, outlier_sigma).points)
+        except EmptyAfterFilter:
+            clouds.append(EmptyAfterFilter)
+    got, want = clouds
+    if want is EmptyAfterFilter or got is EmptyAfterFilter:
+        assert got is want
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def voxel_clouds(draw):
+    """A cloud and its voxel: uniform points, points on voxel edges (integer
+    multiples of the voxel before the shift) or points inside one voxel,
+    shifted to negative or positive coordinates, with exact duplicates
+    appended and shuffled in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    voxel = draw(st.sampled_from([0.001, 0.002, 0.1, 0.3]) | st.floats(1e-4, 1.0))
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["uniform", "edges", "one voxel"]))
+    if kind == "edges":
+        xy = rng.integers(-8, 8, (n, 2)) * voxel
+    elif kind == "one voxel":
+        xy = rng.uniform(0.0, 0.999 * voxel, (n, 2))
+    else:
+        xy = rng.uniform(-1.0, 1.0, (n, 2)) * draw(st.floats(voxel, 40.0 * voxel))
+    xy = xy + draw(st.sampled_from([0.0, -1.0, -0.5 * voxel]) | st.floats(-2.0, 2.0))
+    pts = np.column_stack([xy, rng.normal(0.0, voxel, n)])
+    dup = rng.integers(0, n, draw(st.integers(0, n)))
+    pts = np.vstack([pts, pts[dup]])
+    event(kind)
+    return pts[rng.permutation(len(pts))], voxel
+
+
+@settings(max_examples=400, deadline=None)
+@given(cloud=voxel_clouds(), outlier_k=st.sampled_from([0, 0, 1, 8]),
+       outlier_sigma=st.floats(0.0, 3.0))
+def test_preprocess_cloud_matches_the_row_key_version(cloud, outlier_k, outlier_sigma):
+    pts, voxel = cloud
+    assert_same_cloud(pts, voxel, outlier_k, outlier_sigma)
+
+
+@pytest.mark.parametrize("noise", [1.0, 4.0])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_preprocess_and_normals_match_on_scans(shape, noise):
+    raw, cfg = scan_cloud(shape, 7, noise)
+    pts, c = raw.points, cfg.cloud
+    assert_same_cloud(pts, c.voxel, 0)
+    assert_same_cloud(pts, c.voxel, c.outlier_k, c.outlier_sigma)
+    mesh = mesh_from_cloud(preprocess_cloud(PointCloud(pts), c.voxel, c.outlier_k,
+                                            c.outlier_sigma))
+    want = reference_vertex_normals(mesh.vertices, mesh.triangles)
+    assert mesh.vertex_normals.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 200),
+       keep=st.floats(0.0, 1.0), extra=st.integers(0, 5))
+def test_vertex_normals_match_the_add_at_version(seed, n, keep, extra):
+    """Delaunay meshes with a random share of their triangles dropped,
+    corners permuted (both windings), and ``extra`` vertices no triangle
+    uses, so the ``lonely`` branch runs."""
+    rng = np.random.default_rng(seed)
+    vertices = rng.uniform(-1.0, 1.0, (n + extra, 3))
+    try:
+        triangles = Delaunay(vertices[:n, :2]).simplices
+    except QhullError:
+        event("qhull rejects the cloud")
+        return
+    triangles = triangles[rng.uniform(0.0, 1.0, len(triangles)) < keep]
+    triangles = np.take_along_axis(triangles, rng.permuted(
+        np.tile([0, 1, 2], (len(triangles), 1)), axis=1), axis=1).astype(np.int64)
+    got = _vertex_normals(vertices, triangles)
+    want = reference_vertex_normals(vertices, triangles)
+    event(f"lonely vertices: {len(triangles) == 0 or len(np.unique(triangles)) < n + extra}")
+    assert got.tobytes() == want.tobytes()

@@ -263,6 +263,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key", [
         "seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
+        "probe.tip_radius", "probe.press_force", "cal.angle_noise",
         "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k"])
     def test_negative_value_is_out_of_range(self, key):
         with pytest.raises(OutOfRange):
@@ -270,6 +271,7 @@ class TestConfigValidation:
 
     def test_zero_values_accepted(self):
         keys = ["seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
+                "probe.tip_radius", "probe.press_force", "cal.angle_noise",
                 "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k"]
         flat = config_to_flat(config_from_flat(dict.fromkeys(keys, 0)))
         assert [flat[key] for key in keys] == [0] * len(keys)
@@ -470,6 +472,20 @@ class TestCli:
         assert cli_main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == ("palpsim: error: OutOfRange: need seed >= 0, xi >= 0, "
                                            "n_init >= 2, r_eval > 0 and gt_samples >= 1\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,message", [
+        ("probe.tip_radius", "hover, cf_timeout, contact_loss_timeout, tip_radius and "
+                             "press_force must be >= 0"),
+        ("probe.press_force", "hover, cf_timeout, contact_loss_timeout, tip_radius and "
+                              "press_force must be >= 0"),
+        ("cal.angle_noise", "angle_noise must be >= 0"),
+    ])
+    def test_negative_config_value_is_one_error_line(self, tmp_path, capsys, key, message):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"trials = 1\n{key} = -0.01\n")
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"palpsim: error: OutOfRange: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):

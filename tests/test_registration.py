@@ -19,6 +19,7 @@ from palpsim.errors import (
     EmptyAfterFilter,
     EmptyRoi,
     InvalidCell,
+    OutOfRange,
     ResolutionTooCoarse,
 )
 from palpsim.experiment import _ground_truth
@@ -64,6 +65,20 @@ class TestPreprocess:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyAfterFilter):
             preprocess_cloud(PointCloud(np.zeros((0, 3))))
+
+    @pytest.mark.parametrize("voxel", [1e-15, 5e-324])
+    def test_voxel_key_overflow_is_out_of_range(self, voxel):
+        """1e-15 m over 0.1 m gives 1e14 voxels per axis, whose product passes
+        int64; the subnormal voxel makes the voxel index itself infinite."""
+        with pytest.raises(OutOfRange, match=r"voxel .* cloud extent of \(0\.1, 0\.1\) m"):
+            preprocess_cloud(lattice_cloud(n=5), voxel=voxel, outlier_k=0)
+
+    def test_fine_voxel_keeps_every_point(self):
+        """1e8 voxels per axis still fit the key: each point is its own voxel,
+        in (x, y) order."""
+        pts = np.random.default_rng(3).uniform(0.0, 0.1, (200, 3))
+        out = preprocess_cloud(PointCloud(pts), voxel=1e-9, outlier_k=0)
+        assert out.points.tobytes() == pts[np.lexsort((pts[:, 1], pts[:, 0]))].tobytes()
 
 
 class TestMeshFromCloud:
