@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, FrameMismatch, OutOfRange
+from .errors import FrameMismatch, OutOfRange
 
 LOAD_CELL_LOCAL = "load_cell_local"
 INERTIAL = "inertial"
@@ -49,7 +49,7 @@ class CalibrationParams:
 
     def __post_init__(self):
         if self.tip_weight_n < 0:
-            raise ConfigInvalid("tip_weight_n must be >= 0")
+            raise OutOfRange("tip_weight_n must be >= 0")
         if not self.angle_noise >= 0:
             raise OutOfRange("angle_noise must be >= 0")
 

@@ -8,7 +8,6 @@ cloud at a distance threshold r give the F-score.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +32,28 @@ class FScoreReport:
 
 
 def _dedup_indices(points: np.ndarray) -> list[int]:
-    """Indices kept by a greedy spatial dedup in input order (deterministic):
-    a point is dropped when a kept point in its own or a neighbouring
-    bucket lies closer than _DEDUP_RADIUS."""
-    cell = _DEDUP_RADIUS
+    """Indices kept by a greedy spatial dedup in input order (deterministic).
+
+    Pairs first: i < j are close when their ``floor(p / _DEDUP_RADIUS)`` buckets
+    differ by at most 1 per axis and ``dx*dx + dy*dy + dz*dz < r2``; sums within
+    1e-12 of r2 are re-decided by the scalar ``(x - qx) ** 2 + ...``, as ``**``
+    may round differently.  Then greedy: j is dropped when a close i was kept.
+    """
     r2 = _DEDUP_RADIUS * _DEDUP_RADIUS
-    buckets: dict[tuple[int, int, int], list[tuple[float, float, float]]] = {}
-    kept: list[int] = []
-    for i, (x, y, z) in enumerate(points.tolist()):
-        kx, ky, kz = math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)
-        if not any((x - qx) ** 2 + (y - qy) ** 2 + (z - qz) ** 2 < r2
-                   for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-                   for qx, qy, qz in buckets.get((kx + dx, ky + dy, kz + dz), ())):
-            kept.append(i)
-            buckets.setdefault((kx, ky, kz), []).append((x, y, z))
-    return kept
+    i, j = cKDTree(points).query_pairs(_DEDUP_RADIUS * (1 + 1e-9), output_type="ndarray").T
+    d = points[j] - points[i]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    keys = np.floor(points / _DEDUP_RADIUS)
+    close = (d2 < r2) & (np.abs(keys[j] - keys[i]) <= 1).all(axis=1)
+    for k in np.flatnonzero(np.abs(d2 - r2) <= 1e-12 * r2).tolist():
+        (x, y, z), (qx, qy, qz) = points[j[k]].tolist(), points[i[k]].tolist()
+        close[k] &= (x - qx) ** 2 + (y - qy) ** 2 + (z - qz) ** 2 < r2
+    order = np.argsort(j[close], kind="stable")  # each j after all its i are settled
+    keep = [True] * len(points)
+    for a, b in zip(i[close][order].tolist(), j[close][order].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return [k for k, kept in enumerate(keep) if kept]
 
 
 def extract_contact_points(trajectories: list[PalpationTrajectory],

@@ -224,32 +224,43 @@ class TumorGeometry:
         return self.top_height
 
     def height(self, x: float, y: float) -> float:
-        """Tumor height above the muscle bed; 0 outside the footprint.
+        """Tumor height above the muscle bed; 0 outside the footprint."""
+        return self.height_fn()(x, y)
 
-        Built from + - * / and sqrt only (no ``**`` or ``hypot``), which
-        numpy rounds the same way, so ``height_np`` agrees bit for bit.
-        """
-        dx = x - self.center_xy[0]
-        dy = y - self.center_xy[1]
+    def height_fn(self):
+        """``height`` as a closure ``(x, y) -> float`` over this shape's constants,
+        built once per palpation by ``Phantom.contact_law``.  Only + - * / and
+        sqrt (no ``**``), which numpy rounds the same way as ``height_np``."""
+        (cx, cy), sqrt = self.center_xy, math.sqrt
         if self.shape == HEMISPHERE:
-            s = self.radius * self.radius - dx * dx - dy * dy
-            return math.sqrt(s) if s > 0.0 else 0.0
-        if self.shape == ELLIPSOID:
+            r2 = self.radius * self.radius
+
+            def height(x, y):
+                dx, dy = x - cx, y - cy
+                s = r2 - dx * dx - dy * dy
+                return sqrt(s) if s > 0.0 else 0.0
+        elif self.shape == ELLIPSOID:
             ax, ay, az = self.semi_axes
-            u, v = dx / ax, dy / ay
-            s = 1.0 - u * u - v * v
-            return az * math.sqrt(s) if s > 0.0 else 0.0
-        # crescent: outer disk minus offset inner disk, flat top, filleted edge
-        ex = dx - self.inner_offset
-        rho_out = math.sqrt(dx * dx + dy * dy)
-        rho_in = math.sqrt(ex * ex + dy * dy)
-        d_edge = min(self.radius - rho_out, rho_in - self.inner_radius)
-        if d_edge <= 0.0:
-            return 0.0
-        if d_edge >= self.fillet_radius:
-            return self.top_height
-        t = 1.0 - d_edge / self.fillet_radius
-        return self.top_height * math.sqrt(max(0.0, 1.0 - t * t))
+
+            def height(x, y):
+                u, v = (x - cx) / ax, (y - cy) / ay
+                s = 1.0 - u * u - v * v
+                return az * sqrt(s) if s > 0.0 else 0.0
+        else:  # crescent: outer disk minus offset inner disk, flat top, filleted edge
+            radius, offset, r_in = self.radius, self.inner_offset, self.inner_radius
+            fillet, top = self.fillet_radius, self.top_height
+
+            def height(x, y):
+                dx, dy = x - cx, y - cy
+                ex = dx - offset
+                d_edge = min(radius - sqrt(dx * dx + dy * dy), sqrt(ex * ex + dy * dy) - r_in)
+                if d_edge <= 0.0:
+                    return 0.0
+                if d_edge >= fillet:
+                    return top
+                t = 1.0 - d_edge / fillet
+                return top * sqrt(max(0.0, 1.0 - t * t))
+        return height
 
     def height_np(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         dx = np.asarray(xs, dtype=float) - self.center_xy[0]
@@ -383,7 +394,7 @@ class Phantom:
         contact) as one closure ``(cx, cy, cz, vz) -> (fn, fx, fy, fz)``,
         the hot path of contour following.  Same operations in the same
         order, so the same floats; the slope reuses the profile's ``u``/``s``
-        (cyl_bump) or height (gauss_bump)."""
+        (cyl_bump) or height (gauss_bump); the tumor's is ``height_fn``."""
         prof = self._profile
         cyl, gauss = prof.kind == CYL_BUMP, prof.kind == GAUSS_BUMP
         amp, radius = prof.amplitude, prof.radius
@@ -391,7 +402,7 @@ class Phantom:
         two_sig2 = 2.0 * prof.sigma * prof.sigma
         base, stack, k_soft = self._skin_base, self._stack, self._k_soft
         k_tumor, k_muscle, damping = self._k_tumor, self._k_muscle, self._damping
-        tumor_height = self.tumor.height if self.tumor is not None else None
+        tumor_height = self.tumor.height_fn() if self.tumor is not None else None
         sqrt, exp = math.sqrt, math.exp
 
         def law(cx, cy, cz, vz):

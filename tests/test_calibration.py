@@ -12,7 +12,7 @@ from palpsim import (
     rotation_zyx,
 )
 from palpsim.calibration import INERTIAL, LOAD_CELL_LOCAL, euler_from_axis
-from palpsim.errors import ConfigInvalid, FrameMismatch
+from palpsim.errors import FrameMismatch, OutOfRange
 
 
 def random_euler(rng):
@@ -54,8 +54,8 @@ class TestRotationZYX:
 
 
 class TestCalibrationParams:
-    def test_negative_tip_weight_is_invalid_config(self):
-        with pytest.raises(ConfigInvalid):
+    def test_negative_tip_weight_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
             CalibrationParams(tip_weight_n=-0.1)
 
 

@@ -9,7 +9,8 @@
 (d) ``Phantom.contact_law`` against ``contact_force`` and ``surface_normal``.
 (e) ``contour_follow`` (one specialised tick) against the loop it
     replaced, ported here with its plant step ``reference_step``.
-(f) The reconstruction dedup against the nested-loop dedup it replaced.
+(f) The reconstruction dedup (close pairs, then greedy) against the
+    nested-loop dedup it replaced.
 (g) ``reconstruct_mesh`` (registration's mesher plus the edge filter)
     against the standalone mesher it replaced, ported here.
 (h) The barycentric transforms of ``registration._Triangulation`` against
@@ -18,6 +19,8 @@
 (i) ``preprocess_cloud`` (one flat voxel key, ``bincount`` sums) and
     ``_vertex_normals`` (one ``bincount`` per component) against the
     row-key ``np.unique`` / ``np.add.at`` versions they replaced, ported here.
+(j) The per-shape tumor height ``TumorGeometry.height_fn``, which
+    ``contact_law`` captures, against the method body it replaced, ported here.
 """
 
 import math
@@ -571,6 +574,48 @@ def test_dedup_keeps_what_the_reference_keeps(items):
     assert evaluation._dedup_indices(points) == reference_dedup_indices(points)
 
 
+def dense_polyline(n: int = 3200, seed: int = 11) -> np.ndarray:
+    """``n`` points 0.1 mm apart along a spiral whose laps lie 0.15 mm apart,
+    jittered by up to 0.03 mm per axis: long chains of close points along
+    and across laps, as contour following leaves them."""
+    r0, b = 0.002, 0.00015 / (2 * math.pi)  # r = r0 + b * angle
+    r = np.sqrt(r0 * r0 + 2 * b * np.arange(n) * 1e-4)
+    angle = (r - r0) / b
+    pts = np.column_stack([r * np.cos(angle), r * np.sin(angle), np.full(n, 0.01)])
+    return pts + np.random.default_rng(seed).uniform(-3e-5, 3e-5, (n, 3))
+
+
+def bucket_edge_lattice(seed: int = 3) -> np.ndarray:
+    """A 5 x 5 x 5 lattice on bucket edges (multiples of the radius), so
+    neighbours lie one radius apart, plus copies shifted by one ulp of the
+    radius either way, all in a shuffled order."""
+    k = np.arange(-2, 3) * DEDUP_R
+    lattice = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)
+    ulp = math.nextafter(DEDUP_R, 1.0) - DEDUP_R
+    pts = np.vstack([lattice, lattice + ulp, lattice - ulp])
+    return pts[np.random.default_rng(seed).permutation(len(pts))]
+
+
+# offsets one radius long where ``dx*dx + ...`` and ``dx**2 + ...`` fall on
+# opposite sides of the squared radius (found by a random search here)
+SCALAR_TIES = np.array([
+    [8.28343764875676e-05, 0.00011358297765880423, 0.00014225812194063116],
+    [0.00012633755482476935, -0.0001266179103739797, 8.948031634625151e-05],
+    [0.00017799638978742245, -7.40970558326004e-05, -5.316870827455249e-05],
+    [0.00019844765166499796, 3.6332508201669793e-06, -2.4603435474042848e-05],
+])
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(dense_polyline(), id="polyline"),
+    pytest.param(bucket_edge_lattice(), id="bucket-edges"),
+    pytest.param(np.array([[1e-3, -2e-3, 4e-3]]), id="one-point"),
+    pytest.param(np.vstack([[0.0, 0.0, 0.0], SCALAR_TIES, -SCALAR_TIES]), id="scalar-ties"),
+])
+def test_dedup_keeps_what_the_reference_keeps_on_fixed_clouds(points):
+    assert evaluation._dedup_indices(points) == reference_dedup_indices(points)
+
+
 # -- (g) reconstruction mesh against the standalone mesher it replaced ----------
 
 def reference_reconstruct_mesh(cloud: PointCloud) -> SurfaceMesh:
@@ -921,3 +966,79 @@ def test_vertex_normals_match_the_add_at_version(seed, n, keep, extra):
     want = reference_vertex_normals(vertices, triangles)
     event(f"lonely vertices: {len(triangles) == 0 or len(np.unique(triangles)) < n + extra}")
     assert got.tobytes() == want.tobytes()
+
+
+# -- (j) per-shape tumor height against the method body it replaced ------------
+
+def reference_tumor_height(tumor: TumorGeometry, x: float, y: float) -> float:
+    """``TumorGeometry.height`` as it was: shape dispatch and attribute
+    reads on every call."""
+    dx = x - tumor.center_xy[0]
+    dy = y - tumor.center_xy[1]
+    if tumor.shape == "hemisphere":
+        s = tumor.radius * tumor.radius - dx * dx - dy * dy
+        return math.sqrt(s) if s > 0.0 else 0.0
+    if tumor.shape == "ellipsoid":
+        ax, ay, az = tumor.semi_axes
+        u, v = dx / ax, dy / ay
+        s = 1.0 - u * u - v * v
+        return az * math.sqrt(s) if s > 0.0 else 0.0
+    ex = dx - tumor.inner_offset
+    rho_out = math.sqrt(dx * dx + dy * dy)
+    rho_in = math.sqrt(ex * ex + dy * dy)
+    d_edge = min(tumor.radius - rho_out, rho_in - tumor.inner_radius)
+    if d_edge <= 0.0:
+        return 0.0
+    if d_edge >= tumor.fillet_radius:
+        return tumor.top_height
+    t = 1.0 - d_edge / tumor.fillet_radius
+    return tumor.top_height * math.sqrt(max(0.0, 1.0 - t * t))
+
+
+def nudge(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+SIZE = st.floats(0.002, 0.03, **finite)
+# where to put the point: footprint rims and, for the crescent, the inner
+# (cut) rim and both fillet edges; "free" is anywhere around the footprint
+WHERE = {"hemisphere": ["rim", "free"], "ellipsoid": ["rim", "free"],
+         "crescent": ["rim", "inner rim", "fillet", "inner fillet", "free"]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(SHAPES),
+       center=st.tuples(st.floats(-0.02, 0.02, **finite), st.floats(-0.02, 0.02, **finite)),
+       semi_axes=st.just((0.018, 0.018, 0.012)) | st.tuples(SIZE, SIZE, SIZE),
+       radius=SIZE, width_share=st.floats(0.05, 0.9, **finite),
+       inner_offset=st.floats(0.0, 0.012, **finite), fillet=st.floats(2e-4, 4e-3, **finite),
+       azimuth=st.floats(0.0, 2 * math.pi, **finite), free=st.tuples(unit, unit),
+       ulps=st.tuples(st.integers(-3, 3), st.integers(-3, 3)), data=st.data())
+def test_tumor_height_matches_the_reference(shape, center, semi_axes, radius, width_share,
+                                            inner_offset, fillet, azimuth, free, ulps, data):
+    """Drawn geometries (cf_faults' semi-axes included) at points on an
+    edge of the footprint or around it, each coordinate nudged by up to
+    3 ulps."""
+    tumor = TumorGeometry(shape, radius=radius, center_xy=center, semi_axes=semi_axes,
+                          inner_offset=inner_offset, width=width_share * radius,
+                          fillet_radius=fillet)
+    where = data.draw(st.sampled_from(WHERE[shape]))
+    r_in = tumor.inner_radius
+    # the edge as an ellipse: x offset from the center, x and y semi-axes
+    ox, rx, ry = {"fillet": (0.0, radius - fillet, radius - fillet),
+                  "inner rim": (inner_offset, r_in, r_in),
+                  "inner fillet": (inner_offset, r_in + fillet, r_in + fillet),
+                  }.get(where, (0.0, radius, radius))
+    if shape == "ellipsoid":
+        rx, ry = semi_axes[:2]
+    if where == "free":
+        x, y = center[0] + 1.3 * rx * free[0], center[1] + 1.3 * ry * free[1]
+    else:
+        x, y = center[0] + ox + rx * math.cos(azimuth), center[1] + ry * math.sin(azimuth)
+    x, y = nudge(x, ulps[0]), nudge(y, ulps[1])
+    want = bits([reference_tumor_height(tumor, x, y)])
+    event(f"{shape} {where}, {'outside' if want == bits([0.0]) else 'inside'}")
+    assert bits([tumor.height_fn()(x, y)]) == want
+    assert bits([tumor.height(x, y)]) == want
