@@ -44,8 +44,8 @@ for shape in ("hemisphere", "ellipsoid", "crescent"):
     z0_off = phantom.z_skin(0.015, 0.015)
     for d_mm in (2, 5, 9, 12, 17):
         d = d_mm * 1e-3
-        f_on = phantom.contact_force(ax, ay, z0_on - d).normal_force
-        f_off = phantom.contact_force(0.015, 0.015, z0_off - d).normal_force
+        f_on = phantom.contact_force(ax, ay, z0_on - d)
+        f_off = phantom.contact_force(0.015, 0.015, z0_off - d)
         print(f"  {d_mm:5.1f} mm     ->  {f_on:7.2f} N        | {f_off:6.2f} N")
 
     cloud = phantom.ground_truth_cloud(2000, seed=0)

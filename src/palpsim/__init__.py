@@ -40,7 +40,6 @@ from .experiment import (
     table1_matrix,
 )
 from .phantom import (
-    ContactResponse,
     Phantom,
     PhantomConfig,
     PointCloud,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateCloud, Empty, EmptyCloud, EmptyReconstruction
+from .errors import DegenerateCloud, Empty, EmptyCloud, EmptyReconstruction, OutOfRange
 from .phantom import PointCloud
 from .policy import PalpationTrajectory, ProbeParams, ProbeResult
 from .registration import SurfaceMesh, _vertex_normals, mesh_from_cloud
@@ -81,7 +81,9 @@ def extract_contact_points(trajectories: list[PalpationTrajectory],
 
 
 def fscore(recon: PointCloud, gt: PointCloud, r: float) -> FScoreReport:
-    """Precision/recall of mutual nearest-neighbor coverage within r."""
+    """Precision/recall of mutual nearest-neighbor coverage within r > 0."""
+    if not r > 0:
+        raise OutOfRange(f"r must be > 0, got {r}")
     if len(recon) == 0 or len(gt) == 0:
         raise EmptyCloud("both clouds must be nonempty")
     d_recon, _ = cKDTree(gt.points).query(recon.points)

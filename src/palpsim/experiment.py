@@ -73,6 +73,8 @@ class CloudParams:
     def __post_init__(self):
         if not all(v >= 0 for v in (self.noise_sigma, self.margin, self.voxel, self.outlier_k)):
             raise OutOfRange("noise_sigma, margin, voxel and outlier_k must be >= 0")
+        if not (self.density > 0 and self.outlier_sigma >= 0):
+            raise OutOfRange("density must be > 0 and outlier_sigma >= 0")
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ class ExperimentConfig:
         if not (self.seed >= 0 and self.xi >= 0 and self.n_init >= 2 and self.r_eval > 0
                 and self.gt_samples >= 1):
             raise OutOfRange("need seed >= 0, xi >= 0, n_init >= 2, r_eval > 0 and gt_samples >= 1")
+        if not (self.grid_dx > 0 and self.grid_dy > 0):
+            raise OutOfRange("grid_dx and grid_dy must be > 0")
 
     @property
     def condition(self) -> str:

@@ -6,13 +6,13 @@ height field sandwiched between fat and muscle.  It answers contact
 queries with a piecewise Kelvin-Voigt force law and synthesizes both
 depth-camera-style surface clouds and ground-truth tumor clouds.
 
-Scalar query paths (``z_skin``, ``contact_force``, ``surface_normal``)
-are plain-float math and serve as the reference.  ``contact_law`` is the
-hot path: the same contact law and normal in one closure, set up for the
+The contact law has two implementations.  ``contact_law`` is the scalar
+hot path: the law and the skin normal in one closure, set up for the
 profile kind once per palpation, which the 1 kHz contour-follow tick
-calls.  The ``*_np`` twins apply the same arithmetic to arrays; the probe
-descent evaluates a window of steps through them, and cloud generation
-uses them too.
+calls.  The ``*_np`` methods apply the same arithmetic to arrays; the
+probe descent evaluates a window of steps through them, and cloud
+generation uses them too.  The scalar ``contact_force``,
+``surface_normal`` and ``z_skin`` are one-line views of these two.
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigInvalid, EmptyRegion, NoTumor
-
-# Contact regimes reported by contact_force.
-NO_CONTACT = "no_contact"
-SOFT_STACK = "soft_stack"
-HARD_STOP_TUMOR = "hard_stop_tumor"
-HARD_STOP_MUSCLE = "hard_stop_muscle"
 
 # Surface profile kinds.
 FLAT = "flat"
@@ -70,29 +64,6 @@ class SurfaceProfile:
         if self.kind == GAUSS_BUMP and self.sigma <= 0:
             raise ConfigInvalid("gauss_bump sigma must be > 0")
 
-    def height(self, x: float, y: float) -> float:
-        if self.kind == FLAT:
-            return 0.0
-        if self.kind == CYL_BUMP:
-            u = x / self.radius
-            s = 1.0 - u * u
-            return self.amplitude * math.sqrt(s) if s > 0.0 else 0.0
-        r2 = x * x + y * y
-        return self.amplitude * math.exp(-r2 / (2.0 * self.sigma * self.sigma))
-
-    def slope(self, x: float, y: float) -> tuple[float, float]:
-        """(dz/dx, dz/dy) of the profile."""
-        if self.kind == FLAT:
-            return 0.0, 0.0
-        if self.kind == CYL_BUMP:
-            u = x / self.radius
-            s = 1.0 - u * u
-            if s <= 1e-12:
-                return 0.0, 0.0
-            return -self.amplitude * u / (self.radius * math.sqrt(s)), 0.0
-        g = self.height(x, y) / (self.sigma * self.sigma)
-        return -x * g, -y * g
-
     def height_np(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.kind == FLAT:
             return np.zeros_like(np.asarray(xs, dtype=float))
@@ -107,7 +78,7 @@ class SurfaceProfile:
         return self.amplitude * _exp(-r2 / (2.0 * self.sigma * self.sigma))
 
     def slope_np(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Array form of ``slope``, with the same operations in the same order."""
+        """(dz/dx, dz/dy) of the profile."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if self.kind == FLAT:
@@ -280,15 +251,6 @@ class TumorGeometry:
         return np.where(d_edge > 0.0, h, 0.0)
 
 
-@dataclass(frozen=True)
-class ContactResponse:
-    """One contact-force query: scalar normal force plus bookkeeping."""
-
-    normal_force: float
-    penetration: float
-    regime: str
-
-
 @dataclass
 class PointCloud:
     """3D points in meters with optional unit normals (same count)."""
@@ -339,19 +301,17 @@ class Phantom:
     # -- geometry ----------------------------------------------------------
 
     def z_skin(self, x: float, y: float) -> float:
-        return self._skin_base + self._profile.height(x, y)
+        return float(self.z_skin_np(x, y))
 
     def h_tumor(self, x: float, y: float) -> float:
         return self.tumor.height(x, y) if self.tumor is not None else 0.0
 
     def surface_normal(self, x: float, y: float) -> tuple[float, float, float]:
         """Outward unit normal of the skin surface."""
-        gx, gy = self._profile.slope(x, y)
-        inv = 1.0 / math.sqrt(gx * gx + gy * gy + 1.0)
-        return -gx * inv, -gy * inv, inv
+        return tuple(float(c) for c in self.surface_normal_np(x, y))
 
     def surface_normal_np(self, xs: np.ndarray, ys: np.ndarray):
-        """Array form of ``surface_normal``: (nx, ny, nz) arrays."""
+        """Outward unit normal of the skin surface: (nx, ny, nz) arrays."""
         gx, gy = self._profile.slope_np(xs, ys)
         inv = 1.0 / np.sqrt(gx * gx + gy * gy + 1.0)
         return -gx * inv, -gy * inv, inv
@@ -366,35 +326,22 @@ class Phantom:
     # -- contact -----------------------------------------------------------
 
     def contact_force(self, qx: float, qy: float, probe_z: float,
-                      probe_vz: float = 0.0) -> ContactResponse:
-        """Piecewise spring force along the soft stack, then the hard stop.
-
-        Penetration is the vertical gap below the skin surface.  Damping
-        (contact_damping * descent speed) applies only while in contact
-        and never produces suction.
-        """
-        d = self.z_skin(qx, qy) - probe_z
-        if d <= 0.0:
-            return ContactResponse(0.0, 0.0, NO_CONTACT)
-        h = self.h_tumor(qx, qy)
-        d_stop = self._stack - h
-        if d <= d_stop:
-            f = self._k_soft * d
-            regime = SOFT_STACK
-        else:
-            k_hard = self._k_tumor if h > 0.0 else self._k_muscle
-            f = self._k_soft * d_stop + k_hard * (d - d_stop)
-            regime = HARD_STOP_TUMOR if h > 0.0 else HARD_STOP_MUSCLE
-        if probe_vz < 0.0:
-            f += self._damping * (-probe_vz)
-        return ContactResponse(f, d, regime)
+                      probe_vz: float = 0.0) -> float:
+        """Normal force of ``contact_law`` at one point; 0 out of contact."""
+        return self.contact_law()(qx, qy, probe_z, probe_vz)[0]
 
     def contact_law(self):
-        """``contact_force`` and ``fn * surface_normal`` (zeros out of
-        contact) as one closure ``(cx, cy, cz, vz) -> (fn, fx, fy, fz)``,
-        the hot path of contour following.  Same operations in the same
-        order, so the same floats; the slope reuses the profile's ``u``/``s``
-        (cyl_bump) or height (gauss_bump); the tumor's is ``height_fn``."""
+        """The contact law and its force along the outward skin normal as
+        one closure ``(cx, cy, cz, vz) -> (fn, fx, fy, fz)``, the hot path
+        of contour following; all zeros out of contact.
+
+        ``fn`` is a piecewise spring force along the soft stack, then the
+        hard stop.  Penetration is the vertical gap below the skin surface.
+        Damping (contact_damping * descent speed) applies only while in
+        contact and never produces suction.  The slope reuses the
+        profile's ``u``/``s`` (cyl_bump) or height (gauss_bump); the
+        tumor's height is ``height_fn``.  The ``*_np`` methods do the same
+        operations in the same order, so they give the same floats."""
         prof = self._profile
         cyl, gauss = prof.kind == CYL_BUMP, prof.kind == GAUSS_BUMP
         amp, radius = prof.amplitude, prof.radius
@@ -441,7 +388,7 @@ class Phantom:
 
     def contact_force_np(self, qx: np.ndarray, qy: np.ndarray, probe_z: np.ndarray,
                          probe_vz: float = 0.0) -> np.ndarray:
-        """Normal force of ``contact_force`` at arrays of query points
+        """Normal force of the contact law at arrays of query points
         sharing one descent speed; 0 where out of contact."""
         d = self.z_skin_np(qx, qy) - probe_z
         h = (self.tumor.height_np(qx, qy) if self.tumor is not None

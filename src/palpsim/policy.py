@@ -10,9 +10,9 @@ The contour-follow loop stays scalar, in plain-float arithmetic: each
 1 kHz control step depends on the one before it.  The step is set up
 once per palpation: the phantom's specialised ``contact_law``, the plant
 step and the axial row of the load-cell map are inlined, and the full
-reading ``ProbePlant.measure`` is taken once per stroke.  The scalar
-``Phantom.contact_force`` / ``surface_normal`` path is the reference it
-matches bit for bit (``tests/test_equivalence.py``).
+reading ``ProbePlant.measure`` is taken once per stroke.  Tick and descent
+match, bit for bit, the step-by-step loops and the scalar contact law that
+``tests/test_equivalence.py`` keeps as references.
 """
 
 from __future__ import annotations

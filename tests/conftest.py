@@ -16,10 +16,7 @@ def analytic_grid():
         gy = lo[1] + dx * np.arange(ny)
         mx, my = np.meshgrid(gx, gy, indexing="ij")
         height = phantom.z_skin_np(mx.ravel(), my.ravel()).reshape(nx, ny)
-        normal = np.empty((nx, ny, 3))
-        for i in range(nx):
-            for j in range(ny):
-                normal[i, j] = phantom.surface_normal(gx[i], gy[j])
+        normal = np.stack(phantom.surface_normal_np(mx, my), axis=-1)
         return SurfaceGrid((lo[0], lo[1]), dx, dx, height, normal,
                            np.ones((nx, ny), dtype=bool))
 

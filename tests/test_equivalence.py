@@ -2,11 +2,15 @@
 
 (a) ``ProbePlant.measure`` (one affine map per palpation) against the
     step-by-step chain of ``calibration.py``.
-(b) The array contact law and surface normal against the scalar ones:
-    both do the same operations, so they must agree exactly.
+(b) The array contact law and surface normal against the scalar ones
+    ``Phantom`` used to carry, ported here as ``reference_contact_force``
+    and ``reference_surface_normal``: both do the same operations, so they
+    must agree exactly.  The scalar views ``contact_force``,
+    ``surface_normal`` and ``z_skin`` too.
 (c) The windowed ``probe_cell`` descent against a step-by-step scalar
     descent, ported here from the loop it replaced.
-(d) ``Phantom.contact_law`` against ``contact_force`` and ``surface_normal``.
+(d) ``Phantom.contact_law`` against ``reference_contact_force`` and
+    ``reference_surface_normal``.
 (e) ``contour_follow`` (one specialised tick) against the loop it
     replaced, ported here with its plant step ``reference_step``.
 (f) The reconstruction dedup (close pairs, then greedy) against the
@@ -142,6 +146,61 @@ def test_load_cell_gives_the_same_floats_on_arrays():
 
 # -- (b) array contact law and normal against the scalar ones ------------------
 
+def reference_profile_height(prof, x: float, y: float) -> float:
+    """``SurfaceProfile.height`` as it was."""
+    if prof.kind == "flat":
+        return 0.0
+    if prof.kind == "cyl_bump":
+        u = x / prof.radius
+        s = 1.0 - u * u
+        return prof.amplitude * math.sqrt(s) if s > 0.0 else 0.0
+    r2 = x * x + y * y
+    return prof.amplitude * math.exp(-r2 / (2.0 * prof.sigma * prof.sigma))
+
+
+def reference_profile_slope(prof, x: float, y: float) -> tuple[float, float]:
+    """``SurfaceProfile.slope`` as it was: (dz/dx, dz/dy) of the profile."""
+    if prof.kind == "flat":
+        return 0.0, 0.0
+    if prof.kind == "cyl_bump":
+        u = x / prof.radius
+        s = 1.0 - u * u
+        if s <= 1e-12:
+            return 0.0, 0.0
+        return -prof.amplitude * u / (prof.radius * math.sqrt(s)), 0.0
+    g = reference_profile_height(prof, x, y) / (prof.sigma * prof.sigma)
+    return -x * g, -y * g
+
+
+def reference_contact_force(phantom: Phantom, qx: float, qy: float, probe_z: float,
+                            probe_vz: float = 0.0) -> float:
+    """The scalar ``Phantom.contact_force`` as it was, normal force only:
+    the piecewise spring force along the soft stack, then the hard stop,
+    plus damping while descending in contact."""
+    cfg = phantom.cfg
+    skin_base = cfg.muscle_plane_z + cfg.stack_depth
+    d = skin_base + reference_profile_height(cfg.surface_profile, qx, qy) - probe_z
+    if d <= 0.0:
+        return 0.0
+    h = reference_tumor_height(phantom.tumor, qx, qy) if phantom.tumor is not None else 0.0
+    d_stop = cfg.stack_depth - h
+    if d <= d_stop:
+        f = cfg.k_soft * d
+    else:
+        k_hard = cfg.k_tumor if h > 0.0 else cfg.k_muscle
+        f = cfg.k_soft * d_stop + k_hard * (d - d_stop)
+    if probe_vz < 0.0:
+        f += cfg.contact_damping * (-probe_vz)
+    return f
+
+
+def reference_surface_normal(phantom: Phantom, x: float, y: float) -> tuple[float, float, float]:
+    """The scalar ``Phantom.surface_normal`` as it was."""
+    gx, gy = reference_profile_slope(phantom.cfg.surface_profile, x, y)
+    inv = 1.0 / math.sqrt(gx * gx + gy * gy + 1.0)
+    return -gx * inv, -gy * inv, inv
+
+
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 @pytest.mark.parametrize("shape", SHAPES + (None,))
 @settings(max_examples=30, deadline=None)
@@ -158,10 +217,16 @@ def test_array_contact_and_normal_match_scalar(shape, profile, data):
     zs = ph.z_skin_np(xs, ys) - depth
     f = ph.contact_force_np(xs, ys, zs, vz)
     normal = np.column_stack(ph.surface_normal_np(xs, ys))
+    skin_base = ph.cfg.muscle_plane_z + ph.cfg.stack_depth
     for j in range(n):
         x, y, z = float(xs[j]), float(ys[j]), float(zs[j])
-        assert f[j] == ph.contact_force(x, y, z, vz).normal_force
-        assert tuple(normal[j]) == ph.surface_normal(x, y)
+        assert f[j] == reference_contact_force(ph, x, y, z, vz)
+        assert tuple(normal[j]) == reference_surface_normal(ph, x, y)
+        # the scalar views read these forms
+        assert ph.contact_force(x, y, z, vz) == f[j]
+        assert ph.surface_normal(x, y) == tuple(normal[j])
+        assert ph.z_skin(x, y) == skin_base + reference_profile_height(
+            ph.cfg.surface_profile, x, y)
 
 
 # -- (c) windowed descent against the scalar descent -----------------------------
@@ -184,9 +249,9 @@ def reference_descent(plant, phantom, grid, cell, params, gains, rng):
         cx = px - r * nx
         cy = py - r * ny
         cz = pz - r * nz
-        fn = phantom.contact_force(cx, cy, cz, vz_query).normal_force
+        fn = reference_contact_force(phantom, cx, cy, cz, vz_query)
         if fn > 0.0:
-            nsx, nsy, nsz = phantom.surface_normal(cx, cy)
+            nsx, nsy, nsz = reference_surface_normal(phantom, cx, cy)
             f_axial, _ = plant.measure(fn * nsx, fn * nsy, fn * nsz)
             if p_zi is None:
                 p_zi = pz
@@ -244,7 +309,7 @@ def test_probe_cell_stops_where_the_scalar_descent_stops(
     assert (res.p_zi, res.p_zf, res.d_z, res.f_z) == (p_zi, stop[2], d_z, f_z)
 
 
-# -- (d) specialised contact law against contact_force and surface_normal -------
+# -- (d) specialised contact law against the scalar reference -------------------
 
 def bits(values) -> tuple[str, ...]:
     """Exact float identity, the sign of zero included."""
@@ -272,9 +337,9 @@ def test_contact_law_matches_contact_force_and_normal(shape, profile, data):
         z = ph.z_skin(x, y) - data.draw(st.floats(-0.005, 0.03, **finite))
     vz = data.draw(st.one_of(st.floats(-0.05, 0.05, **finite), st.sampled_from([0.0, -0.0])))
     event(where)
-    fn = ph.contact_force(x, y, z, vz).normal_force
+    fn = reference_contact_force(ph, x, y, z, vz)
     if fn > 0.0:
-        nx, ny, nz = ph.surface_normal(x, y)
+        nx, ny, nz = reference_surface_normal(ph, x, y)
         want = (fn, fn * nx, fn * ny, fn * nz)
     else:
         want = (fn, 0.0, 0.0, 0.0)
@@ -291,10 +356,9 @@ def reference_step(px, py, pz, vx, vy, vz, fcx, fcy, fcz, phantom, dt, mass, tip
     cx = px - tip_r * ax
     cy = py - tip_r * ay
     cz = pz - tip_r * az
-    cr = phantom.contact_force(cx, cy, cz, vz)
-    fn = cr.normal_force
+    fn = reference_contact_force(phantom, cx, cy, cz, vz)
     if fn > 0.0:
-        nsx, nsy, nsz = phantom.surface_normal(cx, cy)
+        nsx, nsy, nsz = reference_surface_normal(phantom, cx, cy)
         fvx, fvy, fvz = fn * nsx, fn * nsy, fn * nsz
     else:
         fvx = fvy = fvz = 0.0
@@ -332,8 +396,8 @@ def reference_follow(plant, phantom, grid, start, params, gains, rng):
     px, py, pz = plant.px, plant.py, plant.pz
     vx, vy, vz = plant.vx, plant.vy, plant.vz
     cx0, cy0, cz0 = px - tip_r * ax, py - tip_r * ay, pz - tip_r * az
-    fn0 = phantom.contact_force(cx0, cy0, cz0, vz).normal_force
-    ns = phantom.surface_normal(cx0, cy0)
+    fn0 = reference_contact_force(phantom, cx0, cy0, cz0, vz)
+    ns = reference_surface_normal(phantom, cx0, cy0)
     _, f_vec0 = plant.measure(fn0 * ns[0], fn0 * ns[1], fn0 * ns[2])
     times, poses, forces = [0.0], [(px, py, pz)], [tuple(f_vec0)]
     t = last_contact = 0.0

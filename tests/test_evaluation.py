@@ -16,7 +16,7 @@ from palpsim import (
     reconstruct_mesh,
     run_policy,
 )
-from palpsim.errors import DegenerateCloud, Empty, EmptyCloud, EmptyReconstruction
+from palpsim.errors import DegenerateCloud, Empty, EmptyCloud, EmptyReconstruction, OutOfRange
 from palpsim.evaluation import FScoreReport
 from palpsim.policy import PalpationTrajectory, ProbeResult
 
@@ -123,6 +123,12 @@ class TestFScore:
     def test_empty_rejected(self):
         with pytest.raises(EmptyCloud):
             fscore(PointCloud(np.zeros((0, 3))), PointCloud(np.zeros((1, 3))), 0.003)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, r):
+        a = PointCloud(np.zeros((4, 3)))
+        with pytest.raises(OutOfRange):
+            fscore(a, a, r)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)

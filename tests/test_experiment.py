@@ -264,15 +264,22 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", [
         "seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
         "probe.tip_radius", "probe.press_force", "cal.angle_noise",
-        "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k"])
+        "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k",
+        "cloud.outlier_sigma", "cloud.density", "grid.dx", "grid.dy"])
     def test_negative_value_is_out_of_range(self, key):
         with pytest.raises(OutOfRange):
             config_from_flat({key: -1 if key in ("seed", "cloud.outlier_k") else -0.01})
 
+    @pytest.mark.parametrize("key", ["grid.dx", "grid.dy", "cloud.density"])
+    def test_zero_step_or_density_is_out_of_range(self, key):
+        with pytest.raises(OutOfRange):
+            config_from_flat({key: 0.0})
+
     def test_zero_values_accepted(self):
         keys = ["seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
                 "probe.tip_radius", "probe.press_force", "cal.angle_noise",
-                "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k"]
+                "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k",
+                "cloud.outlier_sigma"]
         flat = config_to_flat(config_from_flat(dict.fromkeys(keys, 0)))
         assert [flat[key] for key in keys] == [0] * len(keys)
 
@@ -480,6 +487,8 @@ class TestCli:
         ("probe.press_force", "hover, cf_timeout, contact_loss_timeout, tip_radius and "
                               "press_force must be >= 0"),
         ("cal.angle_noise", "angle_noise must be >= 0"),
+        ("grid.dy", "grid_dx and grid_dy must be > 0"),
+        ("cloud.outlier_sigma", "density must be > 0 and outlier_sigma >= 0"),
     ])
     def test_negative_config_value_is_one_error_line(self, tmp_path, capsys, key, message):
         cfg_file = tmp_path / "c.cfg"
@@ -487,6 +496,14 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"palpsim: error: OutOfRange: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("r", ["-1", "0", "nan"])
+    def test_eval_with_a_bad_radius_is_one_error_line(self, tmp_path, capsys, r):
+        ply_path = tmp_path / "a.ply"
+        export_ply(PointCloud(np.zeros((3, 3))), ply_path)
+        assert cli_main(["eval", str(ply_path), str(ply_path), "--r", r]) == 2
+        assert capsys.readouterr() == ("", f"palpsim: error: OutOfRange: r must be > 0, "
+                                           f"got {float(r)}\n")
 
     def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--budget", "0", "--out", str(tmp_path / "out")]) == 2

@@ -8,12 +8,6 @@ from palpsim import (
     flat_profile,
 )
 from palpsim.errors import ConfigInvalid, EmptyRegion, NoTumor
-from palpsim.phantom import (
-    HARD_STOP_MUSCLE,
-    HARD_STOP_TUMOR,
-    NO_CONTACT,
-    SOFT_STACK,
-)
 
 
 def flat_cfg(**kw):
@@ -54,45 +48,49 @@ class TestBuildPhantom:
 class TestContactForce:
     def test_no_penetration_no_force(self):
         ph = Phantom(flat_cfg(**CFG400))
-        cr = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) + 0.001)
-        assert cr.normal_force == 0.0
-        assert cr.regime == NO_CONTACT
+        assert ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) + 0.001) == 0.0
 
     def test_soft_stack_hooke(self):
         ph = Phantom(flat_cfg(**CFG400))
-        cr = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) - 0.005)
-        assert cr.normal_force == pytest.approx(2.0, abs=1e-12)
-        assert cr.regime == SOFT_STACK
+        f = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) - 0.005)
+        assert f == pytest.approx(2.0, abs=1e-12)
+        assert f == pytest.approx(ph.cfg.k_soft * 0.005, abs=1e-12)  # k_soft * d
 
     def test_hard_stop_over_apex(self):
         ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
         # stack 19 mm, apex 10 mm -> stop depth 9 mm
         assert ph.cfg.stack_depth - ph.h_tumor(0.0, 0.0) == pytest.approx(0.009)
-        cr = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) - 0.010)
-        assert cr.normal_force == pytest.approx(400 * 0.009 + 20000 * 0.001, abs=1e-9)
-        assert cr.normal_force == pytest.approx(23.6, abs=1e-9)
-        assert cr.regime == HARD_STOP_TUMOR
+        f = ph.contact_force(0.0, 0.0, ph.z_skin(0.0, 0.0) - 0.010)
+        assert f == pytest.approx(400 * 0.009 + 20000 * 0.001, abs=1e-9)
+        assert f == pytest.approx(23.6, abs=1e-9)
+        # k_soft * d_stop + k_tumor * (d - d_stop)
+        d_stop = ph.cfg.stack_depth - ph.h_tumor(0.0, 0.0)
+        assert f == pytest.approx(ph.cfg.k_soft * d_stop + ph.cfg.k_tumor * (0.010 - d_stop),
+                                  abs=1e-9)
 
     def test_hard_stop_muscle_off_footprint(self):
         ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
-        cr = ph.contact_force(0.05, 0.0, ph.z_skin(0.05, 0.0) - 0.020)
-        assert cr.regime == HARD_STOP_MUSCLE
+        f = ph.contact_force(0.05, 0.0, ph.z_skin(0.05, 0.0) - 0.020)
+        # k_soft * stack + k_muscle * (d - stack)
+        stack = ph.cfg.stack_depth
+        assert f == pytest.approx(ph.cfg.k_soft * stack + ph.cfg.k_muscle * (0.020 - stack),
+                                  abs=1e-9)
 
     def test_damping_only_while_descending(self):
         ph = Phantom(flat_cfg(**CFG400, contact_damping=10.0))
         z = ph.z_skin(0.0, 0.0) - 0.005
         down = ph.contact_force(0.0, 0.0, z, probe_vz=-0.1)
         up = ph.contact_force(0.0, 0.0, z, probe_vz=+0.1)
-        assert down.normal_force == pytest.approx(2.0 + 10.0 * 0.1, abs=1e-12)
-        assert up.normal_force == pytest.approx(2.0, abs=1e-12)
+        assert down == pytest.approx(2.0 + 10.0 * 0.1, abs=1e-12)
+        assert up == pytest.approx(2.0, abs=1e-12)
 
     def test_continuity_at_regime_boundary(self):
         ph = Phantom(flat_cfg(**CFG400), TumorGeometry("hemisphere", radius=0.01))
         z_skin = ph.z_skin(0.0, 0.0)
         d_stop = ph.cfg.stack_depth - ph.h_tumor(0.0, 0.0)
         eps = 1e-9
-        below = ph.contact_force(0.0, 0.0, z_skin - (d_stop - eps)).normal_force
-        above = ph.contact_force(0.0, 0.0, z_skin - (d_stop + eps)).normal_force
+        below = ph.contact_force(0.0, 0.0, z_skin - (d_stop - eps))
+        above = ph.contact_force(0.0, 0.0, z_skin - (d_stop + eps))
         assert abs(above - below) < 1e-4
 
     def test_monotone_in_penetration(self):
@@ -101,10 +99,7 @@ class TestContactForce:
         for _ in range(50):
             x, y = rng.uniform(-0.02, 0.02, 2)
             depths = np.linspace(0.0, 0.025, 200)
-            forces = [
-                ph.contact_force(x, y, ph.z_skin(x, y) - d).normal_force
-                for d in depths
-            ]
+            forces = [ph.contact_force(x, y, ph.z_skin(x, y) - d) for d in depths]
             assert np.all(np.diff(forces) >= -1e-12)
 
     def test_tumor_regime_only_on_footprint(self):
@@ -114,8 +109,11 @@ class TestContactForce:
             x, y = rng.uniform(-0.03, 0.03, 2)
             if ph.h_tumor(x, y) > 0.0:
                 continue
-            cr = ph.contact_force(x, y, ph.z_skin(x, y) - 0.022)
-            assert cr.regime != HARD_STOP_TUMOR
+            # the muscle's hard stop: k_soft * stack + k_muscle * (d - stack)
+            f = ph.contact_force(x, y, ph.z_skin(x, y) - 0.022)
+            stack = ph.cfg.stack_depth
+            assert f == pytest.approx(ph.cfg.k_soft * stack + ph.cfg.k_muscle * (0.022 - stack),
+                                      abs=1e-9)
 
     def test_height_field_ordering(self):
         ph = Phantom(PhantomConfig(), TumorGeometry("crescent"))
