@@ -13,6 +13,7 @@ outputs so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -251,15 +252,24 @@ _KEYS = {_FILE_KEYS.get(path, path): (path, tp) for path, tp in _leaves(Experime
 
 
 def _cast(key: str, value, tp):
-    """``value`` as field type ``tp``: float, int, str or a tuple of floats."""
+    """``value`` as field type ``tp``: float, int, str or a tuple of floats.
+
+    A NaN or infinite float, tuple components included, is rejected here:
+    range checks such as ``x <= 0`` are False for NaN and would let it in.
+    """
     try:
         if get_origin(tp) is tuple:
-            return tuple(t(v) for t, v in zip(get_args(tp), value, strict=True))
-        if tp is int and not isinstance(value, str) and value != int(value):
-            raise ValueError(f"{value!r} is not a whole number")
-        return tp(value)
+            out = tuple(t(v) for t, v in zip(get_args(tp), value, strict=True))
+        else:
+            if tp is int and not isinstance(value, str) and value != int(value):
+                raise ValueError(f"{value!r} is not a whole number")
+            out = tp(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"config key {key!r}: {exc}") from None
+    parts = out if isinstance(out, tuple) else (out,)
+    if any(isinstance(x, float) and not math.isfinite(x) for x in parts):
+        raise ConfigInvalid(f"config key {key!r}: {value!r} is not finite")
+    return out
 
 
 def _with_values(obj, values: dict, prefix: str = ""):

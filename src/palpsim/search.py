@@ -12,6 +12,12 @@ per new distinct cell, and, for the grid it last scanned, the rows
 ``L⁻¹ K(x, valid cells)`` with their running column sums of squares.
 A scan after a new sample costs one kernel column over the valid cells
 and one O(n·m) product.
+
+The scan's two row products stay under OpenBLAS's gemv threading cutoff
+(``_vecmat``).  A threaded product wakes a helper thread that spins for
+about 0.1 s afterwards (each BO pick past about 77 samples on a 0.5 mm
+grid), and it splits the cells between threads, so the cells at the
+split take another rounding path and the bits depend on the core count.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from .registration import SurfaceGrid
 
 _JITTER = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# OpenBLAS runs a gemv on one thread while m·n < 115200 · GEMM_MULTITHREAD_THRESHOLD
+# (interface/gemv.c); the threshold is 4 in the OpenBLAS that numpy and scipy ship.
+_GEMV_THREAD_CUTOFF = 115200 * 4
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,8 @@ class GPModel:
     ``var = signal_var − ‖L⁻¹kₛ‖²`` and ``μ = ȳ + (L⁻¹(y − ȳ))·(L⁻¹kₛ)``.
     ``predict_grid`` keeps ``V = L⁻¹ K(x, valid cells)`` and the column
     sums of ``V²`` for the last grid it scanned, and appends one row of
-    each per new cell.
+    each per new cell.  Its products with ``V`` go through ``_vecmat``, so
+    they run on the calling thread and give the same bits on any core count.
     """
 
     def __init__(self, hyper: GPHyper = GPHyper()):
@@ -174,12 +184,33 @@ class GPModel:
         v = self._v = _grown(self._v, n)
         for i in range(self._v_rows, n):
             col = _kernel(x[i:i + 1], self._valid, self.hyper)[0]
-            v[i] = (col - chol[i, :i] @ v[:i]) / chol[i, i]
+            v[i] = (col - _vecmat(chol[i, :i], v[:i])) / chol[i, i]
             self._v_sq += v[i] * v[i]
             self._v_rows = i + 1
         mean_y, beta = self._weights(chol)
         var = self.hyper.signal_var - self._v_sq
-        return mean_y + beta @ v[:n], np.maximum(var, 0.0)
+        return mean_y + _vecmat(beta, v[:n]), np.maximum(var, 0.0)
+
+
+def _vecmat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a length-n ``a`` and a C-contiguous (n, m) ``b``, with
+    no BLAS call at or above ``_GEMV_THREAD_CUTOFF``.
+
+    A larger product runs in column blocks whose width is a multiple of 64.
+    OpenBLAS's Haswell ``dgemv_n`` gives every output the same FMA chain
+    except the last m mod 4, which take a scalar tail; blocks start at
+    multiples of 64 and the last one ends at m, so each output takes the
+    path it takes in one single-threaded call.  Past n = 7,200 samples the
+    64-column floor reaches the cutoff again.
+    """
+    n, m = b.shape
+    if n * m < _GEMV_THREAD_CUTOFF:
+        return np.matmul(a, b)
+    width = max((_GEMV_THREAD_CUTOFF - 1) // n // 64 * 64, 64)
+    out = np.empty(m)
+    for j in range(0, m, width):
+        np.matmul(a, b[:, j:j + width], out=out[j:j + width])
+    return out
 
 
 def _grown(buf: np.ndarray, rows: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from palpsim import (
     run_matrix,
     table1_matrix,
 )
-from palpsim.experiment import _write_config_echo, config_to_flat
+from palpsim.experiment import _KEYS, _write_config_echo, config_to_flat
 from palpsim import cli
 from palpsim.cli import main as cli_main
 from palpsim.errors import ConfigInvalid, EmptyCloud, MalformedPly, OutOfRange
@@ -151,6 +151,21 @@ class TestConfigFile:
                            ("trials", "2.5"), ("seed", float("inf"))):
             with pytest.raises(ConfigInvalid, match=f"config key '{key}'"):
                 config_from_flat({key: value})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, bad):
+        defaults = config_to_flat(default_config())
+        for key, (_, tp) in _KEYS.items():
+            if tp is float:
+                cases = [bad]
+            elif get_origin(tp) is tuple:
+                d = defaults[key]
+                cases = [d[:i] + (bad,) + d[i + 1:] for i in range(len(d))]
+            else:
+                continue
+            for value in cases:
+                with pytest.raises(ConfigInvalid, match=f"config key '{key}': .* is not finite"):
+                    config_from_flat({key: value})
 
     @pytest.mark.parametrize("key", ["strategy", "mode"])
     def test_unknown_strategy_or_mode_rejected(self, key):
@@ -439,6 +454,7 @@ class TestCli:
     @pytest.mark.parametrize("text,message", [
         ("trials = 1\nbogus line\n", "expected 'key = value', got 'bogus line'"),
         ("trials = 1\nwidget.k = 3\n", "unknown config keys: ['widget.k']"),
+        ("trials = 1\nprobe.d_thres = NaN\n", "config key 'probe.d_thres': nan is not finite"),
     ])
     def test_bad_config_file_is_one_error_line(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"

@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import palpsim
 from palpsim import (
     Acquisition,
     GPHyper,
@@ -16,7 +22,7 @@ from palpsim import (
     next_cell_random,
 )
 from palpsim.errors import Exhausted, OutOfRange
-from palpsim.search import GPModel, _ei
+from palpsim.search import _GEMV_THREAD_CUTOFF, GPModel, _ei, _vecmat
 
 
 def make_grid(nx=20, ny=20, mask=None):
@@ -497,3 +503,105 @@ class TestGPModel:
     def test_empty_model_cannot_predict(self):
         with pytest.raises(ValueError):
             GPModel(GPHyper()).predict_grid(make_grid(2, 2))
+
+
+def run_child(code: str, *args: str, **env: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this
+    palpsim, with ``env`` added to the child's environment only."""
+    src = str(Path(palpsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path, **env})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+SINGLE_THREAD_PRODUCTS = """
+import sys
+import numpy as np
+pairs = np.load(sys.argv[1])
+np.savez(sys.argv[2], *[pairs[f"a{i}"] @ pairs[f"b{i}"] for i in range(len(pairs.files) // 2)])
+"""
+
+SINGLE_THREAD_SCAN = """
+import pickle, sys
+import numpy as np
+gp, grid = pickle.loads(open(sys.argv[1], "rb").read())
+np.savez(sys.argv[2], *gp.predict_grid(grid))
+"""
+
+# CPU of every thread but the main one, in ns, around one 80-pick BO trial.
+HELPER_CPU_OF_A_BO_TRIAL = """
+import os, time
+from dataclasses import replace
+from palpsim import default_config, run_experiment
+
+def helper_ns():
+    main, total = str(os.getpid()), 0
+    for tid in os.listdir("/proc/self/task"):
+        if tid != main:
+            with open(f"/proc/self/task/{tid}/schedstat") as f:
+                total += int(f.read().split()[0])
+    return total
+
+cfg = default_config("crescent", "bo", "discrete", seed=7, trials=1, budget=80)
+before = helper_ns()
+run_experiment(replace(cfg, grid_dx=0.0005, grid_dy=0.0005), None, verbose=False)
+time.sleep(0.2)  # let a woken helper finish its spin before reading it
+print(helper_ns() - before)
+"""
+
+
+class TestBlasThreads:
+    """The scan's products stay under OpenBLAS's gemv threading cutoff, so
+    they give one-thread bits and wake no helper thread."""
+
+    def test_vecmat_matches_one_blas_thread(self, tmp_path, monkeypatch):
+        cut = _GEMV_THREAD_CUTOFF
+        shapes = [(80, cut // 80 - 1), (80, cut // 80), (80, cut // 80 + 1), (77, 6001),
+                  (80, 6001), (44, 12345), (150, 6003), (300, cut // 300 + 1), (300, 6001)]
+        rng = np.random.default_rng(15)
+        pairs = [(rng.standard_normal(n), rng.standard_normal((n, m))) for n, m in shapes]
+        np.savez(tmp_path / "pairs.npz", **{f"{k}{i}": x for i, pair in enumerate(pairs)
+                                             for k, x in zip("ab", pair)})
+        run_child(SINGLE_THREAD_PRODUCTS, str(tmp_path / "pairs.npz"), str(tmp_path / "out.npz"),
+                  OPENBLAS_NUM_THREADS="1")
+        want = np.load(tmp_path / "out.npz")
+
+        blocks = []
+        matmul = np.matmul
+
+        def spy(a, b, **kw):
+            blocks.append(b.shape)
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for i, ((a, b), (n, m)) in enumerate(zip(pairs, shapes)):
+            blocks.clear()
+            assert _vecmat(a, b).tobytes() == want[f"arr_{i}"].tobytes(), (n, m)
+            assert all(bn * bm < cut for bn, bm in blocks), blocks
+            assert len(blocks) > 1 if n * m >= cut else blocks == [(n, m)]
+
+    def test_scan_does_not_depend_on_the_thread_count(self, tmp_path):
+        mask = (np.arange(78 * 78) < 6001).reshape(78, 78)
+        grid = make_grid(78, 78, mask)
+        rng = np.random.default_rng(15)
+        cells = grid.valid_cells()[rng.choice(6001, size=80, replace=False)]
+        # 10-cell length scale: every cell sums many samples' terms, so a
+        # product reassociated at a thread split shows in the last bits
+        gp = GPModel(GPHyper(length_scale=10.0))
+        for (u, v), k in zip(cells, rng.uniform(200.0, 2000.0, size=80)):
+            gp.add(StiffnessSample((int(u), int(v)), float(k)))
+        (tmp_path / "gp.pkl").write_bytes(pickle.dumps((gp, grid)))
+        run_child(SINGLE_THREAD_SCAN, str(tmp_path / "gp.pkl"), str(tmp_path / "out.npz"),
+                  OPENBLAS_NUM_THREADS="1")
+        want = np.load(tmp_path / "out.npz")
+        mu, var = gp.predict_grid(grid)
+        assert mu.tobytes() == want["arr_0"].tobytes()
+        assert var.tobytes() == want["arr_1"].tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or os.cpu_count() == 1,
+                        reason="needs /proc/self/task and more than one core")
+    def test_bo_trial_wakes_no_blas_helper(self):
+        helper_ms = int(run_child(HELPER_CPU_OF_A_BO_TRIAL)) / 1e6
+        assert helper_ms < 10.0
