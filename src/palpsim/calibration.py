@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatch, OutOfRange
+from .errors import FrameMismatch, at_least, check_ranges
 
 LOAD_CELL_LOCAL = "load_cell_local"
 INERTIAL = "inertial"
@@ -43,15 +43,11 @@ class ForceReading:
 class CalibrationParams:
     """tip_weight_n is the tip mass expressed in Newtons (M*g)."""
 
-    tip_weight_n: float = 0.35
+    tip_weight_n: float = at_least(0, 0.35)
     z_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    angle_noise: float = 0.0      # rad, optional orientation jitter
+    angle_noise: float = at_least(0, 0.0)  # rad, optional orientation jitter
 
-    def __post_init__(self):
-        if self.tip_weight_n < 0:
-            raise OutOfRange("tip_weight_n must be >= 0")
-        if not self.angle_noise >= 0:
-            raise OutOfRange("angle_noise must be >= 0")
+    __post_init__ = check_ranges
 
 
 def rotation_zyx(e: EulerZYX) -> np.ndarray:

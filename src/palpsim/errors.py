@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_ranges``, the one
+range check of the config dataclasses, whose fields declare their bounds
+with ``above`` and ``at_least``."""
+
+import math
+from dataclasses import MISSING, field, fields
 
 
 class PalpSimError(Exception):
@@ -6,7 +11,8 @@ class PalpSimError(Exception):
 
 
 class ConfigInvalid(PalpSimError, ValueError):
-    """Phantom/tumor configuration violates an invariant."""
+    """Configuration names an unknown choice, breaks a rule across fields, or
+    a config file cannot be read or parsed."""
 
 
 class EmptyRegion(PalpSimError, ValueError):
@@ -50,7 +56,8 @@ class FrameMismatch(PalpSimError, ValueError):
 
 
 class OutOfRange(PalpSimError, ValueError):
-    """Scalar argument outside its documented domain."""
+    """Number outside its own domain: a config field that breaks its declared
+    bound or is not finite, or an argument outside its documented range."""
 
 
 class NumericalBlowup(PalpSimError, RuntimeError):
@@ -79,3 +86,29 @@ class Empty(PalpSimError, ValueError):
 
 class AdmissibleForceExceeded(PalpSimError, RuntimeError):
     """Commanded force left the admissible bound (should never happen)."""
+
+
+def above(lo, default=MISSING):
+    """Dataclass field whose value, or each component of a tuple value, must be > ``lo``."""
+    return field(default=default, metadata={"bound": (">", lo)})
+
+
+def at_least(lo, default=MISSING):
+    """Dataclass field whose value, or each component of a tuple value, must be >= ``lo``."""
+    return field(default=default, metadata={"bound": (">=", lo)})
+
+
+def check_ranges(obj) -> None:
+    """Raise ``OutOfRange`` naming the field if a float of dataclass ``obj``
+    (tuple components included) is not finite, or if a value breaks the
+    bound its field declares.  The bound test is ``not (lo < x)``, so NaN
+    fails it too."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        op, lo = f.metadata.get("bound", ("", None))
+        for i, x in enumerate(value if isinstance(value, tuple) else (value,)):
+            name = f"{f.name}[{i}]" if isinstance(value, tuple) else f.name
+            if isinstance(x, float) and not math.isfinite(x):
+                raise OutOfRange(f"{name} must be finite, got {x}")
+            if op and not (lo < x if op == ">" else lo <= x):
+                raise OutOfRange(f"{name} must be {op} {lo}, got {x}")

@@ -23,7 +23,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .calibration import CalibrationParams
-from .errors import ConfigInvalid, Empty, OutOfRange, PalpSimError
+from .errors import ConfigInvalid, Empty, PalpSimError, above, at_least, check_ranges
 from .evaluation import (
     FScoreReport,
     aggregate_trials,
@@ -64,18 +64,14 @@ _CLOUD_STREAM = 3  # rng stream id for depth-cloud synthesis
 
 @dataclass(frozen=True)
 class CloudParams:
-    density: float = 3.0e6      # points per m^2
-    noise_sigma: float = 0.0005  # m
-    margin: float = 0.01        # m, scan region beyond the ROI
-    voxel: float = 0.002        # m
-    outlier_k: int = 8
-    outlier_sigma: float = 2.0
+    density: float = above(0, 3.0e6)          # points per m^2
+    noise_sigma: float = at_least(0, 0.0005)  # m
+    margin: float = at_least(0, 0.01)         # m, scan region beyond the ROI
+    voxel: float = at_least(0, 0.002)         # m
+    outlier_k: int = at_least(0, 8)
+    outlier_sigma: float = at_least(0, 2.0)
 
-    def __post_init__(self):
-        if not all(v >= 0 for v in (self.noise_sigma, self.margin, self.voxel, self.outlier_k)):
-            raise OutOfRange("noise_sigma, margin, voxel and outlier_k must be >= 0")
-        if not (self.density > 0 and self.outlier_sigma >= 0):
-            raise OutOfRange("density must be > 0 and outlier_sigma >= 0")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -85,35 +81,29 @@ class ExperimentConfig:
     phantom: PhantomConfig = field(default_factory=PhantomConfig)
     tumor: TumorGeometry = field(default_factory=TumorGeometry)
     roi: RoiBox = field(default_factory=lambda: RoiBox((-0.02, -0.02), (0.02, 0.02)))
-    grid_dx: float = 0.002
-    grid_dy: float = 0.002
+    grid_dx: float = above(0, 0.002)
+    grid_dy: float = above(0, 0.002)
     cloud: CloudParams = field(default_factory=CloudParams)
     strategy: str = BO
     mode: str = CONTOUR_FOLLOWING
-    budget: int = 50
-    trials: int = 10
-    seed: int = 7
+    budget: int = at_least(1, 50)
+    trials: int = at_least(1, 10)
+    seed: int = at_least(0, 7)
     gains: ControllerGains = field(default_factory=ControllerGains)
     probe: ProbeParams = field(default_factory=ProbeParams)
     cal: CalibrationParams = field(default_factory=CalibrationParams)
     hyper: GPHyper = field(default_factory=GPHyper)
-    xi: float = 5.0
-    n_init: int = 3
-    r_eval: float = 0.003
-    gt_samples: int = 2000
+    xi: float = at_least(0, 5.0)
+    n_init: int = at_least(2, 3)
+    r_eval: float = above(0, 0.003)
+    gt_samples: int = at_least(1, 2000)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.strategy not in (BO, RS):
             raise ConfigInvalid(f"unknown strategy {self.strategy!r}")
         if self.mode not in (CONTOUR_FOLLOWING, DISCRETE):
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
-        if self.budget < 1 or self.trials < 1:
-            raise OutOfRange("budget and trials must be >= 1")
-        if not (self.seed >= 0 and self.xi >= 0 and self.n_init >= 2 and self.r_eval > 0
-                and self.gt_samples >= 1):
-            raise OutOfRange("need seed >= 0, xi >= 0, n_init >= 2, r_eval > 0 and gt_samples >= 1")
-        if not (self.grid_dx > 0 and self.grid_dy > 0):
-            raise OutOfRange("grid_dx and grid_dy must be > 0")
 
     @property
     def condition(self) -> str:
@@ -253,10 +243,8 @@ _KEYS = {_FILE_KEYS.get(path, path): (path, tp) for path, tp in _leaves(Experime
 
 def _cast(key: str, value, tp):
     """``value`` as field type ``tp``: float, int, str or a tuple of floats.
-
-    A NaN or infinite float, tuple components included, is rejected here:
-    range checks such as ``x <= 0`` are False for NaN and would let it in.
-    """
+    A NaN or infinite float, tuple components included, is rejected with its
+    file key before the dataclass would reject it by field name."""
     try:
         if get_origin(tp) is tuple:
             out = tuple(t(v) for t, v in zip(get_args(tp), value, strict=True))

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyRegion, NoTumor
+from .errors import ConfigInvalid, EmptyRegion, NoTumor, above, at_least, check_ranges
 
 # Surface profile kinds.
 FLAT = "flat"
@@ -50,19 +50,14 @@ class SurfaceProfile:
     """
 
     kind: str = FLAT
-    amplitude: float = 0.0
-    radius: float = 0.05  # cyl_bump footprint half-width
-    sigma: float = 0.02   # gauss_bump spread
+    amplitude: float = at_least(0, 0.0)
+    radius: float = above(0, 0.05)  # cyl_bump footprint half-width
+    sigma: float = above(0, 0.02)   # gauss_bump spread
 
     def __post_init__(self):
+        check_ranges(self)
         if self.kind not in (FLAT, CYL_BUMP, GAUSS_BUMP):
             raise ConfigInvalid(f"unknown surface profile kind {self.kind!r}")
-        if self.kind != FLAT and self.amplitude < 0:
-            raise ConfigInvalid("profile amplitude must be >= 0")
-        if self.kind == CYL_BUMP and self.radius <= 0:
-            raise ConfigInvalid("cyl_bump radius must be > 0")
-        if self.kind == GAUSS_BUMP and self.sigma <= 0:
-            raise ConfigInvalid("gauss_bump sigma must be > 0")
 
     def height_np(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.kind == FLAT:
@@ -114,26 +109,23 @@ class PhantomConfig:
     stiffness is 1/(1/k_skin + 1/k_fat).
     """
 
-    skin_thickness: float = 0.004
-    fat_thickness: float = 0.015
+    skin_thickness: float = above(0, 0.004)
+    fat_thickness: float = above(0, 0.015)
     k_skin: float = 800.0
     k_fat: float = 400.0
     k_muscle: float = 2500.0
     k_tumor: float = 20000.0
-    contact_damping: float = 2.0
+    contact_damping: float = at_least(0, 2.0)
     muscle_plane_z: float = 0.0
     surface_profile: SurfaceProfile = field(default_factory=cyl_bump)
 
     def __post_init__(self):
-        if self.skin_thickness <= 0 or self.fat_thickness <= 0:
-            raise ConfigInvalid("layer thicknesses must be > 0")
+        check_ranges(self)
         if not (0 < self.k_fat < self.k_skin < self.k_muscle < self.k_tumor):
             raise ConfigInvalid(
                 "stiffness ordering violated: need k_fat < k_skin < k_muscle < k_tumor, got "
                 f"fat={self.k_fat} skin={self.k_skin} muscle={self.k_muscle} tumor={self.k_tumor}"
             )
-        if self.contact_damping < 0:
-            raise ConfigInvalid("contact_damping must be >= 0")
 
     @property
     def stack_depth(self) -> float:
@@ -160,26 +152,20 @@ class TumorGeometry:
     """
 
     shape: str = HEMISPHERE
-    radius: float = 0.01
+    radius: float = above(0, 0.01)
     center_xy: tuple[float, float] = (0.0, 0.0)
-    semi_axes: tuple[float, float, float] = (0.015, 0.01, 0.008)
+    semi_axes: tuple[float, float, float] = above(0, (0.015, 0.01, 0.008))
     inner_offset: float = 0.006
-    width: float = 0.008
-    top_height: float = 0.008
-    fillet_radius: float = 0.002
+    width: float = above(0, 0.008)
+    top_height: float = above(0, 0.008)
+    fillet_radius: float = above(0, 0.002)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.shape not in (HEMISPHERE, ELLIPSOID, CRESCENT):
             raise ConfigInvalid(f"unknown tumor shape {self.shape!r}")
-        if self.radius <= 0:
-            raise ConfigInvalid("tumor radius must be > 0")
-        if self.shape == ELLIPSOID and any(a <= 0 for a in self.semi_axes):
-            raise ConfigInvalid("ellipsoid semi-axes must be > 0")
-        if self.shape == CRESCENT:
-            if self.width <= 0 or self.top_height <= 0 or self.fillet_radius <= 0:
-                raise ConfigInvalid("crescent width/top_height/fillet_radius must be > 0")
-            if self.inner_radius <= 0:
-                raise ConfigInvalid("crescent inner cut radius must be > 0 (width too large)")
+        if self.shape == CRESCENT and self.inner_radius <= 0:
+            raise ConfigInvalid("crescent inner cut radius must be > 0 (width too large)")
 
     @property
     def inner_radius(self) -> float:

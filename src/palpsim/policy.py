@@ -26,10 +26,14 @@ import numpy as np
 from .calibration import CalibrationParams, EulerZYX, euler_from_axis, rotation_zyx
 from .errors import (
     AdmissibleForceExceeded,
+    ConfigInvalid,
     Exhausted,
     NoContact,
     NumericalBlowup,
     OutOfRange,
+    above,
+    at_least,
+    check_ranges,
 )
 from .phantom import Phantom
 from .registration import SurfaceGrid, cell_to_surface
@@ -56,42 +60,31 @@ class ControllerGains:
     """Impedance gains: per-axis spring k_p, damper k_d, pose-error clamp
     e_thres, controller period (seconds)."""
 
-    k_p: float = 1500.0
-    k_d: float = 20.0
-    e_thres: float = 0.005
-    period: float = 0.001
+    k_p: float = above(0, 1500.0)
+    k_d: float = at_least(0, 20.0)
+    e_thres: float = above(0, 0.005)
+    period: float = above(0, 0.001)
 
-    def __post_init__(self):
-        if self.k_p <= 0 or self.k_d < 0 or self.e_thres <= 0 or self.period <= 0:
-            raise OutOfRange("k_p, e_thres, period must be > 0 and k_d >= 0")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class ProbeParams:
-    f_thres: float = 5.0          # N, tumor-confirmation force
-    d_thres: float = 0.017        # m, skin-to-muscle displacement bound
-    indent_speed: float = 0.02    # m/s, discrete-probe descent rate
-    amplitude: float = 0.002      # m, min-jerk stroke amplitude
-    osc_rate: float = 80.0        # Hz, waypoint / stroke-phase rate
-    cf_timeout: float = 5.0       # s, per contour follow
-    probe_mass: float = 0.1       # kg
-    tip_radius: float = 0.0025    # m, spherical tip
-    press_force: float = 6.0      # N, compressive bias during following
-    ticks_per_stroke: int = 12    # outer ticks per min-jerk sweep
-    hover: float = 0.001          # m, approach height above the surface
-    contact_loss_timeout: float = 0.1  # s
+    f_thres: float = above(0, 5.0)          # N, tumor-confirmation force
+    d_thres: float = above(0, 0.017)        # m, skin-to-muscle displacement bound
+    indent_speed: float = above(0, 0.02)    # m/s, discrete-probe descent rate
+    amplitude: float = above(0, 0.002)      # m, min-jerk stroke amplitude
+    osc_rate: float = above(0, 80.0)        # Hz, waypoint / stroke-phase rate
+    cf_timeout: float = at_least(0, 5.0)    # s, per contour follow
+    probe_mass: float = above(0, 0.1)       # kg
+    tip_radius: float = at_least(0, 0.0025)  # m, spherical tip
+    press_force: float = at_least(0, 6.0)   # N, compressive bias during following
+    ticks_per_stroke: int = at_least(1, 12)  # outer ticks per min-jerk sweep
+    hover: float = at_least(0, 0.001)       # m, approach height above the surface
+    contact_loss_timeout: float = at_least(0, 0.1)  # s
     gravity_residual: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        if (self.amplitude <= 0 or self.f_thres <= 0 or self.d_thres <= 0
-                or self.indent_speed <= 0):
-            raise OutOfRange("amplitude, f_thres, d_thres, indent_speed must be > 0")
-        if self.osc_rate <= 0 or self.ticks_per_stroke < 1 or self.probe_mass <= 0:
-            raise OutOfRange("osc_rate, ticks_per_stroke, probe_mass must be positive")
-        if not (self.hover >= 0 and self.cf_timeout >= 0 and self.contact_loss_timeout >= 0
-                and self.tip_radius >= 0 and self.press_force >= 0):
-            raise OutOfRange("hover, cf_timeout, contact_loss_timeout, tip_radius and "
-                             "press_force must be >= 0")
+    __post_init__ = check_ranges
 
 
 @dataclass
@@ -161,11 +154,12 @@ class ProbePlant:
     parameters (R_est = R_true) it recovers the true force.  The static
     bias ``cal.z_offset`` is added by the sensor and subtracted by the
     chain, so it cancels by construction and cannot model a bias fault.
+    The plant reads nothing of ``phantom``; callers pass it to ``probe_cell``
+    and ``contour_follow``, and the parameter stays for existing callers.
     """
 
     def __init__(self, phantom: Phantom, params: ProbeParams,
                  cal: Optional[CalibrationParams] = None):
-        self.phantom = phantom
         self.cal = cal if cal is not None else CalibrationParams()
         self.mass = params.probe_mass
         self.tip_radius = params.tip_radius
@@ -505,11 +499,11 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
     cells.
     """
     if strategy not in (BO, RS):
-        raise OutOfRange(f"unknown strategy {strategy!r}")
+        raise ConfigInvalid(f"unknown strategy {strategy!r}")
     if mode not in (CONTOUR_FOLLOWING, DISCRETE):
-        raise OutOfRange(f"unknown mode {mode!r}")
+        raise ConfigInvalid(f"unknown mode {mode!r}")
     if budget < 1:
-        raise OutOfRange("budget must be >= 1")
+        raise OutOfRange(f"budget must be >= 1, got {budget}")
     n_valid = int(grid.valid_mask.sum())
     if budget > n_valid:
         raise Exhausted(f"budget {budget} exceeds {n_valid} valid cells")

@@ -23,6 +23,7 @@ from .errors import (
     InvalidCell,
     OutOfRange,
     ResolutionTooCoarse,
+    check_ranges,
 )
 from .phantom import PointCloud
 
@@ -49,6 +50,7 @@ class RoiBox:
     max_xy: tuple[float, float]
 
     def __post_init__(self):
+        check_ranges(self)
         if not (self.min_xy[0] < self.max_xy[0] and self.min_xy[1] < self.max_xy[1]):
             raise EmptyRoi(f"roi min {self.min_xy} must be < max {self.max_xy}")
 

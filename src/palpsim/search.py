@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .errors import Exhausted, OutOfRange, SingularKernel
+from .errors import Exhausted, SingularKernel, above, at_least, check_ranges
 from .registration import SurfaceGrid
 
 _JITTER = 1e-10
@@ -48,25 +48,21 @@ class StiffnessSample:
 
 @dataclass(frozen=True)
 class GPHyper:
-    length_scale: float = 3.0      # cells
-    signal_var: float = 2.5e4      # (N/m)^2
-    noise_var: float = 25.0        # (N/m)^2
+    length_scale: float = above(0, 3.0)    # cells
+    signal_var: float = above(0, 2.5e4)    # (N/m)^2
+    noise_var: float = at_least(0, 25.0)   # (N/m)^2
 
-    def __post_init__(self):
-        if not (self.length_scale > 0 and self.signal_var > 0 and self.noise_var >= 0):
-            raise OutOfRange("need length_scale > 0, signal_var > 0 and noise_var >= 0")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class Acquisition:
     """EI parameters: exploration offset xi and incumbent best stiffness."""
 
-    xi: float
+    xi: float = at_least(0)
     best_k: float
 
-    def __post_init__(self):
-        if self.xi < 0:
-            raise OutOfRange("xi must be >= 0")
+    __post_init__ = check_ranges
 
 
 class GPModel:

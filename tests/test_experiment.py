@@ -1,5 +1,9 @@
 import json
+import math
+import re
 from dataclasses import fields, is_dataclass, replace
+from operator import attrgetter
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -23,10 +27,10 @@ from palpsim import (
     run_matrix,
     table1_matrix,
 )
-from palpsim.experiment import _KEYS, _write_config_echo, config_to_flat
+from palpsim.experiment import _KEYS, _with_values, _write_config_echo, config_to_flat
 from palpsim import cli
 from palpsim.cli import main as cli_main
-from palpsim.errors import ConfigInvalid, EmptyCloud, MalformedPly, OutOfRange
+from palpsim.errors import ConfigInvalid, EmptyCloud, MalformedPly, OutOfRange, PalpSimError
 
 
 def small_config(**kw):
@@ -82,6 +86,48 @@ CONFIGS = drawn(
 )
 
 
+DEFAULT = default_config()
+NUMERIC = [key for key, (_, tp) in _KEYS.items() if tp in (int, float) or get_origin(tp) is tuple]
+# numeric leaves that declare no bound; a new field must either declare one or be listed here
+UNBOUNDED = {"phantom.k_skin", "phantom.k_fat", "phantom.k_muscle", "phantom.k_tumor",
+             "phantom.muscle_plane_z", "tumor.inner_offset", "tumor.center_xy", "cal.z_offset",
+             "probe.gravity_residual", "roi.min", "roi.max"}
+
+
+def owner_and_field(key: str):
+    """The dataclass in ``DEFAULT`` that holds file key ``key``, and that key's field."""
+    owner_path, _, name = _KEYS[key][0].rpartition(".")
+    owner = attrgetter(owner_path)(DEFAULT) if owner_path else DEFAULT
+    return owner, next(f for f in fields(owner) if f.name == name)
+
+
+def with_component(old, i, x):
+    """``x``, or tuple ``old`` with component ``i`` replaced by ``x``."""
+    return x if i is None else old[:i] + (x,) + old[i + 1:]
+
+
+def slots(key: str) -> list:
+    """Component indices of ``key``'s value: ``[None]`` for a scalar."""
+    value = attrgetter(_KEYS[key][0])(DEFAULT)
+    return list(range(len(value))) if isinstance(value, tuple) else [None]
+
+
+def past_bound(key: str) -> list:
+    """Values at or just past the declared bound of ``key``, one component at a time."""
+    owner, f = owner_and_field(key)
+    op, lo = f.metadata["bound"]
+    old = getattr(owner, f.name)
+    bad = [lo - 1] if isinstance(old, int) else [math.nextafter(lo, -math.inf), lo - 0.01]
+    bad += [lo] if op == ">" else []
+    return [with_component(old, i, x) for i in slots(key) for x in bad]
+
+
+def readme_key_block() -> str:
+    """The README's block of every config key with its default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("Every key, with its default:\n\n```\n", 1)[1].split("```", 1)[0]
+
+
 class TestConfigFile:
     def test_parse_and_build(self, tmp_path):
         text = """
@@ -124,6 +170,20 @@ class TestConfigFile:
                            ("cal.resultant_mode", "norm")):
             with pytest.raises(ValueError, match="unknown config key"):
                 config_from_flat({key: value})
+
+    def test_readme_key_block_lists_every_key_with_its_default(self, tmp_path):
+        path = tmp_path / "keys.cfg"
+        path.write_text(readme_key_block())
+        listed = [(key, tuple(v) if isinstance(v, list) else v)
+                  for key, v in load_config_file(path).items()]
+        assert listed == list(config_to_flat(default_config()).items())
+
+    def test_readme_key_block_notes_the_declared_bounds(self):
+        notes = {line.split("=", 1)[0].strip(): re.findall(r"(>=?) (\d+)", line.split("#", 1)[1])
+                 for line in readme_key_block().splitlines() if "#" in line}
+        for key in NUMERIC:
+            bound = owner_and_field(key)[1].metadata.get("bound")
+            assert notes.get(key, []) == ([(bound[0], str(bound[1]))] if bound else []), key
 
     def test_values_cast_to_field_types(self):
         cfg = config_from_flat({"shape": "crescent", "budget": "17", "seed": "3"})
@@ -302,6 +362,50 @@ class TestConfigValidation:
         cfg = config_from_flat({"gp.noise_var": 0.0, "gp.xi": 0.0, "gp.n_init": 2,
                                 "gt_samples": 1})
         assert (cfg.hyper.noise_var, cfg.xi, cfg.n_init, cfg.gt_samples) == (0.0, 0.0, 2, 1)
+
+
+class TestDeclaredRanges:
+    def test_every_numeric_leaf_declares_a_bound_or_is_listed_unbounded(self):
+        unbounded = {key for key in NUMERIC if "bound" not in owner_and_field(key)[1].metadata}
+        assert unbounded == UNBOUNDED
+
+    @pytest.mark.parametrize("key", [key for key in NUMERIC if key not in UNBOUNDED])
+    def test_value_past_the_bound_is_out_of_range(self, key):
+        owner, f = owner_and_field(key)
+        op, lo = f.metadata["bound"]
+        message = rf"^{f.name}(\[\d\])? must be {re.escape(op)} {lo}, got "
+        for value in past_bound(key):
+            with pytest.raises(OutOfRange, match=message):
+                config_from_flat({key: value})
+            with pytest.raises(OutOfRange, match=message):
+                replace(owner, **{f.name: value})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", NUMERIC)
+    def test_non_finite_value_built_directly_is_out_of_range(self, key, bad):
+        owner, f = owner_and_field(key)
+        for i in slots(key):
+            name = f.name if i is None else f"{f.name}[{i}]"
+            with pytest.raises(OutOfRange, match=rf"^{re.escape(name)} must be finite, got "):
+                replace(owner, **{f.name: with_component(getattr(owner, f.name), i, bad)})
+
+    @pytest.mark.parametrize("key,i", [(key, i) for key in NUMERIC if _KEYS[key][1] is not int
+                                       for i in slots(key)])
+    @settings(max_examples=20, deadline=None)
+    @given(shape=st.sampled_from(["hemisphere", "ellipsoid", "crescent"]),
+           x=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324]),
+                       st.floats()))
+    def test_a_config_that_builds_has_an_echo_that_reloads_equal(self, tmp_path_factory,
+                                                                 key, i, shape, x):
+        base = default_config(shape)
+        path = _KEYS[key][0]
+        try:
+            cfg = _with_values(base, {path: with_component(attrgetter(path)(base), i, x)})
+        except PalpSimError:
+            return
+        echo = tmp_path_factory.mktemp("echo") / "config.txt"
+        _write_config_echo(cfg, echo)
+        assert config_from_flat(load_config_file(echo)) == cfg
 
 
 class TestRunMatrix:
@@ -493,18 +597,15 @@ class TestCli:
 
     def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("palpsim: error: OutOfRange: need seed >= 0, xi >= 0, "
-                                           "n_init >= 2, r_eval > 0 and gt_samples >= 1\n")
+        assert capsys.readouterr().err == "palpsim: error: OutOfRange: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,message", [
-        ("probe.tip_radius", "hover, cf_timeout, contact_loss_timeout, tip_radius and "
-                             "press_force must be >= 0"),
-        ("probe.press_force", "hover, cf_timeout, contact_loss_timeout, tip_radius and "
-                              "press_force must be >= 0"),
-        ("cal.angle_noise", "angle_noise must be >= 0"),
-        ("grid.dy", "grid_dx and grid_dy must be > 0"),
-        ("cloud.outlier_sigma", "density must be > 0 and outlier_sigma >= 0"),
+        ("probe.tip_radius", "tip_radius must be >= 0, got -0.01"),
+        ("probe.press_force", "press_force must be >= 0, got -0.01"),
+        ("cal.angle_noise", "angle_noise must be >= 0, got -0.01"),
+        ("grid.dy", "grid_dy must be > 0, got -0.01"),
+        ("cloud.outlier_sigma", "outlier_sigma must be >= 0, got -0.01"),
     ])
     def test_negative_config_value_is_one_error_line(self, tmp_path, capsys, key, message):
         cfg_file = tmp_path / "c.cfg"
@@ -524,7 +625,7 @@ class TestCli:
     def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--budget", "0", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
-            "palpsim: error: OutOfRange: budget and trials must be >= 1\n"
+            "palpsim: error: OutOfRange: budget must be >= 1, got 0\n"
 
     def test_eval_against_sim_recon(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

@@ -7,7 +7,7 @@ from palpsim import (
     TumorGeometry,
     flat_profile,
 )
-from palpsim.errors import ConfigInvalid, EmptyRegion, NoTumor
+from palpsim.errors import ConfigInvalid, EmptyRegion, NoTumor, OutOfRange
 
 
 def flat_cfg(**kw):
@@ -211,7 +211,7 @@ class TestTumorGeometry:
     def test_bad_shapes_rejected(self):
         with pytest.raises(ConfigInvalid):
             TumorGeometry("cube")
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(OutOfRange):
             TumorGeometry("hemisphere", radius=-1.0)
         with pytest.raises(ConfigInvalid):
             TumorGeometry("crescent", width=0.05, inner_offset=0.0)

@@ -21,7 +21,7 @@ from palpsim import (
     probe_cell,
     run_policy,
 )
-from palpsim.errors import Exhausted, NoContact, NumericalBlowup, OutOfRange
+from palpsim.errors import ConfigInvalid, Exhausted, NoContact, NumericalBlowup, OutOfRange
 from palpsim.policy import BOUNDARY_REACHED, TIMEOUT
 from palpsim.registration import SurfaceGrid
 
@@ -315,6 +315,17 @@ class TestRunPolicy:
         grid = analytic_grid(ph, lo=(-0.004, -0.004), hi=(0.004, 0.004))
         with pytest.raises(Exhausted):
             run_policy(ph, grid, "rs", "discrete", 1000, ProbeParams(),
+                       ControllerGains(), seed=0)
+
+    @pytest.mark.parametrize("strategy,mode,budget,error,message", [
+        ("xx", "cf", 5, ConfigInvalid, "unknown strategy 'xx'"),
+        ("bo", "xx", 5, ConfigInvalid, "unknown mode 'xx'"),
+        ("bo", "cf", 0, OutOfRange, "budget must be >= 1, got 0"),
+    ])
+    def test_entry_checks(self, analytic_grid, strategy, mode, budget, error, message):
+        ph = flat_phantom()
+        with pytest.raises(error, match=message):
+            run_policy(ph, analytic_grid(ph), strategy, mode, budget, ProbeParams(),
                        ControllerGains(), seed=0)
 
     def test_bitwise_determinism(self, analytic_grid):

@@ -127,6 +127,12 @@ class TestExpectedImprovement:
         with pytest.raises(OutOfRange, match="xi must be >= 0"):
             Acquisition(xi=-1.0, best_k=500.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["xi", "best_k"])
+    def test_non_finite_values_are_out_of_range(self, name, bad):
+        with pytest.raises(OutOfRange, match=f"^{name} must be finite"):
+            Acquisition(**{"xi": 1.0, "best_k": 500.0, name: bad})
+
     def test_zero_sigma_no_improvement(self):
         assert _ei(np.array([400.0]), np.array([0.0]), 450.0, 0.0)[0] == 0.0
 
