@@ -16,6 +16,7 @@ from dataclasses import replace
 from .errors import PalpSimError
 from .evaluation import fscore
 from .experiment import (
+    _DEFAULT_KEYS,
     _ground_truth,
     config_from_flat,
     load_config_file,
@@ -23,8 +24,9 @@ from .experiment import (
     run_experiment,
     run_matrix,
 )
-from .phantom import Phantom
+from .phantom import CRESCENT, ELLIPSOID, HEMISPHERE, Phantom
 from .ply import export_ply, read_ply
+from .policy import BO, CONTOUR_FOLLOWING, DISCRETE, RS
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -32,19 +34,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="base random seed")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--trials", type=int, help="trials per condition")
-    p.add_argument("--strategy", choices=["bo", "rs"], help="cell-selection strategy")
-    p.add_argument("--mode", choices=["cf", "discrete"], help="palpation mode")
-    p.add_argument("--shape", choices=["hemisphere", "ellipsoid", "crescent"])
+    p.add_argument("--strategy", choices=[BO, RS], help="cell-selection strategy")
+    p.add_argument("--mode", choices=[CONTOUR_FOLLOWING, DISCRETE], help="palpation mode")
+    p.add_argument("--shape", choices=[HEMISPHERE, ELLIPSOID, CRESCENT])
     p.add_argument("--budget", type=int, help="palpations per trial")
 
 
 def _flags_to_flat(args) -> dict:
-    flat = {}
-    for key in ("seed", "trials", "strategy", "mode", "shape", "budget"):
-        v = getattr(args, key, None)
-        if v is not None:
-            flat[key] = v
-    return flat
+    """The config keys set by flags: those that pick ``default_config``'s defaults."""
+    return {key: getattr(args, key) for key in _DEFAULT_KEYS if getattr(args, key) is not None}
 
 
 def _flat_config(args) -> dict:

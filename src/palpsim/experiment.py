@@ -243,15 +243,21 @@ _KEYS = {_FILE_KEYS.get(path, path): (path, tp) for path, tp in _leaves(Experime
 
 def _cast(key: str, value, tp):
     """``value`` as field type ``tp``: float, int, str or a tuple of floats.
-    A NaN or infinite float, tuple components included, is rejected with its
-    file key before the dataclass would reject it by field name."""
+    A boolean (JSON ``true``) is not a number, and a NaN or infinite float,
+    tuple components included, is rejected with its file key before the
+    dataclass would reject it by field name."""
+    def scalar(t, v):
+        if t is not str and isinstance(v, bool):
+            raise ValueError(f"{v!r} is not a number")
+        if t is int and not isinstance(v, str) and v != int(v):
+            raise ValueError(f"{v!r} is not a whole number")
+        return t(v)
+
     try:
         if get_origin(tp) is tuple:
-            out = tuple(t(v) for t, v in zip(get_args(tp), value, strict=True))
+            out = tuple(scalar(t, v) for t, v in zip(get_args(tp), value, strict=True))
         else:
-            if tp is int and not isinstance(value, str) and value != int(value):
-                raise ValueError(f"{value!r} is not a whole number")
-            out = tp(value)
+            out = scalar(tp, value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"config key {key!r}: {exc}") from None
     parts = out if isinstance(out, tuple) else (out,)

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .phantom import Phantom
 from .registration import SurfaceGrid, cell_to_surface
-from .search import (Acquisition, GPHyper, GPModel, StiffnessSample, gp_fit, next_cell_bo,
+from .search import (Acquisition, GPHyper, GPModel, StiffnessSample, next_cell_bo,
                      next_cell_random)
 
 # Palpation strategies / modes.
@@ -504,6 +504,8 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
         raise ConfigInvalid(f"unknown mode {mode!r}")
     if budget < 1:
         raise OutOfRange(f"budget must be >= 1, got {budget}")
+    if strategy == BO and n_init < 2:
+        raise OutOfRange(f"n_init must be >= 2, got {n_init}")
     n_valid = int(grid.valid_mask.sum())
     if budget > n_valid:
         raise Exhausted(f"budget {budget} exceeds {n_valid} valid cells")
@@ -511,25 +513,22 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
     rng_stroke = np.random.default_rng([int(seed), 1])
     rng_sense = np.random.default_rng([int(seed), 2])
     plant = ProbePlant(phantom, params, cal)
-    samples: list[StiffnessSample] = []
-    gp: Optional[GPModel] = None  # fitted once, then grown by one sample per probe
-    visited: set[tuple[int, int]] = set()
+    free = grid.valid_mask.copy()  # valid cells not yet probed
+    gp = GPModel(hyper) if strategy == BO else None  # gains one sample per probe
+    best_k = -math.inf
     results: list[ProbeResult] = []
     trajectories: list[PalpationTrajectory] = []
-    for _ in range(budget):
-        if strategy == BO and len(samples) >= n_init:
-            if gp is None:
-                gp = gp_fit(samples, hyper)
-            acq = Acquisition(xi=xi, best_k=max(s.k for s in samples))
-            cell = next_cell_bo(gp, grid, visited, acq, rng_select)
+    for i in range(budget):
+        if gp is not None and i >= n_init:
+            cell = next_cell_bo(gp, grid, free, Acquisition(xi=xi, best_k=best_k), rng_select)
         else:
-            cell = next_cell_random(grid, visited, rng_select)
-        visited.add(cell)
+            cell = next_cell_random(grid, free, rng_select)
+        free[cell] = False
         res = probe_cell(plant, phantom, grid, cell, params, gains, rng_sense)
         results.append(res)
-        samples.append(StiffnessSample(cell, res.k))
+        best_k = max(best_k, res.k)
         if gp is not None:
-            gp.add(samples[-1])
+            gp.add(StiffnessSample(cell, res.k))
         if mode == CONTOUR_FOLLOWING and res.classified_tumor:
             trajectories.append(
                 contour_follow(plant, phantom, grid, res, params, gains, rng_stroke)

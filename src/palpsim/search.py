@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .errors import Exhausted, SingularKernel, above, at_least, check_ranges
+from .errors import (Empty, Exhausted, InvalidCell, OutOfRange, SingularKernel, above, at_least,
+                     check_ranges)
 from .registration import SurfaceGrid
 
 _JITTER = 1e-10
@@ -129,7 +129,7 @@ class GPModel:
         """Append the rows of L for cells added since the last call; return L."""
         n, h = self.n, self.hyper
         if n == 0:
-            raise ValueError("GP has no samples")
+            raise Empty("GP has no samples")
         if self._rows < n:
             x = self.x
             chol = np.zeros((n, n))
@@ -229,7 +229,7 @@ def _kernel(a: np.ndarray, b: np.ndarray, hyper: GPHyper) -> np.ndarray:
 def gp_fit(samples: list[StiffnessSample], hyper: GPHyper = GPHyper()) -> GPModel:
     """Fit the GP by adding ``samples`` in order; duplicate cells are averaged."""
     if len(samples) == 0:
-        raise ValueError("need at least one sample")
+        raise Empty("need at least one sample")
     gp = GPModel(hyper)
     for s in samples:
         gp.add(s)
@@ -247,34 +247,28 @@ def _ei(mu: np.ndarray, sigma: np.ndarray, best_k: float, xi: float) -> np.ndarr
     return np.maximum(out, 0.0)
 
 
-def _unvisited(grid: SurfaceGrid, visited) -> np.ndarray:
-    """Copy of ``grid.valid_mask`` with the visited cells cleared.
-
-    Visited cells outside the grid are ignored (a negative index would
-    otherwise wrap around).
-    """
-    free = grid.valid_mask.copy()
-    if len(visited):
-        uv = np.fromiter(chain.from_iterable(visited), np.int64,
-                         2 * len(visited)).reshape(-1, 2)
-        inside = (uv >= 0).all(axis=1) & (uv[:, 0] < grid.nx) & (uv[:, 1] < grid.ny)
-        free[uv[inside, 0], uv[inside, 1]] = False
-    return free
+def _free_valid(grid: SurfaceGrid, free: np.ndarray) -> np.ndarray:
+    """``free & grid.valid_mask``, for a ``free`` mask of the grid's shape."""
+    if np.shape(free) != grid.valid_mask.shape:
+        raise InvalidCell(f"free mask has shape {np.shape(free)}, "
+                          f"the grid {grid.valid_mask.shape}")
+    return free & grid.valid_mask
 
 
-def next_cell_bo(gp: GPModel, grid: SurfaceGrid, visited, acq: Acquisition,
+def next_cell_bo(gp: GPModel, grid: SurfaceGrid, free: np.ndarray, acq: Acquisition,
                  rng: np.random.Generator) -> tuple[int, int]:
-    """Argmax of EI over unvisited valid cells; ties broken uniformly.
+    """Argmax of EI over the valid cells that are set in ``free`` (a bool
+    mask of the grid's shape); ties broken uniformly.
 
     The posterior comes from ``gp.predict_grid(grid)``, so repeated calls
     on one grid extend the model's scan cache instead of rebuilding it.
     """
     if gp.n < 2:
-        raise ValueError("BO needs a GP fitted on at least 2 samples")
-    free = _unvisited(grid, visited)
+        raise OutOfRange(f"BO needs a GP with at least 2 sampled cells, got {gp.n}")
+    free = _free_valid(grid, free)
     keep = free[grid.valid_mask]  # candidates among the valid cells, row-major
     if not keep.any():
-        raise Exhausted("no unvisited valid cell")
+        raise Exhausted("no free valid cell")
     mu, var = gp.predict_grid(grid)
     ei = _ei(mu[keep], np.sqrt(var[keep]), acq.best_k, acq.xi)
     best = ei.max()
@@ -284,10 +278,11 @@ def next_cell_bo(gp: GPModel, grid: SurfaceGrid, visited, acq: Acquisition,
     return int(u), int(v)
 
 
-def next_cell_random(grid: SurfaceGrid, visited, rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform draw over unvisited valid cells."""
-    cells = np.argwhere(_unvisited(grid, visited))
+def next_cell_random(grid: SurfaceGrid, free: np.ndarray,
+                     rng: np.random.Generator) -> tuple[int, int]:
+    """Uniform draw over the valid cells that are set in ``free``."""
+    cells = np.argwhere(_free_valid(grid, free))
     if cells.shape[0] == 0:
-        raise Exhausted("no unvisited valid cell")
+        raise Exhausted("no free valid cell")
     pick = rng.integers(cells.shape[0])
     return int(cells[pick, 0]), int(cells[pick, 1])

@@ -227,6 +227,15 @@ class TestConfigFile:
                 with pytest.raises(ConfigInvalid, match=f"config key '{key}': .* is not finite"):
                     config_from_flat({key: value})
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected_for_numbers(self, value):
+        for key in NUMERIC:
+            for i in slots(key):
+                case = with_component(attrgetter(_KEYS[key][0])(DEFAULT), i, value)
+                with pytest.raises(ConfigInvalid,
+                                   match=f"config key '{key}': {value} is not a number"):
+                    config_from_flat({key: case})
+
     @pytest.mark.parametrize("key", ["strategy", "mode"])
     def test_unknown_strategy_or_mode_rejected(self, key):
         with pytest.raises(ConfigInvalid, match=f"unknown {key} 'xx'"):
@@ -315,55 +324,6 @@ class TestRunExperiment:
         assert config_from_flat(load_config_file(tmp_path / "config.txt")) == cfg
 
 
-class TestConfigValidation:
-    @pytest.mark.parametrize("field", ["budget", "trials"])
-    def test_count_below_one_is_out_of_range(self, field):
-        with pytest.raises(OutOfRange):
-            ExperimentConfig(**{field: 0})
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{field: -3})
-
-    @pytest.mark.parametrize("speed", [0.0, -0.02])
-    def test_nonpositive_indent_speed_is_out_of_range(self, speed):
-        with pytest.raises(OutOfRange):
-            config_from_flat({"probe.indent_speed": speed})
-
-    @pytest.mark.parametrize("key,value", [
-        ("gp.length_scale", 0.0), ("gp.signal_var", 0.0), ("gp.noise_var", -30.0),
-        ("gp.xi", -1.0), ("gp.n_init", 0), ("gp.n_init", 1),
-        ("r_eval", -1.0), ("r_eval", 0.0), ("gt_samples", 0)])
-    def test_gp_and_scoring_values_out_of_range(self, key, value):
-        with pytest.raises(OutOfRange):
-            config_from_flat({key: value})
-
-    @pytest.mark.parametrize("key", [
-        "seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
-        "probe.tip_radius", "probe.press_force", "cal.angle_noise",
-        "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k",
-        "cloud.outlier_sigma", "cloud.density", "grid.dx", "grid.dy"])
-    def test_negative_value_is_out_of_range(self, key):
-        with pytest.raises(OutOfRange):
-            config_from_flat({key: -1 if key in ("seed", "cloud.outlier_k") else -0.01})
-
-    @pytest.mark.parametrize("key", ["grid.dx", "grid.dy", "cloud.density"])
-    def test_zero_step_or_density_is_out_of_range(self, key):
-        with pytest.raises(OutOfRange):
-            config_from_flat({key: 0.0})
-
-    def test_zero_values_accepted(self):
-        keys = ["seed", "probe.hover", "probe.cf_timeout", "probe.contact_loss_timeout",
-                "probe.tip_radius", "probe.press_force", "cal.angle_noise",
-                "cloud.noise_sigma", "cloud.margin", "cloud.voxel", "cloud.outlier_k",
-                "cloud.outlier_sigma"]
-        flat = config_to_flat(config_from_flat(dict.fromkeys(keys, 0)))
-        assert [flat[key] for key in keys] == [0] * len(keys)
-
-    def test_gp_and_scoring_edges_accepted(self):
-        cfg = config_from_flat({"gp.noise_var": 0.0, "gp.xi": 0.0, "gp.n_init": 2,
-                                "gt_samples": 1})
-        assert (cfg.hyper.noise_var, cfg.xi, cfg.n_init, cfg.gt_samples) == (0.0, 0.0, 2, 1)
-
-
 class TestDeclaredRanges:
     def test_every_numeric_leaf_declares_a_bound_or_is_listed_unbounded(self):
         unbounded = {key for key in NUMERIC if "bound" not in owner_and_field(key)[1].metadata}
@@ -379,6 +339,16 @@ class TestDeclaredRanges:
                 config_from_flat({key: value})
             with pytest.raises(OutOfRange, match=message):
                 replace(owner, **{f.name: value})
+
+    @pytest.mark.parametrize("key", [key for key in NUMERIC if key not in UNBOUNDED
+                                     and owner_and_field(key)[1].metadata["bound"][0] == ">="])
+    def test_value_at_an_at_least_bound_is_accepted(self, key):
+        owner, f = owner_and_field(key)
+        lo = f.metadata["bound"][1]
+        for i in slots(key):
+            value = with_component(getattr(owner, f.name), i, lo)
+            assert config_to_flat(config_from_flat({key: value}))[key] == value
+            assert getattr(replace(owner, **{f.name: value}), f.name) == value
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", NUMERIC)
@@ -559,6 +529,7 @@ class TestCli:
         ("trials = 1\nbogus line\n", "expected 'key = value', got 'bogus line'"),
         ("trials = 1\nwidget.k = 3\n", "unknown config keys: ['widget.k']"),
         ("trials = 1\nprobe.d_thres = NaN\n", "config key 'probe.d_thres': nan is not finite"),
+        ("trials = true\n", "config key 'trials': True is not a number"),
     ])
     def test_bad_config_file_is_one_error_line(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"

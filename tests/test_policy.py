@@ -328,6 +328,13 @@ class TestRunPolicy:
             run_policy(ph, analytic_grid(ph), strategy, mode, budget, ProbeParams(),
                        ControllerGains(), seed=0)
 
+    @pytest.mark.parametrize("n_init", [0, 1])
+    def test_bo_needs_two_random_probes_first(self, analytic_grid, n_init):
+        ph = flat_phantom()
+        with pytest.raises(OutOfRange, match=f"^n_init must be >= 2, got {n_init}$"):
+            run_policy(ph, analytic_grid(ph), "bo", "discrete", 5, ProbeParams(),
+                       ControllerGains(), seed=0, n_init=n_init)
+
     def test_bitwise_determinism(self, analytic_grid):
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)

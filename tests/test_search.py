@@ -21,7 +21,7 @@ from palpsim import (
     next_cell_bo,
     next_cell_random,
 )
-from palpsim.errors import Exhausted, OutOfRange
+from palpsim.errors import Empty, Exhausted, InvalidCell, OutOfRange
 from palpsim.search import _GEMV_THREAD_CUTOFF, GPModel, _ei, _vecmat
 
 
@@ -32,6 +32,15 @@ def make_grid(nx=20, ny=20, mask=None):
     if mask is None:
         mask = np.ones((nx, ny), dtype=bool)
     return SurfaceGrid((0.0, 0.0), 0.002, 0.002, height, normal, mask)
+
+
+def free_of(grid, cells):
+    """All-True mask of ``grid``'s shape with the given cells that lie on it cleared."""
+    free = np.ones(grid.valid_mask.shape, dtype=bool)
+    for u, v in cells:
+        if 0 <= u < grid.nx and 0 <= v < grid.ny:
+            free[u, v] = False
+    return free
 
 
 def dense_gp_oracle(samples, hyper, cells):
@@ -60,7 +69,7 @@ class TestGPFit:
         assert mu[0] == pytest.approx(500.0, abs=1e-6)
 
     def test_zero_samples_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(Empty):
             gp_fit([])
 
     @pytest.mark.parametrize("kw", [dict(length_scale=0.0), dict(signal_var=0.0),
@@ -185,16 +194,15 @@ class TestNextCellBO:
     def test_exhausted(self):
         grid = make_grid(2, 2)
         gp = self._fitted(np.random.default_rng(4), n=4)
-        visited = {(u, v) for u in range(2) for v in range(2)}
         with pytest.raises(Exhausted):
-            next_cell_bo(gp, grid, visited, Acquisition(0.0, 500.0),
+            next_cell_bo(gp, grid, np.zeros((2, 2), dtype=bool), Acquisition(0.0, 500.0),
                          np.random.default_rng(0))
 
     def test_forced_single_candidate(self):
         grid = make_grid(2, 2)
         gp = self._fitted(np.random.default_rng(5), n=4)
-        visited = {(0, 0), (0, 1), (1, 0)}
-        cell = next_cell_bo(gp, grid, visited, Acquisition(0.0, 500.0),
+        free = free_of(grid, [(0, 0), (0, 1), (1, 0)])
+        cell = next_cell_bo(gp, grid, free, Acquisition(0.0, 500.0),
                             np.random.default_rng(0))
         assert cell == (1, 1)
 
@@ -204,7 +212,7 @@ class TestNextCellBO:
         gp = self._fitted(rng)
         acq = Acquisition(xi=2.0, best_k=max(s.k for s in gp.samples))
         visited = {s.cell for s in gp.samples}
-        cell = next_cell_bo(gp, grid, visited, acq, np.random.default_rng(1))
+        cell = next_cell_bo(gp, grid, free_of(grid, visited), acq, np.random.default_rng(1))
         # oracle: evaluate EI one cell at a time over the whole grid
         best_val, best_cells = -1.0, []
         for u in range(grid.nx):
@@ -227,7 +235,7 @@ class TestNextCellBO:
             rng = np.random.default_rng(100 + run)
             gp = self._fitted(rng, n=10, peak=peak)
             acq = Acquisition(xi=2.0, best_k=max(s.k for s in gp.samples))
-            cell = next_cell_bo(gp, grid, {s.cell for s in gp.samples}, acq, rng)
+            cell = next_cell_bo(gp, grid, free_of(grid, [s.cell for s in gp.samples]), acq, rng)
             if math.hypot(cell[0] - peak[0], cell[1] - peak[1]) <= 2 * 3.0:
                 hits += 1
         assert hits >= 8
@@ -236,10 +244,10 @@ class TestNextCellBO:
         grid = make_grid(6, 6)
         rng = np.random.default_rng(7)
         gp = self._fitted(rng, n=6)
-        visited = {(u, v) for u in range(6) for v in range(6) if (u + v) % 2}
+        free = np.add.outer(np.arange(6), np.arange(6)) % 2 == 0
         for _ in range(20):
-            cell = next_cell_bo(gp, grid, visited, Acquisition(0.0, 400.0), rng)
-            assert cell not in visited
+            cell = next_cell_bo(gp, grid, free, Acquisition(0.0, 400.0), rng)
+            assert free[cell]
             assert grid.is_valid(*cell)
 
     def test_argmax_scale_invariance(self):
@@ -254,22 +262,23 @@ class TestNextCellBO:
         gp2 = gp_fit([StiffnessSample(cc, kk * c) for cc, kk in zip(cells, ks)], scaled)
         a1 = Acquisition(xi=0.0, best_k=max(ks))
         a2 = Acquisition(xi=0.0, best_k=max(ks) * c)
-        pick1 = next_cell_bo(gp1, grid, set(cells), a1, np.random.default_rng(9))
-        pick2 = next_cell_bo(gp2, grid, set(cells), a2, np.random.default_rng(9))
+        free = free_of(grid, cells)
+        pick1 = next_cell_bo(gp1, grid, free, a1, np.random.default_rng(9))
+        pick2 = next_cell_bo(gp2, grid, free, a2, np.random.default_rng(9))
         assert pick1 == pick2
 
     def test_needs_two_samples(self):
         grid = make_grid(4, 4)
         gp = gp_fit([StiffnessSample((0, 0), 100.0)], GPHyper())
-        with pytest.raises(ValueError):
-            next_cell_bo(gp, grid, set(), Acquisition(0.0, 100.0),
+        with pytest.raises(OutOfRange):
+            next_cell_bo(gp, grid, free_of(grid, []), Acquisition(0.0, 100.0),
                          np.random.default_rng(0))
 
 
 class TestNextCellRandom:
     def test_single_candidate(self):
         grid = make_grid(2, 1)
-        cell = next_cell_random(grid, {(0, 0)}, np.random.default_rng(0))
+        cell = next_cell_random(grid, free_of(grid, [(0, 0)]), np.random.default_rng(0))
         assert cell == (1, 0)
 
     def test_deterministic_sequence(self):
@@ -277,11 +286,11 @@ class TestNextCellRandom:
         seqs = []
         for _ in range(2):
             rng = np.random.default_rng(11)
-            visited = set()
+            free = free_of(grid, [])
             seq = []
             for _ in range(30):
-                cell = next_cell_random(grid, visited, rng)
-                visited.add(cell)
+                cell = next_cell_random(grid, free, rng)
+                free[cell] = False
                 seq.append(cell)
             seqs.append(seq)
         assert seqs[0] == seqs[1]
@@ -289,7 +298,7 @@ class TestNextCellRandom:
     def test_exhausted(self):
         grid = make_grid(1, 1)
         with pytest.raises(Exhausted):
-            next_cell_random(grid, {(0, 0)}, np.random.default_rng(0))
+            next_cell_random(grid, free_of(grid, [(0, 0)]), np.random.default_rng(0))
 
     def test_uniformity(self):
         grid = make_grid(10, 10)
@@ -297,7 +306,7 @@ class TestNextCellRandom:
         n = 10_000
         counts = np.zeros(100)
         for _ in range(n):
-            u, v = next_cell_random(grid, set(), rng)
+            u, v = next_cell_random(grid, free_of(grid, []), rng)
             counts[u * 10 + v] += 1
         p = 1.0 / 100
         sigma = math.sqrt(n * p * (1 - p))
@@ -306,13 +315,10 @@ class TestNextCellRandom:
 
 # -- candidate cells -------------------------------------------------------------
 
-def listcomp_candidates(grid, visited):
-    """The candidate scan the mask-based one replaced, kept as the reference."""
+def listcomp_candidates(grid, free):
+    """The valid cells that are set in ``free``, one at a time, as the reference."""
     cells = grid.valid_cells()
-    if len(visited):
-        mask = np.array([(int(u), int(v)) not in visited for u, v in cells])
-        cells = cells[mask]
-    return cells
+    return cells[np.array([bool(free[u, v]) for u, v in cells], dtype=bool)]
 
 
 class FixedRng:
@@ -334,42 +340,42 @@ def flat_gp():
                    StiffnessSample((1000, 1010), 500.0)], GPHyper())
 
 
-def flat_bo(grid, visited, rng):
-    return next_cell_bo(flat_gp(), grid, visited, Acquisition(0.0, 500.0), rng)
+def flat_bo(grid, free, rng):
+    return next_cell_bo(flat_gp(), grid, free, Acquisition(0.0, 500.0), rng)
 
 
 @st.composite
-def grids_and_visits(draw):
+def grids_and_free(draw):
+    """A grid and a free mask of its shape, which may be set on invalid cells."""
     nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    flat = draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
-    mask = np.array(flat, dtype=bool).reshape(nx, ny)
+    masks = st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny).map(
+        lambda f: np.array(f, dtype=bool).reshape(nx, ny))
+    mask = draw(masks)
     assume(mask.any())
-    visited = draw(st.sets(st.tuples(st.integers(-3, nx + 2), st.integers(-3, ny + 2)),
-                           max_size=nx * ny + 6))
-    return make_grid(nx, ny, mask), visited
+    return make_grid(nx, ny, mask), draw(masks)
 
 
 class TestCandidates:
     """Both selectors draw from the listcomp's cells, in its row-major order."""
 
-    def _picks(self, select, grid, visited):
-        ref = listcomp_candidates(grid, visited)
+    def _picks(self, select, grid, free):
+        ref = listcomp_candidates(grid, free)
         if ref.shape[0] == 0:
             with pytest.raises(Exhausted):
-                select(grid, visited, FixedRng(0))
+                select(grid, free, FixedRng(0))
             return
         for i in range(ref.shape[0]):
             rng = FixedRng(i)
-            assert select(grid, visited, rng) == tuple(int(c) for c in ref[i])
+            assert select(grid, free, rng) == tuple(int(c) for c in ref[i])
             assert rng.n == ref.shape[0]
 
     @settings(max_examples=150, deadline=None)
-    @given(case=grids_and_visits())
+    @given(case=grids_and_free())
     def test_random_matches_listcomp(self, case):
         self._picks(next_cell_random, *case)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=grids_and_visits())
+    @given(case=grids_and_free())
     def test_bo_matches_listcomp(self, case):
         self._picks(flat_bo, *case)
 
@@ -377,21 +383,23 @@ class TestCandidates:
         mu, var = flat_gp().predict_grid(make_grid(5, 5))
         assert np.all(mu == 400.0) and np.all(var == GPHyper().signal_var)
 
+    @pytest.mark.parametrize("shape", [(3,), (9,), (2, 3), (3, 4), (3, 3, 1)])
     @pytest.mark.parametrize("select", [next_cell_random, flat_bo])
-    def test_outside_cells_are_ignored(self, select):
-        # (-1, -1) would clear (2, 2) and (3, 0) would raise if used as indices
-        grid = make_grid(3, 3)
-        visited = {(-1, -1), (-3, 0), (0, -1), (3, 0), (1, 7), (1, 1)}
-        self._picks(select, grid, visited)
-        rng = FixedRng(7)
-        assert select(grid, visited, rng) == (2, 2)
-        assert rng.n == 8
+    def test_mask_of_another_shape_is_an_invalid_cell(self, select, shape):
+        with pytest.raises(InvalidCell, match="free mask has shape"):
+            select(make_grid(3, 3), np.ones(shape, dtype=bool), FixedRng(0))
 
     @pytest.mark.parametrize("select", [next_cell_random, flat_bo])
-    def test_visited_may_be_a_list_of_numpy_ints(self, select):
-        grid = make_grid(2, 2)
-        visited = [(0, 0), (np.int64(1), np.int64(0)), (0, 1)]
-        assert select(grid, visited, FixedRng(0)) == (1, 1)
+    def test_free_invalid_cell_is_never_picked(self, select):
+        mask = np.ones((3, 3), dtype=bool)
+        mask[0, :] = mask[:, 2] = False
+        grid = make_grid(3, 3, mask)
+        picks = set()
+        for i in range(4):
+            rng = FixedRng(i)
+            picks.add(select(grid, np.ones((3, 3), dtype=bool), rng))
+            assert rng.n == 4
+        assert picks == {(1, 0), (1, 1), (2, 0), (2, 1)}
 
 
 # -- the growing posterior against a dense solve ---------------------------------
@@ -473,15 +481,15 @@ class TestGrowingPosterior:
         grid = make_grid(8, 8, mask)
         gp = gp_fit(samples, hyper)
         assume(gp.n >= 2)
-        visited = {tuple(s.cell) for s in samples}
+        free = free_of(grid, [s.cell for s in samples])
         acq = Acquisition(xi=xi, best_k=max(s.k for s in samples))
-        cand = listcomp_candidates(grid, visited)
+        cand = listcomp_candidates(grid, free)
         rng = np.random.default_rng(seed)
         if cand.shape[0] == 0:
             with pytest.raises(Exhausted):
-                next_cell_bo(gp, grid, visited, acq, rng)
+                next_cell_bo(gp, grid, free, acq, rng)
             return
-        pick = next_cell_bo(gp, grid, visited, acq, rng)
+        pick = next_cell_bo(gp, grid, free, acq, rng)
         mu, var, _ = dense_posterior(samples, hyper, cand)
         ei = dense_ei(mu, var, acq.best_k, xi)
         mine = ei[np.flatnonzero((cand == pick).all(axis=1))[0]]
@@ -507,7 +515,7 @@ class TestGPModel:
         assert np.allclose(mu, mu_o, rtol=1e-12) and np.allclose(var, var_o, rtol=1e-12)
 
     def test_empty_model_cannot_predict(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(Empty):
             GPModel(GPHyper()).predict_grid(make_grid(2, 2))
 
 
