@@ -140,8 +140,12 @@ class TrialOutcome:
 
 @dataclass
 class ConditionReport:
+    """One condition's trials, scored against ``gt``.  ``wall_time`` (s) covers
+    the ground truth and the trials, not the writes; no file records it."""
+
     config: ExperimentConfig
     trials: list[TrialOutcome]
+    gt: PointCloud
     mean_f: float
     max_f: float
     n_failed: int
@@ -412,9 +416,30 @@ def _write_trajectories(fh, trial: TrialOutcome) -> None:
                       zip(traj.times.tolist(), traj.poses.tolist(), traj.forces.tolist()))
 
 
+def _write_condition(rep: ConditionReport, out: Path) -> None:
+    """Write every file of a finished condition into ``out``."""
+    cfg = rep.config
+    out.mkdir(parents=True, exist_ok=True)
+    _write_config_echo(cfg, out / "config.txt")
+    export_ply(rep.gt, out / "gt.ply")
+    with open(out / "trajectories.jsonl", "w") as fh:
+        for trial in rep.trials:
+            _write_trajectories(fh, trial)
+            if trial.recon_points is not None:
+                recon = PointCloud(trial.recon_points)
+                export_ply(recon, out / f"recon_{trial.index}.ply")
+                try:
+                    export_mesh_ply(reconstruct_mesh(recon),
+                                    out / f"recon_mesh_{trial.index}.ply")
+                except PalpSimError:
+                    pass  # too few/degenerate points for a mesh
+    _write_csv(out / "metrics.csv", METRICS_HEADER, [_metrics_row(cfg, t) for t in rep.trials])
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, [_summary_row(rep)])
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None,
                    verbose: bool = True) -> ConditionReport:
-    """Run all trials of one condition; optionally write the output files.
+    """Run all trials of one condition, then write its files if ``out_dir`` is set.
 
     Failed trials (e.g. an empty reconstruction on a degenerate budget)
     become failure rows and are excluded from mean/max.
@@ -423,43 +448,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     phantom = Phantom(cfg.phantom, cfg.tumor)
     gt = _ground_truth(cfg, phantom)
     trials: list[TrialOutcome] = []
-    out_path: Optional[Path] = Path(out_dir) if out_dir is not None else None
-    traj_fh = None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        _write_config_echo(cfg, out_path / "config.txt")
-        export_ply(gt, out_path / "gt.ply")
-        traj_fh = open(out_path / "trajectories.jsonl", "w")
-    try:
-        for i in range(cfg.trials):
-            trial = run_trial(cfg, phantom, gt, i)
-            trials.append(trial)
-            if out_path is not None:
-                if trial.recon_points is not None:
-                    recon = PointCloud(trial.recon_points)
-                    export_ply(recon, out_path / f"recon_{i}.ply")
-                    try:
-                        export_mesh_ply(reconstruct_mesh(recon),
-                                        out_path / f"recon_mesh_{i}.ply")
-                    except PalpSimError:
-                        pass  # too few/degenerate points for a mesh
-                _write_trajectories(traj_fh, trial)
-            if verbose:
-                f = trial.report.fscore if trial.report else float("nan")
-                print(f"[{cfg.condition}] trial {i}: status={trial.status} "
-                      f"recon={trial.n_recon} F={f:.3f}")
-    finally:
-        if traj_fh is not None:
-            traj_fh.close()
+    for i in range(cfg.trials):
+        trial = run_trial(cfg, phantom, gt, i)
+        trials.append(trial)
+        if verbose:
+            f = trial.report.fscore if trial.report else float("nan")
+            print(f"[{cfg.condition}] trial {i}: status={trial.status} "
+                  f"recon={trial.n_recon} F={f:.3f}")
     ok = [t.report for t in trials if t.report is not None]
     mean_f, max_f = aggregate_trials(ok) if ok else (0.0, 0.0)
-    rep = ConditionReport(cfg, trials, mean_f, max_f,
+    rep = ConditionReport(cfg, trials, gt, mean_f, max_f,
                           n_failed=sum(1 for t in trials if t.status != "ok"),
                           wall_time=time.perf_counter() - t0)
-    if out_path is not None:
-        _write_csv(out_path / "metrics.csv", METRICS_HEADER,
-                   [_metrics_row(cfg, t) for t in trials])
-        _write_csv(out_path / "summary.csv", SUMMARY_HEADER, [_summary_row(rep)])
+    if out_dir is not None:
+        _write_condition(rep, Path(out_dir))
     if verbose:
         print(f"[{cfg.condition}] mean_F={mean_f:.3f} max_F={max_f:.3f} "
               f"({rep.wall_time:.1f}s)")
@@ -502,12 +504,9 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
     for shape, shape_reports in by_shape.items():
         points = [t.recon_points for rep in shape_reports for t in rep.trials
                   if t.recon_points is not None]
-        if not points:
-            continue
-        cfg0 = shape_reports[0].config
-        phantom = Phantom(cfg0.phantom, cfg0.tumor)
-        gt = _ground_truth(cfg0, phantom)
-        combined[shape] = fscore(PointCloud(np.vstack(points)), gt, cfg0.r_eval)
+        if points:
+            rep0 = shape_reports[0]
+            combined[shape] = fscore(PointCloud(np.vstack(points)), rep0.gt, rep0.config.r_eval)
 
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)

@@ -50,8 +50,8 @@ def read_ply(path) -> PointCloud:
     """Read the vertex element of an ASCII PLY file.
 
     A path that cannot be opened, or anything else (another format, a
-    broken header, no x/y/z, short or non-numeric vertex rows), raises
-    ``MalformedPly``.
+    broken header, no x/y/z, short, non-numeric or non-finite vertex rows,
+    a zero-length normal), raises ``MalformedPly``.
     """
     try:
         with open(path) as fh:
@@ -65,7 +65,8 @@ def read_ply(path) -> PointCloud:
     if {"nx", "ny", "nz"} <= cols.keys():
         normals = np.column_stack([cols["nx"], cols["ny"], cols["nz"]])
         norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
+        if not norms.all():
+            raise MalformedPly(f"{path}: a vertex normal has zero length")
         normals = normals / norms
     return PointCloud(points, normals)
 
@@ -105,4 +106,6 @@ def _read_vertex_columns(fh) -> dict[str, np.ndarray]:
         if len(values) != len(props):
             raise ValueError(f"vertex {i} has {len(values)} values, expected {len(props)}")
         rows[i] = [float(v) for v in values]
+        if not np.isfinite(rows[i]).all():
+            raise ValueError(f"vertex {i} has a non-finite value")
     return {name: rows[:, j] for j, name in enumerate(props)}

@@ -68,7 +68,8 @@ class SurfaceGrid:
     Cell (u, v) maps to XY = origin + (u*dx, v*dy).  ``valid_mask`` marks
     cells inside the interpolation hull with a well-defined normal.
     ``sample_height`` bilinearly interpolates the (hole-filled) height
-    field and is cheap enough for per-control-tick calls.
+    field and is cheap enough for per-control-tick calls.  Its three
+    arrays are read-only copies, so they cannot drift from the filled heights.
     """
 
     def __init__(self, origin_xy, dx: float, dy: float, height: np.ndarray,
@@ -76,21 +77,18 @@ class SurfaceGrid:
         self.origin_xy = (float(origin_xy[0]), float(origin_xy[1]))
         self.dx = float(dx)
         self.dy = float(dy)
-        self.height = np.asarray(height, dtype=float)
-        self.normal = np.asarray(normal, dtype=float)
-        self.valid_mask = np.asarray(valid_mask, dtype=bool)
+        self.height = np.array(height, dtype=float)
+        self.normal = np.array(normal, dtype=float)
+        self.valid_mask = np.array(valid_mask, dtype=bool)
+        for a in (self.height, self.normal, self.valid_mask):
+            a.flags.writeable = False
         self.nx, self.ny = self.height.shape
+        if not self.valid_mask.any():
+            raise ResolutionTooCoarse("no valid grid cells")
         # nearest-valid fill so bilinear sampling never sees NaN
-        if not self.valid_mask.all():
-            if not self.valid_mask.any():
-                raise ResolutionTooCoarse("no valid grid cells")
-            _, (iu, iv) = distance_transform_edt(
-                ~self.valid_mask, return_distances=True, return_indices=True
-            )
-            filled = self.height[iu, iv]
-        else:
-            filled = self.height
-        self._rows = filled.tolist()  # plain floats for the hot loop
+        iu, iv = distance_transform_edt(~self.valid_mask, return_distances=False,
+                                        return_indices=True)
+        self._rows = self.height[iu, iv].tolist()  # plain floats for the hot loop
 
     def valid_cells(self) -> np.ndarray:
         """(k, 2) integer array of valid (u, v) cells in row-major order."""

@@ -86,7 +86,6 @@ class GPModel:
 
     def __init__(self, hyper: GPHyper = GPHyper()):
         self.hyper = hyper
-        self.samples: list[StiffnessSample] = []
         self._index: dict[tuple[int, int], int] = {}
         self._cells: list[tuple[int, int]] = []   # distinct cells, first-seen order
         self._ks: list[list[float]] = []          # raw stiffness per distinct cell
@@ -94,7 +93,6 @@ class GPModel:
         self._chol = np.zeros((0, 0))             # L
         self._rows = 0                            # rows of L built
         self._grid: SurfaceGrid | None = None     # grid of the scan cache
-        self._mask = np.zeros((0, 0), dtype=bool)
         self._valid = np.zeros((0, 2))
         self._v = np.zeros((0, 0))                # V, in a buffer that grows
         self._v_rows = 0
@@ -123,7 +121,6 @@ class GPModel:
             self._y.append(0.0)
         self._ks[i].append(float(sample.k))
         self._y[i] = float(np.mean(self._ks[i]))
-        self.samples.append(sample)
 
     def _factor(self) -> np.ndarray:
         """Append the rows of L for cells added since the last call; return L."""
@@ -165,13 +162,12 @@ class GPModel:
     def predict_grid(self, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at ``grid.valid_cells()``, in that order.
 
-        Uses the cached ``V`` when ``grid`` is the grid of the last scan
-        with the same ``valid_mask``, and starts a new cache otherwise.
+        Uses the cached ``V`` when ``grid`` is the grid of the last scan (a
+        grid's arrays are read-only), and starts a new cache otherwise.
         """
         chol = self._factor()
-        if grid is not self._grid or not np.array_equal(grid.valid_mask, self._mask):
+        if grid is not self._grid:
             self._grid = grid
-            self._mask = grid.valid_mask.copy()
             self._valid = grid.valid_cells().astype(float)
             self._v = np.zeros((0, self._valid.shape[0]))
             self._v_rows = 0

@@ -28,7 +28,7 @@ from palpsim import (
     table1_matrix,
 )
 from palpsim.experiment import _KEYS, _with_values, _write_config_echo, config_to_flat
-from palpsim import cli
+from palpsim import cli, experiment
 from palpsim.cli import main as cli_main
 from palpsim.errors import ConfigInvalid, EmptyCloud, MalformedPly, OutOfRange, PalpSimError
 
@@ -267,6 +267,19 @@ class TestRunExperiment:
         assert rep.mean_f == pytest.approx(np.mean(scores), abs=1e-9)
         assert rep.max_f == pytest.approx(max(scores), abs=1e-9)
 
+    def test_a_condition_that_stops_leaves_no_directory(self, tmp_path, monkeypatch):
+        run_trial = experiment.run_trial
+
+        def stop_at_trial_1(cfg, phantom, gt, trial):
+            if trial == 1:
+                raise RuntimeError("stopped at trial 1")
+            return run_trial(cfg, phantom, gt, trial)
+
+        monkeypatch.setattr(experiment, "run_trial", stop_at_trial_1)
+        with pytest.raises(RuntimeError, match="stopped at trial 1"):
+            run_experiment(small_config(trials=2, budget=6), tmp_path / "out", verbose=False)
+        assert not (tmp_path / "out").exists()
+
     def test_trajectory_log_schema(self, tmp_path):
         run_experiment(small_config(trials=1), tmp_path, verbose=False)
         lines = (tmp_path / "trajectories.jsonl").read_text().strip().splitlines()
@@ -410,6 +423,13 @@ class TestRunMatrix:
         assert lines[-1] == "bad_condition,,,,failed,,,,,"
 
 
+XYZ_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+              b"property float y\nproperty float z\n")
+NAN_VERTEX = XYZ_HEADER + b"end_header\nnan 0 0\n"
+ZERO_NORMAL = (XYZ_HEADER + b"property float nx\nproperty float ny\nproperty float nz\n"
+               b"end_header\n1 2 3 0 0 0\n")
+
+
 class TestPly:
     def test_single_point_format(self, tmp_path):
         path = tmp_path / "one.ply"
@@ -458,6 +478,8 @@ class TestPly:
         (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
          b"property float z\nend_header\n1 2 q\n", "could not convert"),
         (b"\x89PNG\r\n\x1a\n\xff\xfe", "codec can't decode"),
+        (NAN_VERTEX, "vertex 0 has a non-finite value"),
+        (ZERO_NORMAL, "a vertex normal has zero length"),
     ])
     def test_malformed_file_raises_malformed_ply(self, tmp_path, content, message):
         path = tmp_path / "bad.ply"
@@ -559,6 +581,18 @@ class TestCli:
         assert cli_main(["eval", str(text), str(text)]) == 2
         assert capsys.readouterr().err == \
             f"palpsim: error: MalformedPly: {text}: not a PLY file\n"
+
+    @pytest.mark.parametrize("content,message", [
+        (NAN_VERTEX, "vertex 0 has a non-finite value"),
+        (ZERO_NORMAL, "a vertex normal has zero length"),
+    ])
+    def test_eval_on_a_bad_vertex_is_one_error_line(self, tmp_path, capsys, content, message):
+        bad, good = tmp_path / "bad.ply", tmp_path / "good.ply"
+        bad.write_bytes(content)
+        export_ply(PointCloud(np.zeros((3, 3))), good)
+        for argv in ([bad, good], [good, bad]):
+            assert cli_main(["eval", *map(str, argv)]) == 2
+            assert capsys.readouterr() == ("", f"palpsim: error: MalformedPly: {bad}: {message}\n")
 
     def test_eval_on_a_missing_file_is_one_error_line(self, tmp_path, capsys):
         missing = tmp_path / "nothere.ply"

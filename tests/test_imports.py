@@ -1,6 +1,8 @@
-"""No module of the package keeps an import that its code never names.
+"""No module of the package keeps an import that its code never names,
+and no module-level private name goes unread across the package.
 
-``__init__.py`` is left out: its imports are the package's public names.
+``__init__.py`` is left out of the import check: its imports are the
+package's public names.
 """
 
 import ast
@@ -36,3 +38,36 @@ def test_the_check_finds_an_unused_import():
                                           if p.name != "__init__.py"))
 def test_module_has_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private names bound at the top level of any of ``sources`` that no
+    expression or ``from`` import in any of them reads."""
+    trees = [ast.parse(source) for source in sources]
+    bound, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(n for n in bound - read if n.startswith("_") and not n.startswith("__"))
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = ["_A = 1\n_B: int = 2\n_C, _D = 3, 4\ndef _f():\n    return _A + _C\n"
+               "class _G:\n    _h = 5\n__all__ = []\n",
+               "from .m import _f\n_f()\n"]
+    assert unread_private_names(sources) == ["_B", "_D", "_G"]
+
+
+def test_every_module_level_private_name_is_read():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

@@ -115,7 +115,7 @@ class TestGPPredict:
         ]
         gp = gp_fit(samples, hyper)
         cells = rng.integers(0, 20, (30, 2))
-        mu_o, var_o = dense_gp_oracle(gp.samples, hyper, cells)
+        mu_o, var_o = dense_gp_oracle(samples, hyper, cells)
         mu, var = gp.predict_many(cells)
         assert np.allclose(mu, mu_o, atol=1e-8)
         assert np.allclose(var, var_o, atol=1e-8)
@@ -181,7 +181,10 @@ class TestExpectedImprovement:
 
 
 class TestNextCellBO:
-    def _fitted(self, rng, n=10, peak=(10, 10)):
+    HYPER = GPHyper(length_scale=3.0, signal_var=1e4, noise_var=1.0)
+
+    @staticmethod
+    def _samples(rng, n=10, peak=(10, 10)):
         cells = set()
         while len(cells) < n:
             cells.add((int(rng.integers(0, 20)), int(rng.integers(0, 20))))
@@ -189,7 +192,10 @@ class TestNextCellBO:
         for u, v in cells:
             d2 = (u - peak[0]) ** 2 + (v - peak[1]) ** 2
             samples.append(StiffnessSample((u, v), 300.0 + 400.0 * math.exp(-d2 / 18.0)))
-        return gp_fit(samples, GPHyper(length_scale=3.0, signal_var=1e4, noise_var=1.0))
+        return samples
+
+    def _fitted(self, rng, n=10, peak=(10, 10)):
+        return gp_fit(self._samples(rng, n, peak), self.HYPER)
 
     def test_exhausted(self):
         grid = make_grid(2, 2)
@@ -209,9 +215,10 @@ class TestNextCellBO:
     def test_matches_bruteforce_ei_scan(self):
         grid = make_grid()
         rng = np.random.default_rng(6)
-        gp = self._fitted(rng)
-        acq = Acquisition(xi=2.0, best_k=max(s.k for s in gp.samples))
-        visited = {s.cell for s in gp.samples}
+        samples = self._samples(rng)
+        gp = gp_fit(samples, self.HYPER)
+        acq = Acquisition(xi=2.0, best_k=max(s.k for s in samples))
+        visited = {s.cell for s in samples}
         cell = next_cell_bo(gp, grid, free_of(grid, visited), acq, np.random.default_rng(1))
         # oracle: evaluate EI one cell at a time over the whole grid
         best_val, best_cells = -1.0, []
@@ -233,9 +240,10 @@ class TestNextCellBO:
         hits = 0
         for run in range(10):
             rng = np.random.default_rng(100 + run)
-            gp = self._fitted(rng, n=10, peak=peak)
-            acq = Acquisition(xi=2.0, best_k=max(s.k for s in gp.samples))
-            cell = next_cell_bo(gp, grid, free_of(grid, [s.cell for s in gp.samples]), acq, rng)
+            samples = self._samples(rng, n=10, peak=peak)
+            gp = gp_fit(samples, self.HYPER)
+            acq = Acquisition(xi=2.0, best_k=max(s.k for s in samples))
+            cell = next_cell_bo(gp, grid, free_of(grid, [s.cell for s in samples]), acq, rng)
             if math.hypot(cell[0] - peak[0], cell[1] - peak[1]) <= 2 * 3.0:
                 hits += 1
         assert hits >= 8
@@ -470,9 +478,10 @@ class TestGrowingPosterior:
             if data.draw(st.booleans(), label="other grid"):
                 gp.predict_grid(make_grid(3, 9))
         mu, var = gp.predict_grid(grid)
-        mu_f, var_f = gp_fit(samples, hyper).predict_grid(grid)
+        fit = gp_fit(samples, hyper)
+        mu_f, var_f = fit.predict_grid(grid)
         assert np.array_equal(mu, mu_f) and np.array_equal(var, var_f)
-        assert gp.samples == samples
+        assert np.array_equal(gp.x, fit.x) and np.array_equal(gp.y, fit.y)
 
     @settings(max_examples=100, deadline=None)
     @given(samples=sample_lists, hyper=hypers, mask=masks, xi=st.floats(0.0, 10.0),
@@ -504,15 +513,18 @@ class TestGPModel:
         assert gp.y.tolist() == [350.0, 500.0]
         assert gp.y.mean() == 425.0
 
-    def test_grid_cache_follows_a_changed_mask(self):
-        grid = make_grid(4, 4)
-        gp = gp_fit([StiffnessSample((0, 0), 300.0), StiffnessSample((3, 3), 500.0)])
-        gp.predict_grid(grid)
-        grid.valid_mask[0, :] = False
-        mu, var = gp.predict_grid(grid)
-        mu_o, var_o = gp.predict_many(grid.valid_cells())
-        assert mu.shape == (12,)
-        assert np.allclose(mu, mu_o, rtol=1e-12) and np.allclose(var, var_o, rtol=1e-12)
+    def test_grid_arrays_are_read_only_copies(self):
+        # the scan cache is keyed on the grid object, so its arrays must not change
+        height, normal = np.zeros((4, 4)), np.zeros((4, 4, 3))
+        normal[..., 2] = 1.0
+        mask = np.ones((4, 4), dtype=bool)
+        grid = SurfaceGrid((0.0, 0.0), 0.002, 0.002, height, normal, mask)
+        for name in ("height", "normal", "valid_mask"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0, 0] = 0
+        height[1, 1], normal[1, 1], mask[1, 1] = 5.0, (0.0, 0.0, 2.0), False
+        assert grid.cell_point(1, 1)[2] == grid.sample_height(0.002, 0.002) == 0.0
+        assert grid.normal[1, 1].tolist() == [0.0, 0.0, 1.0] and grid.valid_mask.all()
 
     def test_empty_model_cannot_predict(self):
         with pytest.raises(Empty):
