@@ -84,6 +84,8 @@ def fscore(recon: PointCloud, gt: PointCloud, r: float) -> FScoreReport:
     """Precision/recall of mutual nearest-neighbor coverage within r > 0."""
     if not r > 0:
         raise OutOfRange(f"r must be > 0, got {r}")
+    if not np.isfinite(r):
+        raise OutOfRange(f"r must be finite, got {r}")
     if len(recon) == 0 or len(gt) == 0:
         raise EmptyCloud("both clouds must be nonempty")
     d_recon, _ = cKDTree(gt.points).query(recon.points)

@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown strategy {self.strategy!r}")
         if self.mode not in (CONTOUR_FOLLOWING, DISCRETE):
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
+        if any(c in self.label for c in ',"\r\n'):
+            raise ConfigInvalid(f"label {self.label!r} holds a comma, quote or line break")
+        Phantom(self.phantom, self.tumor)  # the tumor must fit under the soft stack
 
     @property
     def condition(self) -> str:
@@ -472,7 +475,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
 class MatrixReport:
     conditions: list[ConditionReport]
     combined: dict[str, FScoreReport]       # shape -> pooled-cloud score
-    failed: list[tuple[str, str]] = field(default_factory=list)
 
 
 def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
@@ -481,21 +483,12 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
 
     Adds a pooled "combined" row per shape: all reconstruction points
     from all that shape's trials scored against the ground truth once.
-    A condition that fails outright is marked and the sweep continues.
     """
     if not cfgs:
         raise Empty("no experiment configs given")
     out_path = Path(out_dir) if out_dir is not None else None
-    reports: list[ConditionReport] = []
-    failed: list[tuple[str, str]] = []
-    for cfg in cfgs:
-        sub = out_path / cfg.condition if out_path is not None else None
-        try:
-            reports.append(run_experiment(cfg, sub, verbose=verbose))
-        except PalpSimError as exc:
-            failed.append((cfg.condition, f"{type(exc).__name__}: {exc}"))
-            if verbose:
-                print(f"[{cfg.condition}] FAILED: {exc}")
+    reports = [run_experiment(cfg, out_path / cfg.condition if out_path is not None else None,
+                              verbose=verbose) for cfg in cfgs]
 
     combined: dict[str, FScoreReport] = {}
     by_shape: dict[str, list[ConditionReport]] = {}
@@ -517,7 +510,6 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
             n_palp = sum(r.config.budget * r.config.trials for r in by_shape[shape])
             rows.append(f"combined,{shape},,,combined,,,{_csv_num(combined[shape].fscore)},,"
                         f"{n_palp}")
-        rows += [f"{condition},,,,failed,,,,," for condition, _ in failed]
         _write_csv(out_path / "summary.csv", SUMMARY_HEADER, rows)
     if verbose:
         for rep in reports:
@@ -525,4 +517,4 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
             print(f"{cfg.condition:28s} mean_F={rep.mean_f:.3f} max_F={rep.max_f:.3f}")
         for shape, score in sorted(combined.items()):
             print(f"combined[{shape}]: F={score.fscore:.3f}")
-    return MatrixReport(reports, combined, failed)
+    return MatrixReport(reports, combined)

@@ -244,10 +244,12 @@ def _ei(mu: np.ndarray, sigma: np.ndarray, best_k: float, xi: float) -> np.ndarr
 
 
 def _free_valid(grid: SurfaceGrid, free: np.ndarray) -> np.ndarray:
-    """``free & grid.valid_mask``, for a ``free`` mask of the grid's shape."""
-    if np.shape(free) != grid.valid_mask.shape:
-        raise InvalidCell(f"free mask has shape {np.shape(free)}, "
-                          f"the grid {grid.valid_mask.shape}")
+    """``free & grid.valid_mask``, for a bool ``free`` mask of the grid's shape."""
+    free = np.asarray(free)
+    if free.shape != grid.valid_mask.shape:
+        raise InvalidCell(f"free mask has shape {free.shape}, the grid {grid.valid_mask.shape}")
+    if free.dtype != bool:
+        raise InvalidCell(f"free mask has dtype {free.dtype}, not bool")
     return free & grid.valid_mask
 
 

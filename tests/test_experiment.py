@@ -67,8 +67,12 @@ def drawn(cls, **given_fields):
     return st.builds(cls, **kw)
 
 
+# tumor heights below the layer thickness range, so every tumor fits under its stack
+HEIGHT = st.floats(1e-6, 1e-4)
+
 CONFIGS = drawn(
     ExperimentConfig,
+    label=st.text().filter(lambda s: not any(c in s for c in ',"\r\n')),
     strategy=st.sampled_from(["bo", "rs"]),
     mode=st.sampled_from(["cf", "discrete"]),
     n_init=st.integers(2, 10**6),
@@ -80,7 +84,8 @@ CONFIGS = drawn(
                               kind=st.sampled_from(["flat", "cyl_bump", "gauss_bump"]))),
     # the crescent's inner cut radius, radius - width + inner_offset, must stay > 0
     tumor=drawn(TumorGeometry, shape=st.sampled_from(["hemisphere", "ellipsoid", "crescent"]),
-                width=st.floats(1e-6, 5e-5)),
+                width=st.floats(1e-6, 5e-5), radius=HEIGHT, top_height=HEIGHT,
+                semi_axes=st.tuples(POSITIVE, POSITIVE, HEIGHT)),
     roi=st.builds(RoiBox, st.tuples(POSITIVE, POSITIVE).map(lambda xy: (-xy[0], -xy[1])),
                   st.tuples(POSITIVE, POSITIVE)),
 )
@@ -242,6 +247,19 @@ class TestConfigFile:
             config_from_flat({key: "xx", "trials": 1, "budget": 3})
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(**{key: "xx"})
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_label_that_breaks_a_csv_row_rejected(self, label):
+        with pytest.raises(ConfigInvalid, match="holds a comma, quote or line break"):
+            config_from_flat({"label": label})
+
+    def test_tumor_taller_than_the_stack_rejected_when_built(self):
+        good = small_config(trials=1, budget=8)
+        with pytest.raises(ConfigInvalid, match="tumor height 0.05 exceeds soft-stack depth"):
+            replace(good, tumor=replace(good.tumor, radius=0.05), label="bad_condition")
+        with pytest.raises(ConfigInvalid,
+                           match="tumor height 0.01 exceeds soft-stack depth 0.008"):
+            config_from_flat({"phantom.fat_thickness": 0.004})
 
     def test_flag_style_overrides(self):
         cfg = config_from_flat({"shape": "hemisphere", "budget": 17, "mode": "discrete"})
@@ -410,18 +428,6 @@ class TestRunMatrix:
         with pytest.raises(Exception):
             run_matrix([], None, verbose=False)
 
-    def test_partial_failure_marked(self, tmp_path):
-        good = small_config(trials=1, budget=8)
-        # tumor taller than the soft stack: rejected at phantom build time
-        bad = replace(good, tumor=replace(good.tumor, radius=0.05),
-                      label="bad_condition")
-        rep = run_matrix([bad, good], tmp_path, verbose=False)
-        assert len(rep.conditions) == 1
-        assert len(rep.failed) == 1
-        assert rep.failed[0][0] == "bad_condition"
-        lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
-        assert lines[-1] == "bad_condition,,,,failed,,,,,"
-
 
 XYZ_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
               b"property float y\nproperty float z\n")
@@ -552,6 +558,8 @@ class TestCli:
         ("trials = 1\nwidget.k = 3\n", "unknown config keys: ['widget.k']"),
         ("trials = 1\nprobe.d_thres = NaN\n", "config key 'probe.d_thres': nan is not finite"),
         ("trials = true\n", "config key 'trials': True is not a number"),
+        ("trials = 1\nphantom.fat_thickness = 0.004\n",
+         "tumor height 0.01 exceeds soft-stack depth 0.008"),
     ])
     def test_bad_config_file_is_one_error_line(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
@@ -600,6 +608,14 @@ class TestCli:
         assert capsys.readouterr().err == (f"palpsim: error: MalformedPly: {missing}: "
                                            "cannot read PLY file: No such file or directory\n")
 
+    def test_label_with_a_comma_is_one_error_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text('trials = 1\nlabel = "a,b"\n')
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "palpsim: error: ConfigInvalid: label 'a,b' holds "
+                                           "a comma, quote or line break\n")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "palpsim: error: OutOfRange: seed must be >= 0, got -1\n"
@@ -619,13 +635,13 @@ class TestCli:
         assert capsys.readouterr().err == f"palpsim: error: OutOfRange: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("r", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("r", ["-1", "0", "nan", "inf"])
     def test_eval_with_a_bad_radius_is_one_error_line(self, tmp_path, capsys, r):
+        message = "r must be finite, got inf" if r == "inf" else f"r must be > 0, got {float(r)}"
         ply_path = tmp_path / "a.ply"
         export_ply(PointCloud(np.zeros((3, 3))), ply_path)
         assert cli_main(["eval", str(ply_path), str(ply_path), "--r", r]) == 2
-        assert capsys.readouterr() == ("", f"palpsim: error: OutOfRange: r must be > 0, "
-                                           f"got {float(r)}\n")
+        assert capsys.readouterr() == ("", f"palpsim: error: OutOfRange: {message}\n")
 
     def test_out_of_range_flag_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--budget", "0", "--out", str(tmp_path / "out")]) == 2

@@ -1,5 +1,6 @@
 """No module of the package keeps an import that its code never names,
-and no module-level private name goes unread across the package.
+no module-level private name goes unread across the package, and every
+error class of ``errors.py`` is raised by some other module.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public names.
@@ -71,3 +72,31 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_module_level_private_name_is_read():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Exception classes of ``errors_source``, other than the base
+    ``PalpSimError``, that no ``raise`` statement in ``sources`` names."""
+    defined = {node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)} - {"PalpSimError"}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return sorted(defined - raised)
+
+
+def test_the_check_finds_an_unraised_error():
+    errors = ("class PalpSimError(Exception):\n    pass\nclass A(PalpSimError):\n    pass\n"
+              "class B(PalpSimError):\n    pass\nclass C(PalpSimError):\n    pass\n")
+    sources = ["def f():\n    raise A('x')\n",
+               "try:\n    pass\nexcept B:\n    raise\nraise C from None\nB('not raised')\n"]
+    assert unraised_errors(errors, sources) == ["B"]
+
+
+def test_every_error_class_is_raised_outside_errors_py():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []

@@ -21,7 +21,7 @@ from palpsim import (
     next_cell_bo,
     next_cell_random,
 )
-from palpsim.errors import Empty, Exhausted, InvalidCell, OutOfRange
+from palpsim.errors import Empty, Exhausted, InvalidCell, OutOfRange, SingularKernel
 from palpsim.search import _GEMV_THREAD_CUTOFF, GPModel, _ei, _vecmat
 
 
@@ -88,6 +88,11 @@ class TestGPFit:
             mu, var = gp.predict_many([c])
             assert mu[0] == pytest.approx(k, abs=1e-6)
             assert var[0] <= 1e-9
+
+    def test_kernel_that_is_not_positive_definite_is_singular(self):
+        hyper = GPHyper(length_scale=1e9, signal_var=1e8, noise_var=0.0)
+        with pytest.raises(SingularKernel, match=r"kernel not positive definite at cell \(0, 1\)"):
+            gp_fit([StiffnessSample((0, 0), 300.0), StiffnessSample((0, 1), 500.0)], hyper)
 
     def test_duplicate_cells_averaged(self):
         hyper = GPHyper(noise_var=0.0)
@@ -396,6 +401,13 @@ class TestCandidates:
     def test_mask_of_another_shape_is_an_invalid_cell(self, select, shape):
         with pytest.raises(InvalidCell, match="free mask has shape"):
             select(make_grid(3, 3), np.ones(shape, dtype=bool), FixedRng(0))
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    @pytest.mark.parametrize("select", [next_cell_random, flat_bo])
+    def test_mask_that_is_not_bool_is_an_invalid_cell(self, select, dtype):
+        # an integer mask would index the valid cells by position, not by flag
+        with pytest.raises(InvalidCell, match="free mask has dtype"):
+            select(make_grid(3, 3), np.ones((3, 3), dtype=dtype), FixedRng(0))
 
     @pytest.mark.parametrize("select", [next_cell_random, flat_bo])
     def test_free_invalid_cell_is_never_picked(self, select):
