@@ -29,20 +29,28 @@ from .ply import export_ply, read_ply
 from .policy import BO, CONTOUR_FOLLOWING, DISCRETE, RS
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_config(p: argparse.ArgumentParser) -> None:
+    """The flags every config-reading command takes."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="base random seed")
+    p.add_argument("--shape", choices=[HEMISPHERE, ELLIPSOID, CRESCENT])
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that run trials and write an output directory."""
+    _add_config(p)
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--trials", type=int, help="trials per condition")
     p.add_argument("--strategy", choices=[BO, RS], help="cell-selection strategy")
     p.add_argument("--mode", choices=[CONTOUR_FOLLOWING, DISCRETE], help="palpation mode")
-    p.add_argument("--shape", choices=[HEMISPHERE, ELLIPSOID, CRESCENT])
     p.add_argument("--budget", type=int, help="palpations per trial")
 
 
 def _flags_to_flat(args) -> dict:
-    """The config keys set by flags: those that pick ``default_config``'s defaults."""
-    return {key: getattr(args, key) for key in _DEFAULT_KEYS if getattr(args, key) is not None}
+    """The config keys set by flags: those that pick ``default_config``'s defaults.
+    A command may lack some of these flags."""
+    return {key: getattr(args, key) for key in _DEFAULT_KEYS
+            if getattr(args, key, None) is not None}
 
 
 def _flat_config(args) -> dict:
@@ -63,7 +71,7 @@ def main(argv=None) -> int:
     _add_common(p_matrix)
 
     p_gt = sub.add_parser("export-gt", help="export the ground-truth tumor cloud")
-    _add_common(p_gt)
+    _add_config(p_gt)
     p_gt.add_argument("--samples", type=int,
                       help="points to sample (default: the config's gt_samples)")
     p_gt.add_argument("--file", default="gt.ply", help="output PLY path")
@@ -84,12 +92,11 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "run":
         cfg = config_from_flat(_flat_config(args))
-        rep = run_experiment(cfg, args.out)
-        return 0 if rep.n_failed < len(rep.trials) else 1
+        return 0 if run_experiment(cfg, args.out).scored else 1
 
     if args.command == "matrix":
-        run_matrix(matrix_configs(_flat_config(args)), args.out)
-        return 0
+        rep = run_matrix(matrix_configs(_flat_config(args)), args.out)
+        return 0 if any(c.scored for c in rep.conditions) else 1
 
     if args.command == "export-gt":
         cfg = config_from_flat(_flat_config(args))

@@ -51,6 +51,7 @@ from .policy import (
 )
 from .registration import (
     RoiBox,
+    SurfaceGrid,
     crop_roi,
     interpolate_grid,
     mesh_from_cloud,
@@ -153,6 +154,11 @@ class ConditionReport:
     max_f: float
     n_failed: int
     wall_time: float
+
+    @property
+    def scored(self) -> bool:
+        """Whether any trial got an F-score; ``mean_f`` and ``max_f`` are 0 if not."""
+        return self.n_failed < len(self.trials)
 
 
 def default_config(shape: str = HEMISPHERE, strategy: str = BO,
@@ -324,22 +330,36 @@ def _write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
             fh.write(f"{key} = {json.dumps(value)}\n")
 
 
+def _scene(cfg: ExperimentConfig, phantom: Phantom, trial_seed: int) -> SurfaceGrid:
+    """The trial's registered skin: depth scan, filter, mesh, crop, grid.
+    The scan reads only the skin, so the tumor does not enter."""
+    m = cfg.cloud.margin
+    region = ((cfg.roi.min_xy[0] - m, cfg.roi.min_xy[1] - m),
+              (cfg.roi.max_xy[0] + m, cfg.roi.max_xy[1] + m))
+    raw = phantom.synth_depth_cloud(region, cfg.cloud.density, cfg.cloud.noise_sigma,
+                                    seed=[trial_seed, _CLOUD_STREAM])
+    cloud = preprocess_cloud(raw, cfg.cloud.voxel, cfg.cloud.outlier_k,
+                             cfg.cloud.outlier_sigma)
+    mesh = crop_roi(mesh_from_cloud(cloud), cfg.roi)
+    return interpolate_grid(mesh, cfg.grid_dx, cfg.grid_dy)
+
+
 def run_trial(cfg: ExperimentConfig, phantom: Phantom, gt: PointCloud,
-              trial: int) -> TrialOutcome:
-    """One seeded end-to-end trial: scan, register, palpate, score."""
+              trial: int, scenes: Optional[dict] = None) -> TrialOutcome:
+    """One seeded end-to-end trial: scan, register, palpate, score.
+
+    ``scenes`` maps a scene's inputs to the ``SurfaceGrid`` already built
+    from them; a grid built here is added to it.  A scene that fails is
+    not kept, so it fails every trial that asks for it.
+    """
     trial_seed = cfg.seed + trial
     out = TrialOutcome(index=trial, seed=trial_seed, status="ok", report=None)
+    scenes = {} if scenes is None else scenes
+    key = (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
     try:
-        m = cfg.cloud.margin
-        region = ((cfg.roi.min_xy[0] - m, cfg.roi.min_xy[1] - m),
-                  (cfg.roi.max_xy[0] + m, cfg.roi.max_xy[1] + m))
-        raw = phantom.synth_depth_cloud(region, cfg.cloud.density,
-                                        cfg.cloud.noise_sigma,
-                                        seed=[trial_seed, _CLOUD_STREAM])
-        cloud = preprocess_cloud(raw, cfg.cloud.voxel, cfg.cloud.outlier_k,
-                                 cfg.cloud.outlier_sigma)
-        mesh = crop_roi(mesh_from_cloud(cloud), cfg.roi)
-        grid = interpolate_grid(mesh, cfg.grid_dx, cfg.grid_dy)
+        if key not in scenes:
+            scenes[key] = _scene(cfg, phantom, trial_seed)
+        grid = scenes[key]
         probes, trajs = run_policy(
             phantom, grid, cfg.strategy, cfg.mode, cfg.budget, cfg.probe,
             cfg.gains, trial_seed, cal=cfg.cal, hyper=cfg.hyper, xi=cfg.xi,
@@ -399,7 +419,8 @@ def _summary_row(rep: ConditionReport) -> str:
     return ",".join([
         cfg.condition, cfg.tumor.shape, cfg.strategy, cfg.mode, "per_trial",
         str(len(rep.trials)), str(rep.n_failed),
-        _csv_num(rep.mean_f), _csv_num(rep.max_f), str(cfg.budget),
+        _csv_num(rep.mean_f) if rep.scored else "",
+        _csv_num(rep.max_f) if rep.scored else "", str(cfg.budget),
     ])
 
 
@@ -440,19 +461,21 @@ def _write_condition(rep: ConditionReport, out: Path) -> None:
     _write_csv(out / "summary.csv", SUMMARY_HEADER, [_summary_row(rep)])
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None,
-                   verbose: bool = True) -> ConditionReport:
+def run_experiment(cfg: ExperimentConfig, out_dir=None, verbose: bool = True,
+                   scenes: Optional[dict] = None) -> ConditionReport:
     """Run all trials of one condition, then write its files if ``out_dir`` is set.
 
     Failed trials (e.g. an empty reconstruction on a degenerate budget)
-    become failure rows and are excluded from mean/max.
+    become failure rows and are excluded from mean/max; a condition with
+    no scored trial leaves its ``summary.csv`` F cells empty.  ``scenes``
+    is passed to every ``run_trial``.
     """
     t0 = time.perf_counter()
     phantom = Phantom(cfg.phantom, cfg.tumor)
     gt = _ground_truth(cfg, phantom)
     trials: list[TrialOutcome] = []
     for i in range(cfg.trials):
-        trial = run_trial(cfg, phantom, gt, i)
+        trial = run_trial(cfg, phantom, gt, i, scenes=scenes)
         trials.append(trial)
         if verbose:
             f = trial.report.fscore if trial.report else float("nan")
@@ -481,14 +504,20 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
                verbose: bool = True) -> MatrixReport:
     """Run every condition and emit one summary table.
 
-    Adds a pooled "combined" row per shape: all reconstruction points
-    from all that shape's trials scored against the ground truth once.
+    Each trial's scene (scan and registration, see ``_scene``) is built
+    once per call and shared by every condition with the same phantom,
+    cloud, ROI and grid steps: the scan never sees the tumor, so the
+    shapes and the strategy x mode conditions of a trial index palpate
+    one grid.  Adds a pooled "combined" row per shape: all
+    reconstruction points from all that shape's trials scored against
+    the ground truth once.
     """
     if not cfgs:
         raise Empty("no experiment configs given")
     out_path = Path(out_dir) if out_dir is not None else None
+    scenes: dict = {}
     reports = [run_experiment(cfg, out_path / cfg.condition if out_path is not None else None,
-                              verbose=verbose) for cfg in cfgs]
+                              verbose=verbose, scenes=scenes) for cfg in cfgs]
 
     combined: dict[str, FScoreReport] = {}
     by_shape: dict[str, list[ConditionReport]] = {}

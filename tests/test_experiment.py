@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palpsim import (
+    CloudParams,
     ExperimentConfig,
+    Phantom,
     PhantomConfig,
     PointCloud,
     RoiBox,
@@ -27,10 +29,25 @@ from palpsim import (
     run_matrix,
     table1_matrix,
 )
-from palpsim.experiment import _KEYS, _with_values, _write_config_echo, config_to_flat
+from palpsim.experiment import (
+    _KEYS,
+    ConditionReport,
+    MatrixReport,
+    TrialOutcome,
+    _with_values,
+    _write_config_echo,
+    config_to_flat,
+)
 from palpsim import cli, experiment
 from palpsim.cli import main as cli_main
-from palpsim.errors import ConfigInvalid, EmptyCloud, MalformedPly, OutOfRange, PalpSimError
+from palpsim.errors import (
+    ConfigInvalid,
+    EmptyCloud,
+    MalformedPly,
+    OutOfRange,
+    PalpSimError,
+    ResolutionTooCoarse,
+)
 
 
 def small_config(**kw):
@@ -288,10 +305,10 @@ class TestRunExperiment:
     def test_a_condition_that_stops_leaves_no_directory(self, tmp_path, monkeypatch):
         run_trial = experiment.run_trial
 
-        def stop_at_trial_1(cfg, phantom, gt, trial):
+        def stop_at_trial_1(cfg, phantom, gt, trial, scenes=None):
             if trial == 1:
                 raise RuntimeError("stopped at trial 1")
-            return run_trial(cfg, phantom, gt, trial)
+            return run_trial(cfg, phantom, gt, trial, scenes=scenes)
 
         monkeypatch.setattr(experiment, "run_trial", stop_at_trial_1)
         with pytest.raises(RuntimeError, match="stopped at trial 1"):
@@ -318,6 +335,14 @@ class TestRunExperiment:
         assert rep.trials[0].status == "EmptyReconstruction"
         rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert rows[1].split(",")[7] == "EmptyReconstruction"
+
+    def test_unscored_condition_leaves_its_f_cells_empty(self, tmp_path):
+        cfg = small_config(trials=1, budget=1, mode="discrete")
+        cfg = replace(cfg, tumor=replace(cfg.tumor, center_xy=(0.05, 0.05)))
+        rep = run_experiment(cfg, tmp_path, verbose=False)
+        assert not rep.scored
+        assert (tmp_path / "summary.csv").read_text().splitlines()[1] == \
+            "bo_discrete_hemisphere,hemisphere,bo,discrete,per_trial,1,1,,,1"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config(trials=2, budget=10)
@@ -429,6 +454,108 @@ class TestRunMatrix:
             run_matrix([], None, verbose=False)
 
 
+def _scene_calls(monkeypatch):
+    """Record every ``_scene`` call as (cfg, trial seed) and every grid
+    ``run_policy`` palpates as (grid, trial seed), both in call order."""
+    scenes, grids = [], []
+    build, policy = experiment._scene, experiment.run_policy
+
+    def scene(cfg, phantom, trial_seed):
+        scenes.append((cfg, trial_seed))
+        return build(cfg, phantom, trial_seed)
+
+    def run_policy(phantom, grid, *a, **k):
+        grids.append((grid, a[5]))  # a[5]: the trial seed
+        return policy(phantom, grid, *a, **k)
+
+    monkeypatch.setattr(experiment, "_scene", scene)
+    monkeypatch.setattr(experiment, "run_policy", run_policy)
+    return scenes, grids
+
+
+def _same_grid(a, b) -> bool:
+    """Equal lattices and equal arrays; cells outside the hull hold NaN in both."""
+    return (a.origin_xy, a.dx, a.dy, a._rows) == (b.origin_xy, b.dx, b.dy, b._rows) and all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        for name in ("height", "normal", "valid_mask"))
+
+
+class TestSharedScene:
+    """``run_matrix`` builds each trial's scene once and shares it."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        cfgs = [small_config(shape=shape, strategy=strategy, mode=mode, trials=2, budget=4)
+                for shape in ("hemisphere", "crescent") for strategy in ("rs", "bo")
+                for mode in ("cf", "discrete")]
+        with pytest.MonkeyPatch.context() as mp:
+            scenes, grids = _scene_calls(mp)
+            rep = run_matrix(cfgs, None, verbose=False)
+        return cfgs, rep, scenes, grids
+
+    def test_every_shared_grid_equals_a_fresh_build(self, matrix):
+        cfgs, rep, _, grids = matrix
+        assert [t.status for c in rep.conditions for t in c.trials] == ["ok"] * 16
+        assert len(grids) == 16
+        calls = [(cfg, cfg.seed + i) for cfg in cfgs for i in range(cfg.trials)]
+        for (cfg, trial_seed), (grid, seed) in zip(calls, grids):
+            assert seed == trial_seed
+            fresh = experiment._scene(cfg, Phantom(cfg.phantom, cfg.tumor), trial_seed)
+            assert fresh is not grid and _same_grid(fresh, grid)
+
+    def test_one_scene_per_distinct_key(self, matrix):
+        cfgs, _, scenes, grids = matrix
+        # the shapes differ only in the tumor, so all 8 conditions share a trial's grid
+        assert scenes == [(cfgs[0], 5), (cfgs[0], 6)]
+        assert len({id(grid) for grid, _ in grids}) == 2
+        assert all(grid is grids[seed - 5][0] for grid, seed in grids)
+
+    @pytest.mark.parametrize("change", [
+        {"grid_dx": 0.0025},
+        {"grid_dy": 0.0025},
+        {"cloud": CloudParams(noise_sigma=0.0008)},
+        {"roi": RoiBox((-0.02, -0.02), (0.02, 0.018))},
+        {"phantom": PhantomConfig(fat_thickness=0.02)},
+    ], ids=["grid_dx", "grid_dy", "cloud.noise_sigma", "roi", "phantom"])
+    def test_a_change_to_a_scene_input_builds_a_new_grid(self, monkeypatch, change):
+        cfg = small_config(mode="discrete", trials=1, budget=2)
+        scenes, grids = _scene_calls(monkeypatch)
+        run_matrix([cfg, replace(cfg, **change)], None, verbose=False)
+        assert len(scenes) == 2
+        (a, _), (b, _) = grids
+        assert a is not b and not _same_grid(a, b)
+
+    def test_a_change_outside_the_scene_shares_the_grid(self, monkeypatch):
+        cfg = small_config(mode="discrete", trials=1, budget=2)
+        other = replace(cfg, strategy="rs", budget=3, r_eval=0.004,
+                        tumor=TumorGeometry(shape="crescent"))
+        scenes, grids = _scene_calls(monkeypatch)
+        run_matrix([cfg, other], None, verbose=False)
+        assert len(scenes) == 1
+        assert grids[0][0] is grids[1][0]
+
+    def test_a_failed_scene_is_not_shared(self, monkeypatch):
+        calls = []
+
+        def scene(cfg, phantom, trial_seed):
+            calls.append(trial_seed)
+            raise ResolutionTooCoarse("no valid grid cells")
+
+        monkeypatch.setattr(experiment, "_scene", scene)
+        cfg = small_config(trials=1)
+        rep = run_matrix([cfg, replace(cfg, strategy="rs")], None, verbose=False)
+        assert calls == [5, 5]
+        assert [(t.status, t.message) for c in rep.conditions for t in c.trials] == \
+            [("ResolutionTooCoarse", "no valid grid cells")] * 2
+
+    def test_run_experiment_alone_shares_nothing(self, monkeypatch):
+        cfg = small_config(mode="discrete", trials=1, budget=2)
+        scenes, grids = _scene_calls(monkeypatch)
+        run_experiment(cfg, None, verbose=False)
+        run_experiment(cfg, None, verbose=False)
+        assert len(scenes) == 2 and grids[0][0] is not grids[1][0]
+
+
 XYZ_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
               b"property float y\nproperty float z\n")
 NAN_VERTEX = XYZ_HEADER + b"end_header\nnan 0 0\n"
@@ -523,9 +650,38 @@ class TestCli:
         assert len(read_ply(gt_path)) == 700
         assert gt_path.read_bytes() == (tmp_path / "out" / "gt.ply").read_bytes()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--out", "elsewhere"), ("--trials", "3"), ("--budget", "3"),
+        ("--strategy", "rs"), ("--mode", "discrete"),
+    ])
+    def test_export_gt_rejects_a_flag_it_does_not_read(self, tmp_path, capsys, flag, value):
+        gt_path = tmp_path / "gt.ply"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["export-gt", flag, value, "--file", str(gt_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not gt_path.exists()
+
+    def test_export_gt_reads_the_seed_flag(self, tmp_path):
+        paths = [tmp_path / f"gt_{seed}.ply" for seed in (3, 4)]
+        for seed, path in zip((3, 4), paths):
+            assert cli_main(["export-gt", "--seed", str(seed), "--samples", "50",
+                             "--file", str(path)]) == 0
+        cfg = config_from_flat({"seed": 3, "gt_samples": 50})
+        export_ply(experiment._ground_truth(cfg, Phantom(cfg.phantom, cfg.tumor)),
+                   tmp_path / "ref.ply")
+        assert paths[0].read_bytes() == (tmp_path / "ref.ply").read_bytes()
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
     def _matrix_configs(self, monkeypatch, argv):
         ran = []
-        monkeypatch.setattr(cli, "run_matrix", lambda cfgs, out: ran.append(cfgs))
+
+        def run_matrix(cfgs, out):  # one scored trial, so the command exits 0
+            ran.append(cfgs)
+            trial = TrialOutcome(index=0, seed=cfgs[0].seed, status="ok", report=None)
+            return MatrixReport([ConditionReport(cfgs[0], [trial], None, 0.0, 0.0, 0, 0.0)], {})
+
+        monkeypatch.setattr(cli, "run_matrix", run_matrix)
         assert cli_main(["matrix", *argv]) == 0
         return ran[0]
 
@@ -543,6 +699,16 @@ class TestCli:
         assert [c.condition for c in cfgs] == \
             [c.condition for c in table1_matrix() if c.strategy == "bo"]
         assert {(c.budget, c.probe.f_thres) for c in cfgs} == {(3, 4.0)}
+
+    def test_matrix_with_no_scored_trial_exits_1(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("trials = 1\nbudget = 1\ntumor.center_xy = [0.05, 0.05]\n")
+        flags = ["--config", str(cfg_file), "--strategy", "rs", "--mode", "discrete",
+                 "--shape", "hemisphere"]
+        for command in ("run", "matrix"):
+            assert cli_main([command, *flags, "--out", str(tmp_path / command)]) == 1
+        assert (tmp_path / "matrix" / "summary.csv").read_text().splitlines()[1:] == \
+            ["rs_discrete_hemisphere,hemisphere,rs,discrete,per_trial,1,1,,,1"]
 
     def test_matrix_rejects_a_shared_label(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"
@@ -565,8 +731,8 @@ class TestCli:
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)
         for command in ("run", "matrix", "export-gt"):
-            assert cli_main([command, "--config", str(cfg_file),
-                             "--out", str(tmp_path / "out")]) == 2
+            out = [] if command == "export-gt" else ["--out", str(tmp_path / "out")]
+            assert cli_main([command, "--config", str(cfg_file), *out]) == 2
             err = capsys.readouterr().err
             assert err.startswith("palpsim: error: ConfigInvalid: ") and message in err
             assert err.count("\n") == 1
@@ -575,9 +741,11 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "matrix", "export-gt"])
     def test_missing_config_file_is_one_error_line(self, tmp_path, capsys, command):
         missing = tmp_path / "missing.cfg"
-        argv = [command, "--config", str(missing), "--out", str(tmp_path / "out")]
+        argv = [command, "--config", str(missing)]
         if command == "export-gt":
             argv += ["--file", str(tmp_path / "gt.ply")]
+        else:
+            argv += ["--out", str(tmp_path / "out")]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == (f"palpsim: error: ConfigInvalid: {missing}: "
                                            "cannot read config file: No such file or directory\n")
