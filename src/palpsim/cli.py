@@ -17,6 +17,7 @@ from .errors import PalpSimError
 from .evaluation import fscore
 from .experiment import (
     _DEFAULT_KEYS,
+    ExperimentConfig,
     _ground_truth,
     config_from_flat,
     load_config_file,
@@ -79,7 +80,8 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval", help="score a reconstruction PLY against a GT PLY")
     p_eval.add_argument("recon", help="reconstructed cloud (ascii PLY)")
     p_eval.add_argument("gt", help="ground-truth cloud (ascii PLY)")
-    p_eval.add_argument("--r", type=float, default=0.003, help="distance threshold (m)")
+    p_eval.add_argument("--r", type=float, default=ExperimentConfig.r_eval,
+                        help="distance threshold (m)")
 
     args = parser.parse_args(argv)
     try:

@@ -40,7 +40,7 @@ class ResolutionTooCoarse(PalpSimError, ValueError):
 
 
 class InvalidCell(PalpSimError, KeyError):
-    """Grid cell is out of range or masked invalid."""
+    """Grid cell is out of range, masked invalid or already sampled."""
 
 
 class SingularKernel(PalpSimError, RuntimeError):

@@ -157,17 +157,18 @@ class ConditionReport:
 
     @property
     def scored(self) -> bool:
-        """Whether any trial got an F-score; ``mean_f`` and ``max_f`` are 0 if not."""
+        """Whether any trial got an F-score; if not, no output shows ``mean_f`` or ``max_f``."""
         return self.n_failed < len(self.trials)
 
 
-def default_config(shape: str = HEMISPHERE, strategy: str = BO,
-                   mode: str = CONTOUR_FOLLOWING, seed: int = 7,
-                   trials: int = 10, budget: Optional[int] = None) -> ExperimentConfig:
+def default_config(shape: str = TumorGeometry.shape, strategy: str = ExperimentConfig.strategy,
+                   mode: str = ExperimentConfig.mode, seed: int = ExperimentConfig.seed,
+                   trials: int = ExperimentConfig.trials,
+                   budget: Optional[int] = None) -> ExperimentConfig:
     """Per-shape defaults mirroring the benchtop protocol: palpation
-    budget 50 for the hemisphere/ellipsoid ROI, 80 for the crescent."""
+    budget 80 for the crescent, the field default (50) for the others."""
     if budget is None:
-        budget = 80 if shape == CRESCENT else 50
+        budget = 80 if shape == CRESCENT else ExperimentConfig.budget
     return ExperimentConfig(tumor=TumorGeometry(shape=shape), strategy=strategy, mode=mode,
                             budget=budget, trials=trials, seed=seed)
 
@@ -424,6 +425,13 @@ def _summary_row(rep: ConditionReport) -> str:
     ])
 
 
+def _f_text(rep: ConditionReport) -> str:
+    """The F fields of the printed lines: ``n/a`` where ``summary.csv`` leaves them empty."""
+    if not rep.scored:
+        return "mean_F=n/a max_F=n/a"
+    return f"mean_F={rep.mean_f:.3f} max_F={rep.max_f:.3f}"
+
+
 def _write_trajectories(fh, trial: TrialOutcome) -> None:
     """One JSON line per probe, then one per contour waypoint."""
     def record(j, t, p, f, phase, outcome):
@@ -489,8 +497,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, verbose: bool = True,
     if out_dir is not None:
         _write_condition(rep, Path(out_dir))
     if verbose:
-        print(f"[{cfg.condition}] mean_F={mean_f:.3f} max_F={max_f:.3f} "
-              f"({rep.wall_time:.1f}s)")
+        print(f"[{cfg.condition}] {_f_text(rep)} ({rep.wall_time:.1f}s)")
     return rep
 
 
@@ -542,8 +549,7 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
         _write_csv(out_path / "summary.csv", SUMMARY_HEADER, rows)
     if verbose:
         for rep in reports:
-            cfg = rep.config
-            print(f"{cfg.condition:28s} mean_F={rep.mean_f:.3f} max_F={rep.max_f:.3f}")
+            print(f"{rep.config.condition:28s} {_f_text(rep)}")
         for shape, score in sorted(combined.items()):
             print(f"combined[{shape}]: F={score.fscore:.3f}")
     return MatrixReport(reports, combined)

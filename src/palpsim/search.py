@@ -6,12 +6,10 @@ with the length scale in cell units.  Hyperparameters are fixed per run;
 sample budgets of 50-80 indentations are too small for stable online
 hyperparameter fitting.
 
-Each palpation adds one sample, so the posterior grows instead of being
-refitted: ``GPModel`` keeps a lower Cholesky factor that gains one row
-per new distinct cell, and, for the grid it last scanned, the rows
-``L⁻¹ K(x, valid cells)`` with their running column sums of squares.
-A scan after a new sample costs one kernel column over the valid cells
-and one O(n·m) product.
+Each palpation samples a new cell, so the posterior grows instead of
+being refitted: ``GPModel`` appends a Cholesky row per sample and, for
+the grid it last scanned, a row of ``L⁻¹ K(x, valid cells)``.  A scan
+after a new sample costs one kernel column and one O(n·m) product.
 
 The scan's two row products stay under OpenBLAS's gemv threading cutoff
 (``_vecmat``).  A threaded product wakes a helper thread that spins for
@@ -66,32 +64,26 @@ class Acquisition:
 
 
 class GPModel:
-    """Posterior over stiffness that grows one sample at a time.
+    """Posterior over stiffness that grows one sample, at a new cell, at a time.
 
-    Samples at the same cell are averaged, so the factor depends on the
-    distinct cells only: ``add`` records a sample, and a new cell's row
-    of the lower Cholesky factor ``L`` of K(x, x) + (noise_var + jitter) I
-    is appended at the next prediction or scan, as ``l = L⁻¹ k`` and
-    ``d = √(signal_var + noise_var + jitter − l·l)``.  A repeated cell
-    only updates its averaged ``y``.
-
-    The prior mean is the mean of the per-cell averages, so predictions
-    far from all data revert to it (and the variance to signal_var):
-    ``var = signal_var − ‖L⁻¹kₛ‖²`` and ``μ = ȳ + (L⁻¹(y − ȳ))·(L⁻¹kₛ)``.
-    ``predict_grid`` keeps ``V = L⁻¹ K(x, valid cells)`` and the column
-    sums of ``V²`` for the last grid it scanned, and appends one row of
-    each per new cell.  Its products with ``V`` go through ``_vecmat``, so
-    they run on the calling thread and give the same bits on any core count.
+    ``add`` appends the cell's row of the lower Cholesky factor ``L`` of
+    K(x, x) + (noise_var + jitter) I, as ``l = L⁻¹ k`` and
+    ``d = √(signal_var + noise_var + jitter − l·l)``.  The prior mean is
+    the sample mean, so predictions far from all data revert to it (and
+    the variance to signal_var): ``var = signal_var − ‖L⁻¹kₛ‖²`` and
+    ``μ = ȳ + (L⁻¹(y − ȳ))·(L⁻¹kₛ)``.  Both predictions build
+    ``V = L⁻¹ K(x, cells)`` row by row in ``_posterior``; ``predict_grid``
+    keeps ``V`` and the column sums of ``V²`` for the last grid it scanned
+    and appends one row of each per new sample.  The products with ``V``
+    go through ``_vecmat``, so they run on the calling thread and give the
+    same bits on any core count.
     """
 
     def __init__(self, hyper: GPHyper = GPHyper()):
         self.hyper = hyper
-        self._index: dict[tuple[int, int], int] = {}
-        self._cells: list[tuple[int, int]] = []   # distinct cells, first-seen order
-        self._ks: list[list[float]] = []          # raw stiffness per distinct cell
-        self._y: list[float] = []                 # their averages
+        self._cells: list[tuple[int, int]] = []   # sampled cells, in the order added
+        self._y: list[float] = []                 # their stiffness
         self._chol = np.zeros((0, 0))             # L
-        self._rows = 0                            # rows of L built
         self._grid: SurfaceGrid | None = None     # grid of the scan cache
         self._valid = np.zeros((0, 2))
         self._v = np.zeros((0, 0))                # V, in a buffer that grows
@@ -100,7 +92,7 @@ class GPModel:
 
     @property
     def n(self) -> int:
-        """Number of distinct sampled cells."""
+        """Number of sampled cells."""
         return len(self._cells)
 
     @property
@@ -112,52 +104,30 @@ class GPModel:
         return np.array(self._y)
 
     def add(self, sample: StiffnessSample) -> None:
-        """Record one sample; its factor row is appended on the next read."""
+        """Record a sample at a cell not sampled before and append its row of L;
+        a repeated cell raises ``InvalidCell`` and a row with no positive
+        diagonal ``SingularKernel``, either leaving the model as it was."""
         cell = (int(sample.cell[0]), int(sample.cell[1]))
-        i = self._index.setdefault(cell, len(self._cells))
-        if i == len(self._cells):
-            self._cells.append(cell)
-            self._ks.append([])
-            self._y.append(0.0)
-        self._ks[i].append(float(sample.k))
-        self._y[i] = float(np.mean(self._ks[i]))
-
-    def _factor(self) -> np.ndarray:
-        """Append the rows of L for cells added since the last call; return L."""
+        if cell in self._cells:
+            raise InvalidCell(f"cell {cell} is already sampled")
         n, h = self.n, self.hyper
-        if n == 0:
-            raise Empty("GP has no samples")
-        if self._rows < n:
-            x = self.x
-            chol = np.zeros((n, n))
-            chol[:self._rows, :self._rows] = self._chol[:self._rows, :self._rows]
-            self._chol = chol
-            for i in range(self._rows, n):
-                k = _kernel(x[i:i + 1], x[:i], h)[0]
-                l = solve_triangular(chol[:i, :i], k, lower=True, check_finite=False) if i else k
-                d2 = h.signal_var + h.noise_var + _JITTER - l @ l
-                if not d2 > 0.0:
-                    raise SingularKernel(f"kernel not positive definite at cell {self._cells[i]}")
-                chol[i, :i] = l
-                chol[i, i] = math.sqrt(d2)
-                self._rows = i + 1
-        return self._chol
-
-    def _weights(self, chol: np.ndarray) -> tuple[float, np.ndarray]:
-        """Prior mean ȳ and L⁻¹(y − ȳ)."""
-        y = self.y
-        mean_y = float(y.mean())
-        return mean_y, solve_triangular(chol, y - mean_y, lower=True, check_finite=False)
+        k = _kernel(np.array([cell], dtype=float), self.x, h)[0]
+        l = solve_triangular(self._chol, k, lower=True, check_finite=False) if n else k
+        d2 = h.signal_var + h.noise_var + _JITTER - l @ l
+        if not d2 > 0.0:
+            raise SingularKernel(f"kernel not positive definite at cell {cell}")
+        chol = np.zeros((n + 1, n + 1))
+        chol[:n, :n] = self._chol
+        chol[n, :n] = l
+        chol[n, n] = math.sqrt(d2)
+        self._chol = chol
+        self._cells.append(cell)
+        self._y.append(float(sample.k))
 
     def predict_many(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at (m, 2) cell coordinates."""
-        chol = self._factor()
         cells = np.asarray(cells, dtype=float).reshape(-1, 2)
-        w = solve_triangular(chol, _kernel(self.x, cells, self.hyper), lower=True,
-                             check_finite=False)
-        mean_y, beta = self._weights(chol)
-        var = self.hyper.signal_var - np.einsum("ij,ij->j", w, w)
-        return mean_y + beta @ w, np.maximum(var, 0.0)
+        return self._posterior(cells, np.zeros((self.n, len(cells))), np.zeros(len(cells)), 0)
 
     def predict_grid(self, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at ``grid.valid_cells()``, in that order.
@@ -165,23 +135,33 @@ class GPModel:
         Uses the cached ``V`` when ``grid`` is the grid of the last scan (a
         grid's arrays are read-only), and starts a new cache otherwise.
         """
-        chol = self._factor()
         if grid is not self._grid:
             self._grid = grid
             self._valid = grid.valid_cells().astype(float)
             self._v = np.zeros((0, self._valid.shape[0]))
             self._v_rows = 0
             self._v_sq = np.zeros(self._valid.shape[0])
-        n, x = self.n, self.x
-        v = self._v = _grown(self._v, n)
-        for i in range(self._v_rows, n):
-            col = _kernel(x[i:i + 1], self._valid, self.hyper)[0]
+        self._v = _grown(self._v, self.n)
+        out = self._posterior(self._valid, self._v, self._v_sq, self._v_rows)
+        self._v_rows = self.n
+        return out
+
+    def _posterior(self, cells: np.ndarray, v: np.ndarray, v_sq: np.ndarray,
+                   start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and variance at ``cells`` after writing rows ``start..n`` of
+        ``V = L⁻¹ K(x, cells)`` into ``v`` and adding their squares to ``v_sq``."""
+        n, h, chol = self.n, self.hyper, self._chol
+        if n == 0:
+            raise Empty("GP has no samples")
+        x = self.x
+        for i in range(start, n):
+            col = _kernel(x[i:i + 1], cells, h)[0]
             v[i] = (col - _vecmat(chol[i, :i], v[:i])) / chol[i, i]
-            self._v_sq += v[i] * v[i]
-            self._v_rows = i + 1
-        mean_y, beta = self._weights(chol)
-        var = self.hyper.signal_var - self._v_sq
-        return mean_y + _vecmat(beta, v[:n]), np.maximum(var, 0.0)
+            v_sq += v[i] * v[i]
+        y = self.y
+        mean_y = float(y.mean())
+        beta = solve_triangular(chol, y - mean_y, lower=True, check_finite=False)
+        return mean_y + _vecmat(beta, v[:n]), np.maximum(h.signal_var - v_sq, 0.0)
 
 
 def _vecmat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,13 +203,12 @@ def _kernel(a: np.ndarray, b: np.ndarray, hyper: GPHyper) -> np.ndarray:
 
 
 def gp_fit(samples: list[StiffnessSample], hyper: GPHyper = GPHyper()) -> GPModel:
-    """Fit the GP by adding ``samples`` in order; duplicate cells are averaged."""
+    """Fit the GP by adding ``samples`` in order, each at a cell of its own."""
     if len(samples) == 0:
         raise Empty("need at least one sample")
     gp = GPModel(hyper)
     for s in samples:
         gp.add(s)
-    gp._factor()
     return gp
 
 

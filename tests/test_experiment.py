@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from palpsim import (
     CloudParams,
     ExperimentConfig,
+    GPHyper,
     Phantom,
     PhantomConfig,
     PointCloud,
@@ -283,6 +284,9 @@ class TestConfigFile:
         assert cfg.budget == 17
         assert cfg.mode == "discrete"
 
+    def test_default_config_is_the_dataclass_default(self):
+        assert default_config() == ExperimentConfig()
+
 
 class TestRunExperiment:
     def test_outputs_and_aggregates(self, tmp_path):
@@ -335,6 +339,15 @@ class TestRunExperiment:
         assert rep.trials[0].status == "EmptyReconstruction"
         rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert rows[1].split(",")[7] == "EmptyReconstruction"
+
+    def test_singular_kernel_fails_a_trial_that_never_picks_by_bo(self):
+        # budget = n_init: every cell is drawn at random, and no EI scan reads the GP
+        cfg = small_config(trials=1, budget=3, mode="discrete", n_init=3,
+                           hyper=GPHyper(length_scale=1e9, signal_var=1e8, noise_var=0.0))
+        phantom = Phantom(cfg.phantom, cfg.tumor)
+        out = experiment.run_trial(cfg, phantom, experiment._ground_truth(cfg, phantom), 0)
+        assert out.status == "SingularKernel"
+        assert out.message.startswith("kernel not positive definite at cell")
 
     def test_unscored_condition_leaves_its_f_cells_empty(self, tmp_path):
         cfg = small_config(trials=1, budget=1, mode="discrete")
@@ -709,6 +722,29 @@ class TestCli:
             assert cli_main([command, *flags, "--out", str(tmp_path / command)]) == 1
         assert (tmp_path / "matrix" / "summary.csv").read_text().splitlines()[1:] == \
             ["rs_discrete_hemisphere,hemisphere,rs,discrete,per_trial,1,1,,,1"]
+
+    def test_unscored_condition_prints_n_a(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("trials = 1\nbudget = 1\ntumor.center_xy = [0.05, 0.05]\n")
+        flags = ["--config", str(cfg_file), "--strategy", "rs", "--mode", "discrete",
+                 "--shape", "hemisphere"]
+        cli_main(["run", *flags, "--out", str(tmp_path / "run")])
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"\[rs_discrete_hemisphere\] mean_F=n/a max_F=n/a \(\d+\.\ds\)",
+                            lines[-1])
+        cli_main(["matrix", *flags, "--out", str(tmp_path / "matrix")])
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{'rs_discrete_hemisphere':28s} mean_F=n/a max_F=n/a" in lines
+        assert not any("0.000" in line for line in lines)
+
+    def test_eval_radius_defaults_to_the_config_field(self, tmp_path, monkeypatch):
+        gt_path = tmp_path / "gt.ply"
+        export_ply(PointCloud(np.zeros((1, 3))), gt_path)
+        radii, score = [], cli.fscore
+        monkeypatch.setattr(cli, "fscore",
+                            lambda recon, gt, r: radii.append(r) or score(recon, gt, r))
+        assert cli_main(["eval", str(gt_path), str(gt_path)]) == 0
+        assert radii == [ExperimentConfig.r_eval]
 
     def test_matrix_rejects_a_shared_label(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -1,6 +1,7 @@
 """No module of the package keeps an import that its code never names,
-no module-level private name goes unread across the package, and every
-error class of ``errors.py`` is raised by some other module.
+no module-level private name goes unread across the package, every
+error class of ``errors.py`` is raised by some other module, and every
+parameter of every function is read in its body.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public names.
@@ -100,3 +101,46 @@ def test_the_check_finds_an_unraised_error():
 def test_every_error_class_is_raised_outside_errors_py():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"]
     assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``Qual.name/param`` for each parameter of a ``def`` in ``source``
+    that no expression in its body (nested functions included) reads."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}."
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg,
+                                          a.kwarg) if p is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{prefix}{child.name}/{p}" for p in params if p not in read)
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_check_finds_an_unread_parameter():
+    source = ("def f(a, b=1, *args, c, **kw):\n    return a + c\n"
+              "class K:\n    def m(self, x):\n        def g(y):\n            return x\n"
+              "        return g\n"
+              "    @staticmethod\n    def s(z=lambda: 0):\n        z = 1\n")
+    assert unread_parameters(source) == ["f/b", "f/args", "f/kw", "K.m/self", "K.m.g/y",
+                                         "K.s/z"]
+
+
+# ``perfbench/test_checks.py`` builds ``ProbePlant(phantom, params, cal)``, and the
+# benchmark's files change only in a change of their own.
+UNREAD_PARAMETERS = {"policy.py": ["ProbePlant.__init__/phantom"]}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_parameter_is_read(module):
+    assert unread_parameters((PACKAGE / module).read_text()) == \
+        UNREAD_PARAMETERS.get(module, [])

@@ -94,12 +94,6 @@ class TestGPFit:
         with pytest.raises(SingularKernel, match=r"kernel not positive definite at cell \(0, 1\)"):
             gp_fit([StiffnessSample((0, 0), 300.0), StiffnessSample((0, 1), 500.0)], hyper)
 
-    def test_duplicate_cells_averaged(self):
-        hyper = GPHyper(noise_var=0.0)
-        gp = gp_fit([StiffnessSample((2, 2), 400.0), StiffnessSample((2, 2), 600.0)], hyper)
-        mu, _ = gp.predict_many([(2, 2)])
-        assert mu[0] == pytest.approx(500.0, abs=1e-6)
-
 
 class TestGPPredict:
     def test_far_cell_reverts_to_prior(self):
@@ -427,32 +421,13 @@ class TestCandidates:
 hypers = st.builds(
     lambda ls, sv, ratio: GPHyper(length_scale=ls, signal_var=sv, noise_var=sv * ratio),
     st.floats(0.5, 5.0), st.floats(1e2, 1e5), st.floats(1e-3, 1.0))
-# cells run off the 8 x 8 grid on both sides; the narrow range makes duplicates
+# cells run off the 8 x 8 grid on both sides; a run samples each cell once
 sample_lists = st.lists(
     st.builds(StiffnessSample, st.tuples(st.integers(-3, 10), st.integers(-3, 10)),
               st.floats(0.0, 2000.0)),
-    min_size=1, max_size=30)
+    min_size=1, max_size=30, unique_by=lambda s: s.cell)
 masks = st.lists(st.booleans(), min_size=64, max_size=64).map(
     lambda f: np.array(f, dtype=bool).reshape(8, 8)).filter(np.any)
-
-
-def dense_posterior(samples, hyper, cells):
-    """Posterior from per-cell averages and ``np.linalg.solve`` on the full matrix."""
-    by_cell = {}
-    for s in samples:
-        by_cell.setdefault(tuple(s.cell), []).append(s.k)
-    x = np.array(list(by_cell), dtype=float)
-    y = np.array([np.mean(v) for v in by_cell.values()])
-
-    def kern(a, b):
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
-        return hyper.signal_var * np.exp(-0.5 * d2 / hyper.length_scale**2)
-
-    kmat = kern(x, x) + (hyper.noise_var + 1e-10) * np.eye(len(x))
-    ks = kern(np.asarray(cells, dtype=float), x)
-    mu = y.mean() + ks @ np.linalg.solve(kmat, y - y.mean())
-    var = hyper.signal_var - np.einsum("ij,ji->i", ks, np.linalg.solve(kmat, ks.T))
-    return mu, np.maximum(var, 0.0), y
 
 
 def dense_ei(mu, var, best_k, xi):
@@ -470,8 +445,8 @@ class TestGrowingPosterior:
     def test_matches_dense_solve(self, samples, hyper, mask):
         grid = make_grid(8, 8, mask)
         gp = gp_fit(samples, hyper)
-        mu_o, var_o, y = dense_posterior(samples, hyper, grid.valid_cells())
-        scale = max(1.0, float(np.abs(y).max()))
+        mu_o, var_o = dense_gp_oracle(samples, hyper, grid.valid_cells())
+        scale = max(1.0, max(abs(s.k) for s in samples))
         for mu, var in (gp.predict_grid(grid), gp.predict_many(grid.valid_cells())):
             assert np.all(np.abs(mu - mu_o) <= 1e-9 * scale)
             assert np.all(np.abs(var - var_o) <= 1e-9 * hyper.signal_var)
@@ -494,6 +469,8 @@ class TestGrowingPosterior:
         mu_f, var_f = fit.predict_grid(grid)
         assert np.array_equal(mu, mu_f) and np.array_equal(var, var_f)
         assert np.array_equal(gp.x, fit.x) and np.array_equal(gp.y, fit.y)
+        mu_m, var_m = gp.predict_many(grid.valid_cells())
+        assert mu_m.tobytes() == mu.tobytes() and var_m.tobytes() == var.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(samples=sample_lists, hyper=hypers, mask=masks, xi=st.floats(0.0, 10.0),
@@ -511,19 +488,38 @@ class TestGrowingPosterior:
                 next_cell_bo(gp, grid, free, acq, rng)
             return
         pick = next_cell_bo(gp, grid, free, acq, rng)
-        mu, var, _ = dense_posterior(samples, hyper, cand)
+        mu, var = dense_gp_oracle(samples, hyper, cand)
         ei = dense_ei(mu, var, acq.best_k, xi)
         mine = ei[np.flatnonzero((cand == pick).all(axis=1))[0]]
         assert mine >= ei.max() - 1e-6 * max(1.0, ei.max())
 
 
+def gp_state(gp, grid) -> list[bytes]:
+    """The bytes of the model's cells, stiffness and both predictions on ``grid``."""
+    arrays = [gp.x, gp.y, *gp.predict_many(grid.valid_cells()), *gp.predict_grid(grid)]
+    return [a.tobytes() for a in arrays]
+
+
 class TestGPModel:
-    def test_repeated_cell_keeps_the_factor(self):
+    @pytest.mark.parametrize("cell", [(1, 1), (np.int64(1), np.int64(1))])
+    def test_repeated_cell_is_an_invalid_cell_and_changes_nothing(self, cell):
+        grid = make_grid(6, 6)
         gp = gp_fit([StiffnessSample((1, 1), 300.0), StiffnessSample((4, 2), 500.0)])
-        gp.add(StiffnessSample((1, 1), 400.0))
+        before = gp_state(gp, grid)
+        with pytest.raises(InvalidCell, match=r"cell \(1, 1\) is already sampled"):
+            gp.add(StiffnessSample(cell, 400.0))
         assert gp.n == 2
-        assert gp.y.tolist() == [350.0, 500.0]
-        assert gp.y.mean() == 425.0
+        assert gp_state(gp, grid) == before
+
+    def test_singular_kernel_is_raised_by_the_add_that_makes_it(self):
+        grid = make_grid(3, 3)
+        gp = GPModel(GPHyper(length_scale=1e9, signal_var=1e8, noise_var=0.0))
+        gp.add(StiffnessSample((0, 0), 300.0))
+        before = gp_state(gp, grid)
+        with pytest.raises(SingularKernel, match=r"not positive definite at cell \(0, 1\)"):
+            gp.add(StiffnessSample((0, 1), 500.0))
+        assert gp.n == 1
+        assert gp_state(gp, grid) == before
 
     def test_grid_arrays_are_read_only_copies(self):
         # the scan cache is keyed on the grid object, so its arrays must not change
