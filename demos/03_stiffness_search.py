@@ -6,34 +6,29 @@ picks the next cell.  This demo runs both strategies on one registered
 scene and reports how quickly each finds the stiff inclusion.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from palpsim import (
-    ControllerGains,
     Phantom,
-    PhantomConfig,
-    ProbeParams,
-    RoiBox,
-    TumorGeometry,
     crop_roi,
+    default_config,
     interpolate_grid,
     mesh_from_cloud,
     preprocess_cloud,
     run_policy,
 )
 
-phantom = Phantom(PhantomConfig(), TumorGeometry("hemisphere"))
-roi = RoiBox((-0.02, -0.02), (0.02, 0.02))
-raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=1)
-grid = interpolate_grid(crop_roi(mesh_from_cloud(preprocess_cloud(raw)), roi),
-                        0.002, 0.002)
-
-params, gains = ProbeParams(), ControllerGains()
 budget = 40
+cfg = default_config("hemisphere", mode="discrete", budget=budget)
+phantom = Phantom(cfg.phantom, cfg.tumor)
+raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=1)
+grid = interpolate_grid(crop_roi(mesh_from_cloud(preprocess_cloud(raw)), cfg.roi),
+                        cfg.grid_dx, cfg.grid_dy)
 
 for strategy in ("bo", "rs"):
-    probes, _ = run_policy(phantom, grid, strategy, "discrete", budget,
-                           params, gains, seed=2)
+    probes, _ = run_policy(phantom, grid, replace(cfg, strategy=strategy), seed=2)
     ks = np.array([p.k for p in probes])
     hits = np.cumsum([p.classified_tumor for p in probes])
     first = next((i for i, p in enumerate(probes) if p.classified_tumor), None)

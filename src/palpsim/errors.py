@@ -42,6 +42,8 @@ class ResolutionTooCoarse(PalpSimError, ValueError):
 class InvalidCell(PalpSimError, KeyError):
     """Grid cell is out of range, masked invalid or already sampled."""
 
+    __str__ = Exception.__str__  # the message as given, not KeyError's quoted repr
+
 
 class SingularKernel(PalpSimError, RuntimeError):
     """GP kernel matrix not positive definite even after jitter."""

@@ -331,18 +331,17 @@ def _write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
             fh.write(f"{key} = {json.dumps(value)}\n")
 
 
-def _scene(cfg: ExperimentConfig, phantom: Phantom, trial_seed: int) -> SurfaceGrid:
+def _scene(phantom_cfg: PhantomConfig, cloud: CloudParams, roi: RoiBox, dx: float,
+           dy: float, trial_seed: int) -> SurfaceGrid:
     """The trial's registered skin: depth scan, filter, mesh, crop, grid.
-    The scan reads only the skin, so the tumor does not enter."""
-    m = cfg.cloud.margin
-    region = ((cfg.roi.min_xy[0] - m, cfg.roi.min_xy[1] - m),
-              (cfg.roi.max_xy[0] + m, cfg.roi.max_xy[1] + m))
-    raw = phantom.synth_depth_cloud(region, cfg.cloud.density, cfg.cloud.noise_sigma,
-                                    seed=[trial_seed, _CLOUD_STREAM])
-    cloud = preprocess_cloud(raw, cfg.cloud.voxel, cfg.cloud.outlier_k,
-                             cfg.cloud.outlier_sigma)
-    mesh = crop_roi(mesh_from_cloud(cloud), cfg.roi)
-    return interpolate_grid(mesh, cfg.grid_dx, cfg.grid_dy)
+    Its arguments are the scene's cache key; the scan is of a phantom
+    without a tumor, so the tumor cannot enter."""
+    m = cloud.margin
+    region = ((roi.min_xy[0] - m, roi.min_xy[1] - m), (roi.max_xy[0] + m, roi.max_xy[1] + m))
+    raw = Phantom(phantom_cfg).synth_depth_cloud(region, cloud.density, cloud.noise_sigma,
+                                                 seed=[trial_seed, _CLOUD_STREAM])
+    points = preprocess_cloud(raw, cloud.voxel, cloud.outlier_k, cloud.outlier_sigma)
+    return interpolate_grid(crop_roi(mesh_from_cloud(points), roi), dx, dy)
 
 
 def run_trial(cfg: ExperimentConfig, phantom: Phantom, gt: PointCloud,
@@ -359,12 +358,9 @@ def run_trial(cfg: ExperimentConfig, phantom: Phantom, gt: PointCloud,
     key = (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
     try:
         if key not in scenes:
-            scenes[key] = _scene(cfg, phantom, trial_seed)
+            scenes[key] = _scene(*key)
         grid = scenes[key]
-        probes, trajs = run_policy(
-            phantom, grid, cfg.strategy, cfg.mode, cfg.budget, cfg.probe,
-            cfg.gains, trial_seed, cal=cfg.cal, hyper=cfg.hyper, xi=cfg.xi,
-            n_init=cfg.n_init)
+        probes, trajs = run_policy(phantom, grid, cfg, trial_seed)
         out.n_probes = len(probes)
         out.n_classified = sum(1 for p in probes if p.classified_tumor)
         out.n_trajectories = len(trajs)

@@ -276,13 +276,6 @@ class Phantom:
             )
         self.cfg = cfg
         self.tumor = tumor
-        self._profile = cfg.surface_profile
-        self._skin_base = cfg.muscle_plane_z + cfg.stack_depth
-        self._stack = cfg.stack_depth
-        self._k_soft = cfg.k_soft
-        self._k_tumor = cfg.k_tumor
-        self._k_muscle = cfg.k_muscle
-        self._damping = cfg.contact_damping
 
     # -- geometry ----------------------------------------------------------
 
@@ -298,16 +291,17 @@ class Phantom:
 
     def surface_normal_np(self, xs: np.ndarray, ys: np.ndarray):
         """Outward unit normal of the skin surface: (nx, ny, nz) arrays."""
-        gx, gy = self._profile.slope_np(xs, ys)
+        gx, gy = self.cfg.surface_profile.slope_np(xs, ys)
         inv = 1.0 / np.sqrt(gx * gx + gy * gy + 1.0)
         return -gx * inv, -gy * inv, inv
 
     def z_skin_np(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self._skin_base + self._profile.height_np(xs, ys)
+        c = self.cfg
+        return c.muscle_plane_z + c.stack_depth + c.surface_profile.height_np(xs, ys)
 
     def z_stop_np(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         h = self.tumor.height_np(xs, ys) if self.tumor is not None else 0.0
-        return self.z_skin_np(xs, ys) - self._stack + h
+        return self.z_skin_np(xs, ys) - self.cfg.stack_depth + h
 
     # -- contact -----------------------------------------------------------
 
@@ -328,13 +322,14 @@ class Phantom:
         profile's ``u``/``s`` (cyl_bump) or height (gauss_bump); the
         tumor's height is ``height_fn``.  The ``*_np`` methods do the same
         operations in the same order, so they give the same floats."""
-        prof = self._profile
+        c = self.cfg
+        prof = c.surface_profile
         cyl, gauss = prof.kind == CYL_BUMP, prof.kind == GAUSS_BUMP
         amp, radius = prof.amplitude, prof.radius
         sig2 = prof.sigma * prof.sigma
         two_sig2 = 2.0 * prof.sigma * prof.sigma
-        base, stack, k_soft = self._skin_base, self._stack, self._k_soft
-        k_tumor, k_muscle, damping = self._k_tumor, self._k_muscle, self._damping
+        base, stack, k_soft = c.muscle_plane_z + c.stack_depth, c.stack_depth, c.k_soft
+        k_tumor, k_muscle, damping = c.k_tumor, c.k_muscle, c.contact_damping
         tumor_height = self.tumor.height_fn() if self.tumor is not None else None
         sqrt, exp = math.sqrt, math.exp
 
@@ -379,12 +374,12 @@ class Phantom:
         d = self.z_skin_np(qx, qy) - probe_z
         h = (self.tumor.height_np(qx, qy) if self.tumor is not None
              else np.zeros_like(d))
-        d_stop = self._stack - h
-        k_hard = np.where(h > 0.0, self._k_tumor, self._k_muscle)
-        f = np.where(d <= d_stop, self._k_soft * d,
-                     self._k_soft * d_stop + k_hard * (d - d_stop))
+        c = self.cfg
+        d_stop = c.stack_depth - h
+        k_hard = np.where(h > 0.0, c.k_tumor, c.k_muscle)
+        f = np.where(d <= d_stop, c.k_soft * d, c.k_soft * d_stop + k_hard * (d - d_stop))
         if probe_vz < 0.0:
-            f = f + self._damping * (-probe_vz)
+            f = f + c.contact_damping * (-probe_vz)
         return np.where(d > 0.0, f, 0.0)
 
     # -- synthetic sensing --------------------------------------------------

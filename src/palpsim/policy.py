@@ -26,7 +26,6 @@ import numpy as np
 from .calibration import CalibrationParams, EulerZYX, euler_from_axis, rotation_zyx
 from .errors import (
     AdmissibleForceExceeded,
-    ConfigInvalid,
     Exhausted,
     NoContact,
     NumericalBlowup,
@@ -37,8 +36,7 @@ from .errors import (
 )
 from .phantom import Phantom
 from .registration import SurfaceGrid, cell_to_surface
-from .search import (Acquisition, GPHyper, GPModel, StiffnessSample, next_cell_bo,
-                     next_cell_random)
+from .search import Acquisition, GPModel, StiffnessSample, next_cell_bo, next_cell_random
 
 # Palpation strategies / modes.
 BO = "bo"
@@ -486,41 +484,33 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     )
 
 
-def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
-               budget: int, params: ProbeParams, gains: ControllerGains,
-               seed: int, cal: Optional[CalibrationParams] = None,
-               hyper: GPHyper = GPHyper(), xi: float = 5.0,
-               n_init: int = 3) -> tuple[list[ProbeResult], list[PalpationTrajectory]]:
+def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg,
+               seed: int) -> tuple[list[ProbeResult], list[PalpationTrajectory]]:
     """Full palpation loop: select cell, probe, grow the GP, optionally follow.
 
-    Each selection counts once against the budget.  Selection and stroke
-    directions draw from independent seeded streams, so a discrete run
-    and a contour-following run with the same seed probe identical
-    cells.
+    Reads ``strategy``, ``mode``, ``budget``, ``probe``, ``gains``, ``cal``,
+    ``hyper``, ``xi`` and ``n_init`` from ``cfg``, an ``ExperimentConfig``,
+    which checked their rules when it was built.  Each selection counts once
+    against the budget.  Selection and stroke directions draw from
+    independent seeded streams, so a discrete run and a contour-following
+    run with the same seed probe identical cells.
     """
-    if strategy not in (BO, RS):
-        raise ConfigInvalid(f"unknown strategy {strategy!r}")
-    if mode not in (CONTOUR_FOLLOWING, DISCRETE):
-        raise ConfigInvalid(f"unknown mode {mode!r}")
-    if budget < 1:
-        raise OutOfRange(f"budget must be >= 1, got {budget}")
-    if strategy == BO and n_init < 2:
-        raise OutOfRange(f"n_init must be >= 2, got {n_init}")
     n_valid = int(grid.valid_mask.sum())
-    if budget > n_valid:
-        raise Exhausted(f"budget {budget} exceeds {n_valid} valid cells")
+    if cfg.budget > n_valid:
+        raise Exhausted(f"budget {cfg.budget} exceeds {n_valid} valid cells")
+    params, gains = cfg.probe, cfg.gains
     rng_select = np.random.default_rng([int(seed), 0])
     rng_stroke = np.random.default_rng([int(seed), 1])
     rng_sense = np.random.default_rng([int(seed), 2])
-    plant = ProbePlant(phantom, params, cal)
+    plant = ProbePlant(phantom, params, cfg.cal)
     free = grid.valid_mask.copy()  # valid cells not yet probed
-    gp = GPModel(hyper) if strategy == BO else None  # gains one sample per probe
+    gp = GPModel(cfg.hyper) if cfg.strategy == BO else None  # gains one sample per probe
     best_k = -math.inf
     results: list[ProbeResult] = []
     trajectories: list[PalpationTrajectory] = []
-    for i in range(budget):
-        if gp is not None and i >= n_init:
-            cell = next_cell_bo(gp, grid, free, Acquisition(xi=xi, best_k=best_k), rng_select)
+    for i in range(cfg.budget):
+        if gp is not None and i >= cfg.n_init:
+            cell = next_cell_bo(gp, grid, free, Acquisition(cfg.xi, best_k), rng_select)
         else:
             cell = next_cell_random(grid, free, rng_select)
         free[cell] = False
@@ -529,7 +519,7 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, strategy: str, mode: str,
         best_k = max(best_k, res.k)
         if gp is not None:
             gp.add(StiffnessSample(cell, res.k))
-        if mode == CONTOUR_FOLLOWING and res.classified_tumor:
+        if cfg.mode == CONTOUR_FOLLOWING and res.classified_tumor:
             trajectories.append(
                 contour_follow(plant, phantom, grid, res, params, gains, rng_stroke)
             )

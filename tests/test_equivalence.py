@@ -56,6 +56,7 @@ from palpsim import (
     contour_follow,
     crop_roi,
     cyl_bump,
+    default_config,
     extract_contact_points,
     flat_profile,
     gauss_bump,
@@ -725,8 +726,8 @@ def assert_same_mesh(cloud: PointCloud) -> None:
 def test_recon_mesh_matches_the_reference_on_run_clouds(analytic_grid, shape, strategy):
     ph = Phantom(PhantomConfig(), TumorGeometry(shape))
     params = ProbeParams()
-    probes, trajs = run_policy(ph, analytic_grid(ph), strategy, "cf", 50, params,
-                               ControllerGains(), seed=11)
+    probes, trajs = run_policy(ph, analytic_grid(ph),
+                               default_config(strategy=strategy, mode="cf", budget=50), seed=11)
     cloud = extract_contact_points(trajs, probes, params)
     assert len(cloud) > 30 and no_zero_area_triangles(cloud)
     assert_same_mesh(cloud)

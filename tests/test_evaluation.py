@@ -3,13 +3,13 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from palpsim import (
-    ControllerGains,
     Phantom,
     PhantomConfig,
     PointCloud,
     ProbeParams,
     TumorGeometry,
     aggregate_trials,
+    default_config,
     extract_contact_points,
     flat_profile,
     fscore,
@@ -81,9 +81,11 @@ class TestExtractContactPoints:
         ph = Phantom(PhantomConfig(surface_profile=flat_profile()),
                            TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
-        params, gains = ProbeParams(), ControllerGains()
-        p_cf, t_cf = run_policy(ph, grid, "bo", "cf", 15, params, gains, seed=4)
-        p_d, t_d = run_policy(ph, grid, "bo", "discrete", 15, params, gains, seed=4)
+        params = ProbeParams()
+        p_cf, t_cf = run_policy(ph, grid, default_config(strategy="bo", mode="cf", budget=15),
+                                seed=4)
+        p_d, t_d = run_policy(ph, grid, default_config(strategy="bo", mode="discrete",
+                                                       budget=15), seed=4)
         rc_cf = extract_contact_points(t_cf, p_cf, params)
         rc_d = extract_contact_points(t_d, p_d, params)
         assert len(rc_cf) >= 10 * len(rc_d)
@@ -91,8 +93,9 @@ class TestExtractContactPoints:
     def test_sanity_envelope(self, analytic_grid):
         ph = Phantom(PhantomConfig(), TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
-        params, gains = ProbeParams(), ControllerGains()
-        probes, trajs = run_policy(ph, grid, "bo", "cf", 12, params, gains, seed=5)
+        params = ProbeParams()
+        probes, trajs = run_policy(ph, grid, default_config(strategy="bo", mode="cf", budget=12),
+                                   seed=5)
         recon = extract_contact_points(trajs, probes, params)
         for p in recon.points:
             assert p[2] >= ph.z_skin(p[0], p[1]) - ph.cfg.stack_depth - 0.001
@@ -182,8 +185,9 @@ class TestReconstructMesh:
         ph = Phantom(PhantomConfig(surface_profile=flat_profile()),
                            TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
-        params, gains = ProbeParams(), ControllerGains()
-        probes, trajs = run_policy(ph, grid, "bo", "cf", 25, params, gains, seed=6)
+        params = ProbeParams()
+        probes, trajs = run_policy(ph, grid, default_config(strategy="bo", mode="cf", budget=25),
+                                   seed=6)
         recon = extract_contact_points(trajs, probes, params)
         mesh = reconstruct_mesh(recon)
         v = mesh.vertices

@@ -39,7 +39,7 @@ from palpsim.experiment import (
     _write_config_echo,
     config_to_flat,
 )
-from palpsim import cli, experiment
+from palpsim import cli, experiment, policy
 from palpsim.cli import main as cli_main
 from palpsim.errors import (
     ConfigInvalid,
@@ -349,6 +349,20 @@ class TestRunExperiment:
         assert out.status == "SingularKernel"
         assert out.message.startswith("kernel not positive definite at cell")
 
+    def test_an_invalid_cell_fails_a_trial_with_its_message_unquoted(self, monkeypatch):
+        # every random draw returns the first cell, so the GP's second add repeats it
+        draw, cells = policy.next_cell_random, []
+
+        def first_cell(grid, free, rng):
+            cells.append(cells[0] if cells else draw(grid, free, rng))
+            return cells[-1]
+
+        monkeypatch.setattr(policy, "next_cell_random", first_cell)
+        cfg = small_config(trials=1, budget=3, mode="discrete")
+        phantom = Phantom(cfg.phantom, cfg.tumor)
+        out = experiment.run_trial(cfg, phantom, experiment._ground_truth(cfg, phantom), 0)
+        assert (out.status, out.message) == ("InvalidCell", f"cell {cells[0]} is already sampled")
+
     def test_unscored_condition_leaves_its_f_cells_empty(self, tmp_path):
         cfg = small_config(trials=1, budget=1, mode="discrete")
         cfg = replace(cfg, tumor=replace(cfg.tumor, center_xy=(0.05, 0.05)))
@@ -467,18 +481,22 @@ class TestRunMatrix:
             run_matrix([], None, verbose=False)
 
 
+def _scene_key(cfg, trial_seed):
+    return (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
+
+
 def _scene_calls(monkeypatch):
-    """Record every ``_scene`` call as (cfg, trial seed) and every grid
-    ``run_policy`` palpates as (grid, trial seed), both in call order."""
+    """Record every ``_scene`` call as its key and every grid ``run_policy``
+    palpates as (grid, trial seed), both in call order."""
     scenes, grids = [], []
     build, policy = experiment._scene, experiment.run_policy
 
-    def scene(cfg, phantom, trial_seed):
-        scenes.append((cfg, trial_seed))
-        return build(cfg, phantom, trial_seed)
+    def scene(*key):
+        scenes.append(key)
+        return build(*key)
 
     def run_policy(phantom, grid, *a, **k):
-        grids.append((grid, a[5]))  # a[5]: the trial seed
+        grids.append((grid, a[1]))  # a[1]: the trial seed
         return policy(phantom, grid, *a, **k)
 
     monkeypatch.setattr(experiment, "_scene", scene)
@@ -513,13 +531,13 @@ class TestSharedScene:
         calls = [(cfg, cfg.seed + i) for cfg in cfgs for i in range(cfg.trials)]
         for (cfg, trial_seed), (grid, seed) in zip(calls, grids):
             assert seed == trial_seed
-            fresh = experiment._scene(cfg, Phantom(cfg.phantom, cfg.tumor), trial_seed)
+            fresh = experiment._scene(*_scene_key(cfg, trial_seed))
             assert fresh is not grid and _same_grid(fresh, grid)
 
     def test_one_scene_per_distinct_key(self, matrix):
         cfgs, _, scenes, grids = matrix
         # the shapes differ only in the tumor, so all 8 conditions share a trial's grid
-        assert scenes == [(cfgs[0], 5), (cfgs[0], 6)]
+        assert scenes == [_scene_key(cfgs[0], 5), _scene_key(cfgs[0], 6)]
         assert len({id(grid) for grid, _ in grids}) == 2
         assert all(grid is grids[seed - 5][0] for grid, seed in grids)
 
@@ -550,8 +568,8 @@ class TestSharedScene:
     def test_a_failed_scene_is_not_shared(self, monkeypatch):
         calls = []
 
-        def scene(cfg, phantom, trial_seed):
-            calls.append(trial_seed)
+        def scene(*key):
+            calls.append(key[-1])
             raise ResolutionTooCoarse("no valid grid cells")
 
         monkeypatch.setattr(experiment, "_scene", scene)

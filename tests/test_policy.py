@@ -15,13 +15,14 @@ from palpsim import (
     TumorGeometry,
     admissible_force,
     contour_follow,
+    default_config,
     flat_profile,
     impedance_force,
     min_jerk_offset,
     probe_cell,
     run_policy,
 )
-from palpsim.errors import ConfigInvalid, Exhausted, NoContact, NumericalBlowup, OutOfRange
+from palpsim.errors import Exhausted, NoContact, NumericalBlowup, OutOfRange
 from palpsim.policy import BOUNDARY_REACHED, TIMEOUT
 from palpsim.registration import SurfaceGrid
 
@@ -300,12 +301,11 @@ class TestRunPolicy:
     def test_budget_and_modes(self, analytic_grid):
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
-        params = ProbeParams()
-        gains = ControllerGains()
-        probes, trajs = run_policy(ph, grid, "bo", "cf", 20, params, gains, seed=3)
+        cfg = default_config(strategy="bo", mode="cf", budget=20)
+        probes, trajs = run_policy(ph, grid, cfg, seed=3)
         assert len(probes) == 20
         assert len(trajs) == sum(1 for p in probes if p.classified_tumor)
-        probes_d, trajs_d = run_policy(ph, grid, "bo", "discrete", 20, params, gains, seed=3)
+        probes_d, trajs_d = run_policy(ph, grid, replace(cfg, mode="discrete"), seed=3)
         assert len(trajs_d) == 0
         # same seed, same selection stream: identical probed cells
         assert [p.cell for p in probes_d] == [p.cell for p in probes]
@@ -314,34 +314,36 @@ class TestRunPolicy:
         ph = flat_phantom()
         grid = analytic_grid(ph, lo=(-0.004, -0.004), hi=(0.004, 0.004))
         with pytest.raises(Exhausted):
-            run_policy(ph, grid, "rs", "discrete", 1000, ProbeParams(),
-                       ControllerGains(), seed=0)
+            run_policy(ph, grid, default_config(strategy="rs", mode="discrete", budget=1000),
+                       seed=0)
 
-    @pytest.mark.parametrize("strategy,mode,budget,error,message", [
-        ("xx", "cf", 5, ConfigInvalid, "unknown strategy 'xx'"),
-        ("bo", "xx", 5, ConfigInvalid, "unknown mode 'xx'"),
-        ("bo", "cf", 0, OutOfRange, "budget must be >= 1, got 0"),
-    ])
-    def test_entry_checks(self, analytic_grid, strategy, mode, budget, error, message):
-        ph = flat_phantom()
-        with pytest.raises(error, match=message):
-            run_policy(ph, analytic_grid(ph), strategy, mode, budget, ProbeParams(),
-                       ControllerGains(), seed=0)
-
-    @pytest.mark.parametrize("n_init", [0, 1])
-    def test_bo_needs_two_random_probes_first(self, analytic_grid, n_init):
-        ph = flat_phantom()
-        with pytest.raises(OutOfRange, match=f"^n_init must be >= 2, got {n_init}$"):
-            run_policy(ph, analytic_grid(ph), "bo", "discrete", 5, ProbeParams(),
-                       ControllerGains(), seed=0, n_init=n_init)
+    @pytest.mark.parametrize("mode", ["cf", "discrete"])
+    @pytest.mark.parametrize("strategy", ["bo", "rs"])
+    @pytest.mark.parametrize("shape", ["hemisphere", "crescent"])
+    def test_a_smaller_budget_runs_a_prefix(self, analytic_grid, shape, strategy, mode):
+        cfg = default_config(shape, strategy, mode, budget=20)
+        ph = Phantom(cfg.phantom, cfg.tumor)
+        grid = analytic_grid(ph)
+        probes, trajs = run_policy(ph, grid, cfg, seed=7)
+        for n in (5, 12):
+            head, follows = run_policy(ph, grid, replace(cfg, budget=n), seed=7)
+            assert [(p.cell, p.k) for p in head] == [(p.cell, p.k) for p in probes[:n]]
+            cells = {p.cell for p in head}
+            want = [t for t in trajs if t.start_cell in cells]
+            assert len(follows) == len(want)
+            for got, ref in zip(follows, want):
+                assert got.poses.tobytes() == ref.poses.tobytes()
+                assert got.forces.tobytes() == ref.forces.tobytes()
+                assert got.outcome == ref.outcome
 
     def test_bitwise_determinism(self, analytic_grid):
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
         runs = []
         for _ in range(2):
-            probes, trajs = run_policy(ph, grid, "bo", "cf", 15, ProbeParams(),
-                                       ControllerGains(), seed=9)
+            probes, trajs = run_policy(ph, grid,
+                                       default_config(strategy="bo", mode="cf", budget=15),
+                                       seed=9)
             runs.append((probes, trajs))
         (pa, ta), (pb, tb) = runs
         assert [p.cell for p in pa] == [p.cell for p in pb]

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pickle
@@ -500,6 +501,12 @@ def gp_state(gp, grid) -> list[bytes]:
     return [a.tobytes() for a in arrays]
 
 
+def test_invalid_cell_prints_its_message_as_given():
+    exc = InvalidCell("cell (1, 1) is already sampled")
+    assert isinstance(exc, KeyError)
+    assert str(exc) == "cell (1, 1) is already sampled"
+
+
 class TestGPModel:
     @pytest.mark.parametrize("cell", [(1, 1), (np.int64(1), np.int64(1))])
     def test_repeated_cell_is_an_invalid_cell_and_changes_nothing(self, cell):
@@ -585,6 +592,16 @@ time.sleep(0.2)  # let a woken helper finish its spin before reading it
 print(helper_ns() - before)
 """
 
+# The two runs of ``test_golden.py``, as the JSON of its digest file.
+GOLDEN_RUNS = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden import bo_fine_grid_picks, matrix_digests
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps({"matrix": matrix_digests(Path(tmp)), "bo_fine_grid": bo_fine_grid_picks()}))
+"""
+
 
 class TestBlasThreads:
     """The scan's products stay under OpenBLAS's gemv threading cutoff, so
@@ -633,6 +650,13 @@ class TestBlasThreads:
         mu, var = gp.predict_grid(grid)
         assert mu.tobytes() == want["arr_0"].tobytes()
         assert var.tobytes() == want["arr_1"].tobytes()
+
+    def test_golden_runs_match_with_one_blas_thread(self):
+        tests = Path(__file__).parent
+        recorded = json.loads((tests / "golden_digests.json").read_text())
+        got = json.loads(run_child(GOLDEN_RUNS, str(tests), OPENBLAS_NUM_THREADS="1"))
+        assert got["matrix"] == recorded["matrix"]
+        assert got["bo_fine_grid"] == recorded["bo_fine_grid"]
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or os.cpu_count() == 1,
                         reason="needs /proc/self/task and more than one core")
