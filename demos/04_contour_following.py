@@ -9,6 +9,7 @@ bound with the force below threshold: the inclusion-muscle boundary.
 import numpy as np
 
 from palpsim import (
+    CalibrationParams,
     ControllerGains,
     Phantom,
     PhantomConfig,
@@ -34,15 +35,14 @@ grid = interpolate_grid(crop_roi(mesh_from_cloud(preprocess_cloud(raw)), roi),
 params, gains = ProbeParams(), ControllerGains()
 print(f"admissible interaction force bound: {admissible_force(gains):.1f} N")
 
-plant = ProbePlant(phantom, params)
+plant = ProbePlant(phantom, params, CalibrationParams())
 cell = (10, 10)  # over the tumor apex for this ROI
-res = probe_cell(plant, phantom, grid, cell, params, gains)
+res = probe_cell(plant, grid, cell, gains)
 print(f"\nprobe at cell {res.cell}: f_z {res.f_z:.2f} N over d_z "
       f"{res.d_z * 1e3:.2f} mm -> k = {res.k:.0f} N/m, "
       f"tumor={res.classified_tumor}")
 
-traj = contour_follow(plant, phantom, grid, res, params, gains,
-                      np.random.default_rng(11))
+traj = contour_follow(plant, grid, res, gains, np.random.default_rng(11))
 r_end = np.hypot(traj.poses[-1, 0], traj.poses[-1, 1])
 print(f"\ncontour follow: {len(traj)} waypoints over "
       f"{traj.times[-1]:.2f} s, outcome={traj.outcome}")

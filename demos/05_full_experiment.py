@@ -21,7 +21,9 @@ cfg = default_config("hemisphere", "bo", "cf", seed=7, trials=3)
 rep = run_experiment(cfg, out_dir=None, verbose=False)
 for t in rep.trials:
     r = t.report
-    print(f"  trial {t.index}: {t.n_classified}/{t.n_probes} probes on tumor, "
-          f"{t.n_trajectories} follows, {t.n_waypoints} waypoints, "
+    n_tumor = sum(p.classified_tumor for p in t.probes)
+    n_waypoints = sum(traj.n_waypoints for traj in t.trajectories)
+    print(f"  trial {t.index}: {n_tumor}/{t.n_probes} probes on tumor, "
+          f"{len(t.trajectories)} follows, {n_waypoints} waypoints, "
           f"P={r.precision:.3f} R={r.recall:.3f} F={r.fscore:.3f}")
 print("\noutputs (PLY clouds, meshes, metrics.csv, trajectories.jsonl) in demo_out/")

@@ -25,7 +25,7 @@ from .experiment import (
     run_experiment,
     run_matrix,
 )
-from .phantom import CRESCENT, ELLIPSOID, HEMISPHERE, Phantom
+from .phantom import CRESCENT, ELLIPSOID, HEMISPHERE
 from .ply import export_ply, read_ply
 from .policy import BO, CONTOUR_FOLLOWING, DISCRETE, RS
 
@@ -104,7 +104,7 @@ def _dispatch(args) -> int:
         cfg = config_from_flat(_flat_config(args))
         if args.samples is not None:
             cfg = replace(cfg, gt_samples=args.samples)
-        cloud = _ground_truth(cfg, Phantom(cfg.phantom, cfg.tumor))
+        cloud = _ground_truth(cfg)
         export_ply(cloud, args.file)
         print(f"wrote {len(cloud)} points to {args.file}")
         return 0

@@ -46,7 +46,9 @@ from .policy import (
     DISCRETE,
     RS,
     ControllerGains,
+    PalpationTrajectory,
     ProbeParams,
+    ProbeResult,
     run_policy,
 )
 from .registration import (
@@ -117,29 +119,29 @@ class ExperimentConfig:
 
 
 @dataclass
-class TrajectorySummary:
-    outcome: str
-    n_waypoints: int
-    terminal_xy: tuple[float, float]
-    duration: float
-
-
-@dataclass
 class TrialOutcome:
+    """One trial's palpations and score; every count is derived from them."""
+
     index: int
     seed: int
     status: str                       # "ok" or the error class name
-    report: Optional[FScoreReport]
-    n_probes: int = 0
-    n_classified: int = 0
-    n_trajectories: int = 0
-    n_waypoints: int = 0
-    n_recon: int = 0
-    trajectories: list[TrajectorySummary] = field(default_factory=list)
-    recon_points: Optional[np.ndarray] = None
     message: str = ""
-    probes: list = field(default_factory=list, repr=False)
-    trajs: list = field(default_factory=list, repr=False)
+    report: Optional[FScoreReport] = None
+    recon_points: Optional[np.ndarray] = None
+    probes: list[ProbeResult] = field(default_factory=list, repr=False)
+    trajs: list[PalpationTrajectory] = field(default_factory=list, repr=False)
+
+    @property
+    def n_probes(self) -> int:
+        return len(self.probes)
+
+    @property
+    def n_recon(self) -> int:
+        return 0 if self.recon_points is None else len(self.recon_points)
+
+    @property
+    def trajectories(self) -> list[PalpationTrajectory]:
+        return self.trajs
 
 
 @dataclass
@@ -186,23 +188,23 @@ def matrix_configs(flat: dict) -> list[ExperimentConfig]:
             for shape in shapes for strategy in strategies for mode in modes]
 
 
-def table1_matrix(seed: int = 7, trials: int = 10,
-                  shapes=(HEMISPHERE, CRESCENT)) -> list[ExperimentConfig]:
+def table1_matrix(seed: int = ExperimentConfig.seed,
+                  trials: int = ExperimentConfig.trials) -> list[ExperimentConfig]:
     """The full condition matrix: both strategies x both modes per shape."""
-    return [cfg for shape in shapes
-            for cfg in matrix_configs({"seed": seed, "trials": trials, "shape": shape})]
+    return matrix_configs({"seed": seed, "trials": trials})
 
 
 # -- flat-key config files ---------------------------------------------------
 
 def load_config_file(path) -> dict:
-    """Parse ``key = value`` lines; values are JSON where possible.  ``#``
-    starts a comment, except inside a value that is JSON as a whole."""
+    """Parse ``key = value`` lines, each key once; values are JSON where possible.
+    ``#`` starts a comment, except inside a value that is JSON as a whole."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigInvalid(f"{path}: cannot read config file: {exc.strerror}") from exc
     flat: dict[str, object] = {}
+    seen: dict[str, int] = {}  # key -> line number
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,12 +212,16 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigInvalid(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = raw.split("=", 1)
+        key = key.strip()
+        if key in seen:
+            raise ConfigInvalid(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         for text in (value, value.split("#", 1)[0]):
             try:
-                flat[key.strip()] = json.loads(text)
+                flat[key] = json.loads(text)
                 break
             except json.JSONDecodeError:
-                flat[key.strip()] = text.strip()
+                flat[key] = text.strip()
     return flat
 
 
@@ -257,10 +263,12 @@ _KEYS = {_FILE_KEYS.get(path, path): (path, tp) for path, tp in _leaves(Experime
 
 def _cast(key: str, value, tp):
     """``value`` as field type ``tp``: float, int, str or a tuple of floats.
-    A boolean (JSON ``true``) is not a number, and a NaN or infinite float,
-    tuple components included, is rejected with its file key before the
-    dataclass would reject it by field name."""
+    Only a string is a string, a boolean (JSON ``true``) is not a number,
+    and a NaN or infinite float, tuple components included, is rejected
+    with its file key before the dataclass would reject it by field name."""
     def scalar(t, v):
+        if t is str and not isinstance(v, str):
+            raise ValueError(f"{v!r} is not a string")
         if t is not str and isinstance(v, bool):
             raise ValueError(f"{v!r} is not a number")
         if t is int and not isinstance(v, str) and v != int(v):
@@ -321,8 +329,9 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
 
 # -- running -------------------------------------------------------------------
 
-def _ground_truth(cfg: ExperimentConfig, phantom: Phantom) -> PointCloud:
-    return phantom.ground_truth_cloud(cfg.gt_samples, seed=[cfg.seed, _GT_STREAM])
+def _ground_truth(cfg: ExperimentConfig) -> PointCloud:
+    return Phantom(cfg.phantom, cfg.tumor).ground_truth_cloud(cfg.gt_samples,
+                                                              seed=[cfg.seed, _GT_STREAM])
 
 
 def _write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
@@ -344,8 +353,8 @@ def _scene(phantom_cfg: PhantomConfig, cloud: CloudParams, roi: RoiBox, dx: floa
     return interpolate_grid(crop_roi(mesh_from_cloud(points), roi), dx, dy)
 
 
-def run_trial(cfg: ExperimentConfig, phantom: Phantom, gt: PointCloud,
-              trial: int, scenes: Optional[dict] = None) -> TrialOutcome:
+def run_trial(cfg: ExperimentConfig, gt: PointCloud, trial: int,
+              scenes: Optional[dict] = None) -> TrialOutcome:
     """One seeded end-to-end trial: scan, register, palpate, score.
 
     ``scenes`` maps a scene's inputs to the ``SurfaceGrid`` already built
@@ -353,28 +362,15 @@ def run_trial(cfg: ExperimentConfig, phantom: Phantom, gt: PointCloud,
     not kept, so it fails every trial that asks for it.
     """
     trial_seed = cfg.seed + trial
-    out = TrialOutcome(index=trial, seed=trial_seed, status="ok", report=None)
+    out = TrialOutcome(index=trial, seed=trial_seed, status="ok")
     scenes = {} if scenes is None else scenes
     key = (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
     try:
         if key not in scenes:
             scenes[key] = _scene(*key)
         grid = scenes[key]
-        probes, trajs = run_policy(phantom, grid, cfg, trial_seed)
-        out.n_probes = len(probes)
-        out.n_classified = sum(1 for p in probes if p.classified_tumor)
-        out.n_trajectories = len(trajs)
-        out.n_waypoints = sum(len(t) for t in trajs)
-        out.trajectories = [
-            TrajectorySummary(t.outcome, len(t),
-                              (float(t.poses[-1, 0]), float(t.poses[-1, 1])),
-                              float(t.times[-1] - t.times[0]))
-            for t in trajs
-        ]
-        out.probes = probes
-        out.trajs = trajs
-        recon = extract_contact_points(trajs, probes, cfg.probe)
-        out.n_recon = len(recon)
+        out.probes, out.trajs = run_policy(Phantom(cfg.phantom, cfg.tumor), grid, cfg, trial_seed)
+        recon = extract_contact_points(out.trajs, out.probes, cfg.probe)
         out.recon_points = recon.points
         out.report = fscore(recon, gt, cfg.r_eval)
     except PalpSimError as exc:
@@ -396,8 +392,8 @@ def _metrics_row(cfg: ExperimentConfig, t: TrialOutcome) -> str:
     return ",".join([
         cfg.condition, cfg.tumor.shape, cfg.strategy, cfg.mode, str(cfg.budget),
         str(t.index), str(t.seed), t.status,
-        str(t.n_probes), str(t.n_classified), str(t.n_trajectories),
-        str(t.n_waypoints), str(t.n_recon),
+        str(t.n_probes), str(sum(p.classified_tumor for p in t.probes)), str(len(t.trajs)),
+        str(sum(len(tr) for tr in t.trajs)), str(t.n_recon),
         _csv_num(rep.precision) if rep else "",
         _csv_num(rep.recall) if rep else "",
         _csv_num(rep.fscore) if rep else "",
@@ -475,11 +471,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, verbose: bool = True,
     is passed to every ``run_trial``.
     """
     t0 = time.perf_counter()
-    phantom = Phantom(cfg.phantom, cfg.tumor)
-    gt = _ground_truth(cfg, phantom)
+    gt = _ground_truth(cfg)
     trials: list[TrialOutcome] = []
     for i in range(cfg.trials):
-        trial = run_trial(cfg, phantom, gt, i, scenes=scenes)
+        trial = run_trial(cfg, gt, i, scenes=scenes)
         trials.append(trial)
         if verbose:
             f = trial.report.fscore if trial.report else float("nan")

@@ -92,11 +92,11 @@ def flat_profile() -> SurfaceProfile:
     return SurfaceProfile(FLAT)
 
 
-def cyl_bump(amplitude: float = 0.006, radius: float = 0.05) -> SurfaceProfile:
+def cyl_bump(amplitude: float = 0.006, radius: float = SurfaceProfile.radius) -> SurfaceProfile:
     return SurfaceProfile(CYL_BUMP, amplitude=amplitude, radius=radius)
 
 
-def gauss_bump(amplitude: float = 0.006, sigma: float = 0.02) -> SurfaceProfile:
+def gauss_bump(amplitude: float = 0.006, sigma: float = SurfaceProfile.sigma) -> SurfaceProfile:
     return SurfaceProfile(GAUSS_BUMP, amplitude=amplitude, sigma=sigma)
 
 

@@ -114,6 +114,16 @@ class PalpationTrajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
+    n_waypoints = property(__len__)
+
+    @property
+    def terminal_xy(self) -> tuple[float, float]:
+        return float(self.poses[-1, 0]), float(self.poses[-1, 1])
+
+    @property
+    def duration(self) -> float:
+        return float(self.times[-1] - self.times[0])
+
 
 def min_jerk_offset(t: float, a: float) -> float:
     """Minimum-jerk stroke offset sweeping -a..+a as t goes 0..1."""
@@ -152,16 +162,12 @@ class ProbePlant:
     parameters (R_est = R_true) it recovers the true force.  The static
     bias ``cal.z_offset`` is added by the sensor and subtracted by the
     chain, so it cancels by construction and cannot model a bias fault.
-    The plant reads nothing of ``phantom``; callers pass it to ``probe_cell``
-    and ``contour_follow``, and the parameter stays for existing callers.
+    ``probe_cell`` and ``contour_follow`` read the phantom and the probe
+    settings from the plant.
     """
 
-    def __init__(self, phantom: Phantom, params: ProbeParams,
-                 cal: Optional[CalibrationParams] = None):
-        self.cal = cal if cal is not None else CalibrationParams()
-        self.mass = params.probe_mass
-        self.tip_radius = params.tip_radius
-        self.gravity_residual = tuple(float(g) for g in params.gravity_residual)
+    def __init__(self, phantom: Phantom, params: ProbeParams, cal: CalibrationParams):
+        self.phantom, self.params, self.cal = phantom, params, cal
         self.px = self.py = self.pz = 0.0
         self.vx = self.vy = self.vz = 0.0
         self.align((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
@@ -230,8 +236,7 @@ def _ramp(start: float, step: float, n: int) -> np.ndarray:
     return np.cumsum(out)
 
 
-def probe_cell(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
-               cell: tuple[int, int], params: ProbeParams,
+def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
                gains: ControllerGains,
                rng: Optional[np.random.Generator] = None) -> ProbeResult:
     """Discrete probe: align to the cell normal, indent until the force
@@ -240,6 +245,7 @@ def probe_cell(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     Leaves the plant pressed at the stop point so contour following can
     take over in place.
     """
+    phantom, params = plant.phantom, plant.params
     point, normal = cell_to_surface(grid, cell[0], cell[1])
     nx, ny, nz = float(normal[0]), float(normal[1]), float(normal[2])
     r = params.tip_radius
@@ -309,8 +315,7 @@ def probe_cell(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     )
 
 
-def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
-                   start: ProbeResult, params: ProbeParams,
+def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
                    gains: ControllerGains,
                    rng: np.random.Generator) -> PalpationTrajectory:
     """Trace the inclusion surface with anchored min-jerk strokes.
@@ -326,7 +331,7 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
     dir_x, dir_y = math.cos(theta), math.sin(theta)
 
-    dt = gains.period
+    params, dt = plant.params, gains.period
     inner_n = max(1, int(round(1.0 / (params.osc_rate * dt))))
     outer_dt = inner_n * dt
     depth_bias = params.press_force / gains.k_p
@@ -335,13 +340,13 @@ def contour_follow(plant: ProbePlant, phantom: Phantom, grid: SurfaceGrid,
     f_thres, d_thres = params.f_thres, params.d_thres
     amp = params.amplitude
     ticks_per_stroke = params.ticks_per_stroke
-    tip_r = plant.tip_radius
+    tip_r = params.tip_radius
     ax, ay, az = plant.axis
-    grx, gry, grz = plant.gravity_residual
+    grx, gry, grz = (float(g) for g in params.gravity_residual)
     sample_height = grid.sample_height
     # the control step, set up once: contact law, plant step, axial load-cell row
-    law = phantom.contact_law()
-    inv_m = 1.0 / plant.mass
+    law = plant.phantom.contact_law()
+    inv_m = 1.0 / params.probe_mass
     v_max2 = V_MAX * V_MAX
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant._m
     a0, a1, a2 = plant._axial
@@ -498,11 +503,10 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg,
     n_valid = int(grid.valid_mask.sum())
     if cfg.budget > n_valid:
         raise Exhausted(f"budget {cfg.budget} exceeds {n_valid} valid cells")
-    params, gains = cfg.probe, cfg.gains
     rng_select = np.random.default_rng([int(seed), 0])
     rng_stroke = np.random.default_rng([int(seed), 1])
     rng_sense = np.random.default_rng([int(seed), 2])
-    plant = ProbePlant(phantom, params, cfg.cal)
+    plant = ProbePlant(phantom, cfg.probe, cfg.cal)
     free = grid.valid_mask.copy()  # valid cells not yet probed
     gp = GPModel(cfg.hyper) if cfg.strategy == BO else None  # gains one sample per probe
     best_k = -math.inf
@@ -514,13 +518,13 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg,
         else:
             cell = next_cell_random(grid, free, rng_select)
         free[cell] = False
-        res = probe_cell(plant, phantom, grid, cell, params, gains, rng_sense)
+        res = probe_cell(plant, grid, cell, cfg.gains, rng_sense)
         results.append(res)
         best_k = max(best_k, res.k)
         if gp is not None:
             gp.add(StiffnessSample(cell, res.k))
         if cfg.mode == CONTOUR_FOLLOWING and res.classified_tumor:
             trajectories.append(
-                contour_follow(plant, phantom, grid, res, params, gains, rng_stroke)
+                contour_follow(plant, grid, res, cfg.gains, rng_stroke)
             )
     return results, trajectories

@@ -232,9 +232,10 @@ def test_array_contact_and_normal_match_scalar(shape, profile, data):
 
 # -- (c) windowed descent against the scalar descent -----------------------------
 
-def reference_descent(plant, phantom, grid, cell, params, gains, rng):
+def reference_descent(plant, grid, cell, gains, rng):
     """Step-by-step probe descent: (steps, f_z, d_z, p_zi, stop position),
     with all but ``steps`` None when it runs out of travel."""
+    phantom, params = plant.phantom, plant.params
     point, normal = cell_to_surface(grid, cell[0], cell[1])
     nx, ny, nz = float(normal[0]), float(normal[1]), float(normal[2])
     r = params.tip_radius
@@ -291,13 +292,12 @@ def test_probe_cell_stops_where_the_scalar_descent_stops(
     params = ProbeParams(f_thres=f_thres, d_thres=0.017, indent_speed=indent_speed)
     cal = CalibrationParams(angle_noise=angle_noise)
     gains = ControllerGains()
-    ref = reference_descent(ProbePlant(ph, params, cal), ph, grid, (0, 0), params,
-                            gains, np.random.default_rng(seed))
+    ref = reference_descent(ProbePlant(ph, params, cal), grid, (0, 0), gains,
+                            np.random.default_rng(seed))
     plant = ProbePlant(ph, params, cal)
     with mock.patch.object(policy, "_MAX_WINDOW", window):
         try:
-            res = probe_cell(plant, ph, grid, (0, 0), params, gains,
-                             np.random.default_rng(seed))
+            res = probe_cell(plant, grid, (0, 0), gains, np.random.default_rng(seed))
         except NoContact as exc:
             event("no contact")
             assert ref[1] is None, ref
@@ -375,10 +375,11 @@ def reference_step(px, py, pz, vx, vy, vz, fcx, fcy, fcz, phantom, dt, mass, tip
     return px, py, pz, vx, vy, vz, fn > 0.0, fn, fvx, fvy, fvz
 
 
-def reference_follow(plant, phantom, grid, start, params, gains, rng):
+def reference_follow(plant, grid, start, gains, rng):
     """``contour_follow`` as a plain loop: ``reference_step`` and a full
     load-cell ``measure`` on every tick, and the boundary depth read on
     every tick.  Its events show which boundary-test paths an example ran."""
+    phantom, params = plant.phantom, plant.params
     if not start.classified_tumor:
         raise OutOfRange("contour following requires a tumor-classified probe")
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -391,9 +392,9 @@ def reference_follow(plant, phantom, grid, start, params, gains, rng):
     f_adm2 = policy.admissible_force(gains) ** 2
     f_thres, d_thres = params.f_thres, params.d_thres
     ticks_per_stroke = params.ticks_per_stroke
-    mass, tip_r = plant.mass, plant.tip_radius
+    mass, tip_r = params.probe_mass, params.tip_radius
     ax, ay, az = plant.axis
-    grx, gry, grz = plant.gravity_residual
+    grx, gry, grz = (float(g) for g in params.gravity_residual)
     px, py, pz = plant.px, plant.py, plant.pz
     vx, vy, vz = plant.vx, plant.vy, plant.vz
     cx0, cy0, cz0 = px - tip_r * ax, py - tip_r * ay, pz - tip_r * az
@@ -477,9 +478,9 @@ def reference_follow(plant, phantom, grid, start, params, gains, rng):
                                start.cell, (dir_x, dir_y), np.array(plant.axis))
 
 
-def follow_or_error(follow, plant, ph, grid, start, params, gains, seed):
+def follow_or_error(follow, plant, grid, start, gains, seed):
     try:
-        return follow(plant, ph, grid, start, params, gains, np.random.default_rng(seed))
+        return follow(plant, grid, start, gains, np.random.default_rng(seed))
     except (AdmissibleForceExceeded, NumericalBlowup, OutOfRange) as exc:
         return type(exc), str(exc)
 
@@ -546,12 +547,11 @@ def test_contour_follow_matches_the_reference_loop(shape, profile, r, azimuth, a
                          probe_mass=probe_mass, ticks_per_stroke=ticks_per_stroke)
     cal = CalibrationParams(angle_noise=angle_noise)
     plants = [ProbePlant(ph, params, cal) for _ in range(2)]
-    starts = [probe_cell(p, ph, grid, (10, 10), params, gains, np.random.default_rng(seed))
+    starts = [probe_cell(p, grid, (10, 10), gains, np.random.default_rng(seed))
               for p in plants]
     event("classified" if starts[0].classified_tumor else "not classified")
-    want = follow_or_error(reference_follow, plants[0], ph, grid, starts[0], params, gains,
-                           seed)
-    got = follow_or_error(contour_follow, plants[1], ph, grid, starts[1], params, gains, seed)
+    want = follow_or_error(reference_follow, plants[0], grid, starts[0], gains, seed)
+    got = follow_or_error(contour_follow, plants[1], grid, starts[1], gains, seed)
     if isinstance(want, tuple):
         event(want[0].__name__)
         assert got == want

@@ -15,7 +15,6 @@ from palpsim import (
     CloudParams,
     ExperimentConfig,
     GPHyper,
-    Phantom,
     PhantomConfig,
     PointCloud,
     RoiBox,
@@ -184,6 +183,13 @@ class TestConfigFile:
         assert cfg.hyper.length_scale == 4.0
         assert cfg.xi == 2.0
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 3\n# a comment\nbudget = 5\n seed = 4\n")
+        with pytest.raises(ConfigInvalid,
+                           match=f"{re.escape(str(path))}:4: config key 'seed' repeats line 1"):
+            load_config_file(path)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_flat({"nonsense": 1})
@@ -259,6 +265,15 @@ class TestConfigFile:
                                    match=f"config key '{key}': {value} is not a number"):
                     config_from_flat({key: case})
 
+    @pytest.mark.parametrize("value", [[1], True, None, 3, 0.5])
+    def test_non_strings_rejected_for_strings(self, value):
+        keys = [key for key, (_, tp) in _KEYS.items() if tp is str]
+        assert set(keys) == {"label", "strategy", "mode", "shape", "phantom.profile"}
+        for key in keys:
+            with pytest.raises(ConfigInvalid,
+                               match=re.escape(f"config key '{key}': {value!r} is not a string")):
+                config_from_flat({key: value})
+
     @pytest.mark.parametrize("key", ["strategy", "mode"])
     def test_unknown_strategy_or_mode_rejected(self, key):
         with pytest.raises(ConfigInvalid, match=f"unknown {key} 'xx'"):
@@ -309,10 +324,10 @@ class TestRunExperiment:
     def test_a_condition_that_stops_leaves_no_directory(self, tmp_path, monkeypatch):
         run_trial = experiment.run_trial
 
-        def stop_at_trial_1(cfg, phantom, gt, trial, scenes=None):
+        def stop_at_trial_1(cfg, gt, trial, scenes=None):
             if trial == 1:
                 raise RuntimeError("stopped at trial 1")
-            return run_trial(cfg, phantom, gt, trial, scenes=scenes)
+            return run_trial(cfg, gt, trial, scenes=scenes)
 
         monkeypatch.setattr(experiment, "run_trial", stop_at_trial_1)
         with pytest.raises(RuntimeError, match="stopped at trial 1"):
@@ -338,14 +353,17 @@ class TestRunExperiment:
         assert rep.n_failed == 1
         assert rep.trials[0].status == "EmptyReconstruction"
         rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()
-        assert rows[1].split(",")[7] == "EmptyReconstruction"
+        row = rows[1].split(",")
+        assert row[7] == "EmptyReconstruction"
+        # the palpation ran, only scoring failed: its counts are still reported
+        # (n_probes, n_classified, n_trajectories, n_waypoints, n_recon)
+        assert row[8:13] == [str(cfg.budget), "0", "0", "0", "0"]
 
     def test_singular_kernel_fails_a_trial_that_never_picks_by_bo(self):
         # budget = n_init: every cell is drawn at random, and no EI scan reads the GP
         cfg = small_config(trials=1, budget=3, mode="discrete", n_init=3,
                            hyper=GPHyper(length_scale=1e9, signal_var=1e8, noise_var=0.0))
-        phantom = Phantom(cfg.phantom, cfg.tumor)
-        out = experiment.run_trial(cfg, phantom, experiment._ground_truth(cfg, phantom), 0)
+        out = experiment.run_trial(cfg, experiment._ground_truth(cfg), 0)
         assert out.status == "SingularKernel"
         assert out.message.startswith("kernel not positive definite at cell")
 
@@ -359,8 +377,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(policy, "next_cell_random", first_cell)
         cfg = small_config(trials=1, budget=3, mode="discrete")
-        phantom = Phantom(cfg.phantom, cfg.tumor)
-        out = experiment.run_trial(cfg, phantom, experiment._ground_truth(cfg, phantom), 0)
+        out = experiment.run_trial(cfg, experiment._ground_truth(cfg), 0)
         assert (out.status, out.message) == ("InvalidCell", f"cell {cells[0]} is already sampled")
 
     def test_unscored_condition_leaves_its_f_cells_empty(self, tmp_path):
@@ -699,8 +716,7 @@ class TestCli:
             assert cli_main(["export-gt", "--seed", str(seed), "--samples", "50",
                              "--file", str(path)]) == 0
         cfg = config_from_flat({"seed": 3, "gt_samples": 50})
-        export_ply(experiment._ground_truth(cfg, Phantom(cfg.phantom, cfg.tumor)),
-                   tmp_path / "ref.ply")
+        export_ply(experiment._ground_truth(cfg), tmp_path / "ref.ply")
         assert paths[0].read_bytes() == (tmp_path / "ref.ply").read_bytes()
         assert paths[0].read_bytes() != paths[1].read_bytes()
 
@@ -721,7 +737,7 @@ class TestCli:
         assert self._matrix_configs(monkeypatch, ["--seed", "3", "--trials", "2"]) == \
             table1_matrix(seed=3, trials=2)
         assert self._matrix_configs(monkeypatch, ["--shape", "ellipsoid", "--mode", "cf"]) == \
-            [c for c in table1_matrix(shapes=["ellipsoid"]) if c.mode == "cf"]
+            [default_config("ellipsoid", strategy, "cf") for strategy in ("rs", "bo")]
 
     def test_matrix_applies_every_config_key_and_flag(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "c.cfg"
@@ -778,6 +794,8 @@ class TestCli:
         ("trials = 1\nwidget.k = 3\n", "unknown config keys: ['widget.k']"),
         ("trials = 1\nprobe.d_thres = NaN\n", "config key 'probe.d_thres': nan is not finite"),
         ("trials = true\n", "config key 'trials': True is not a number"),
+        ("trials = 1\nstrategy = [1]\n", "config key 'strategy': [1] is not a string"),
+        ("seed = 3\ntrials = 1\nseed = 4\n", ":3: config key 'seed' repeats line 1"),
         ("trials = 1\nphantom.fat_thickness = 0.004\n",
          "tumor height 0.01 exceeds soft-stack depth 0.008"),
     ])

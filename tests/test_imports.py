@@ -135,12 +135,6 @@ def test_the_check_finds_an_unread_parameter():
                                          "K.s/z"]
 
 
-# ``perfbench/test_checks.py`` builds ``ProbePlant(phantom, params, cal)``, and the
-# benchmark's files change only in a change of their own.
-UNREAD_PARAMETERS = {"policy.py": ["ProbePlant.__init__/phantom"]}
-
-
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_parameter_is_read(module):
-    assert unread_parameters((PACKAGE / module).read_text()) == \
-        UNREAD_PARAMETERS.get(module, [])
+    assert unread_parameters((PACKAGE / module).read_text()) == []

@@ -7,6 +7,7 @@ import pytest
 from test_equivalence import reference_step
 
 from palpsim import (
+    CalibrationParams,
     ControllerGains,
     Phantom,
     PhantomConfig,
@@ -145,10 +146,10 @@ class TestProbeCell:
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01), **CFG400)
         grid = analytic_grid(ph)
         params = ProbeParams(f_thres=5.0, d_thres=0.017)
-        plant = ProbePlant(ph, params)
+        plant = ProbePlant(ph, params, CalibrationParams())
         cell = (10, 10)  # lattice origin (-0.02, -0.02), dx 2 mm -> (0, 0)
         assert np.allclose(grid.cell_point(*cell)[:2], [0.0, 0.0], atol=1e-12)
-        res = probe_cell(plant, ph, grid, cell, params, ControllerGains())
+        res = probe_cell(plant, grid, cell, ControllerGains())
         # oracle: invert the piecewise force law for the stop depth,
         # including the descent damping bias
         bias = ph.cfg.contact_damping * params.indent_speed
@@ -164,9 +165,9 @@ class TestProbeCell:
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
         grid = analytic_grid(ph)
         params = ProbeParams(f_thres=5.0, d_thres=0.017)
-        plant = ProbePlant(ph, params)
+        plant = ProbePlant(ph, params, CalibrationParams())
         cell = (1, 1)  # (-0.018, -0.018), far off the footprint
-        res = probe_cell(plant, ph, grid, cell, params, ControllerGains())
+        res = probe_cell(plant, grid, cell, ControllerGains())
         assert not res.classified_tumor
         assert res.d_z == pytest.approx(0.017, abs=5e-5)
         assert res.f_z < params.f_thres
@@ -176,8 +177,8 @@ class TestProbeCell:
         ph = flat_phantom(**CFG400)
         grid = analytic_grid(ph)
         params = ProbeParams(f_thres=2.0, d_thres=0.017, indent_speed=0.01)
-        plant = ProbePlant(ph, params)
-        res = probe_cell(plant, ph, grid, (5, 5), params, ControllerGains())
+        plant = ProbePlant(ph, params, CalibrationParams())
+        res = probe_cell(plant, grid, (5, 5), ControllerGains())
         bias = ph.cfg.contact_damping * params.indent_speed
         d_star = (params.f_thres - bias) / 400.0
         assert res.d_z == pytest.approx(d_star, abs=2e-5)
@@ -188,9 +189,9 @@ class TestProbeCell:
         lifted = SurfaceGrid(grid.origin_xy, grid.dx, grid.dy,
                              grid.height + 0.05, grid.normal, grid.valid_mask)
         params = ProbeParams()
-        plant = ProbePlant(ph, params)
+        plant = ProbePlant(ph, params, CalibrationParams())
         with pytest.raises(NoContact):
-            probe_cell(plant, ph, lifted, (10, 10), params, ControllerGains())
+            probe_cell(plant, lifted, (10, 10), ControllerGains())
 
 
 class TestContourFollow:
@@ -198,46 +199,42 @@ class TestContourFollow:
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
         params = ProbeParams(f_thres=5.0, d_thres=0.017)
         gains = ControllerGains()
-        plant = ProbePlant(ph, params)
+        plant = ProbePlant(ph, params, CalibrationParams())
         return ph, params, gains, plant
 
     def test_boundary_reached_near_footprint(self, analytic_grid):
         ph, params, gains, plant = self._setup()
         grid = analytic_grid(ph)
-        start = probe_cell(plant, ph, grid, (10, 10), params, gains)
+        start = probe_cell(plant, grid, (10, 10), gains)
         assert start.classified_tumor
-        traj = contour_follow(plant, ph, grid, start, params, gains,
-                              np.random.default_rng(3))
+        traj = contour_follow(plant, grid, start, gains, np.random.default_rng(3))
         assert traj.outcome == BOUNDARY_REACHED
         r_end = math.hypot(traj.poses[-1, 0], traj.poses[-1, 1])
         assert 0.007 <= r_end <= 0.013
         assert len(traj) >= 10
 
     def test_zero_timeout_single_waypoint(self, analytic_grid):
-        ph, params, gains, plant = self._setup()
+        ph, params, gains, _ = self._setup()
         grid = analytic_grid(ph)
-        start = probe_cell(plant, ph, grid, (10, 10), params, gains)
-        traj = contour_follow(plant, ph, grid, start,
-                              replace(params, cf_timeout=0.0), gains,
-                              np.random.default_rng(1))
+        plant = ProbePlant(ph, replace(params, cf_timeout=0.0), CalibrationParams())
+        start = probe_cell(plant, grid, (10, 10), gains)
+        traj = contour_follow(plant, grid, start, gains, np.random.default_rng(1))
         assert traj.outcome == TIMEOUT
         assert len(traj) == 1
 
     def test_requires_classified_start(self, analytic_grid):
         ph, params, gains, plant = self._setup()
         grid = analytic_grid(ph)
-        start = probe_cell(plant, ph, grid, (0, 0), params, gains)
+        start = probe_cell(plant, grid, (0, 0), gains)
         assert not start.classified_tumor
         with pytest.raises(OutOfRange):
-            contour_follow(plant, ph, grid, start, params, gains,
-                           np.random.default_rng(0))
+            contour_follow(plant, grid, start, gains, np.random.default_rng(0))
 
     def test_timestamps_increase_at_stroke_rate(self, analytic_grid):
         ph, params, gains, plant = self._setup()
         grid = analytic_grid(ph)
-        start = probe_cell(plant, ph, grid, (10, 10), params, gains)
-        traj = contour_follow(plant, ph, grid, start, params, gains,
-                              np.random.default_rng(5))
+        start = probe_cell(plant, grid, (10, 10), gains)
+        traj = contour_follow(plant, grid, start, gains, np.random.default_rng(5))
         dts = np.diff(traj.times)
         assert np.all(dts > 0)
         # waypoint cadence: inner steps x controller period
@@ -247,13 +244,12 @@ class TestContourFollow:
     def test_hot_calls_once_per_stroke_not_per_tick(self, analytic_grid):
         ph, params, gains, plant = self._setup()
         grid = analytic_grid(ph)
-        start = probe_cell(plant, ph, grid, (10, 10), params, gains)
+        start = probe_cell(plant, grid, (10, 10), gains)
         with mock.patch.object(ph, "contact_force", wraps=ph.contact_force) as contact, \
                 mock.patch.object(ph, "surface_normal", wraps=ph.surface_normal) as normal, \
                 mock.patch.object(plant, "measure", wraps=plant.measure) as measure, \
                 mock.patch.object(grid, "sample_height", wraps=grid.sample_height) as depth:
-            traj = contour_follow(plant, ph, grid, start, params, gains,
-                                  np.random.default_rng(3))
+            traj = contour_follow(plant, grid, start, gains, np.random.default_rng(3))
         ticks = round((traj.times[-1] - traj.times[0]) / gains.period)
         assert ticks > 5 * len(traj)
         for hot in (contact, normal, measure):
@@ -266,10 +262,10 @@ class TestContourFollow:
         grid = analytic_grid(ph)
         rng = np.random.default_rng(7)
         for cell in [(10, 10), (9, 12), (12, 9), (11, 11)]:
-            res = probe_cell(plant, ph, grid, cell, params, gains)
+            res = probe_cell(plant, grid, cell, gains)
             if not res.classified_tumor:
                 continue
-            traj = contour_follow(plant, ph, grid, res, params, gains, rng)
+            traj = contour_follow(plant, grid, res, gains, rng)
             assert traj.outcome in (BOUNDARY_REACHED, TIMEOUT, "lost_contact")
             assert traj.times[-1] - traj.times[0] <= params.cf_timeout + 1e-9
 
@@ -280,14 +276,14 @@ class TestClassificationAgainstGeometry:
         grid = analytic_grid(ph)
         params = ProbeParams(f_thres=5.0, d_thres=0.017)
         gains = ControllerGains()
-        plant = ProbePlant(ph, params)
+        plant = ProbePlant(ph, params, CalibrationParams())
         rng = np.random.default_rng(11)
         agree = 0
         n = 100
         cells = grid.valid_cells()
         picks = cells[rng.choice(len(cells), size=n, replace=False)]
         for u, v in picks:
-            res = probe_cell(plant, ph, grid, (int(u), int(v)), params, gains)
+            res = probe_cell(plant, grid, (int(u), int(v)), gains)
             p = grid.cell_point(int(u), int(v))
             d_stop = ph.cfg.stack_depth - ph.h_tumor(p[0], p[1])
             margin_ok = (params.d_thres - d_stop) >= 0.001

@@ -3,7 +3,6 @@ import pytest
 from scipy.spatial import Delaunay
 
 from palpsim import (
-    Phantom,
     PointCloud,
     RoiBox,
     cell_to_surface,
@@ -221,8 +220,7 @@ class TestInterpolateGrid:
         mesh = mesh_from_cloud(lattice_cloud(25, z_fn=lambda x, y: x * y))
         assert interpolate_grid(mesh, 0.005, 0.005).valid_mask.sum() >= 4
         cfg = config_from_flat({"trials": 1, "budget": 20, "seed": 3})
-        phantom = Phantom(cfg.phantom, cfg.tumor)
-        assert run_trial(cfg, phantom, _ground_truth(cfg, phantom), 0).status == "ok"
+        assert run_trial(cfg, _ground_truth(cfg), 0).status == "ok"
 
 
 class TestCellToSurface:
