@@ -425,18 +425,20 @@ def _f_text(rep: ConditionReport) -> str:
 
 
 def _write_trajectories(fh, trial: TrialOutcome) -> None:
-    """One JSON line per probe, then one per contour waypoint."""
-    def record(j, t, p, f, phase, outcome):
-        return json.dumps({"trial": trial.index, "palpation_index": j, "t": t,
-                           "p": p, "f": f, "phase": phase, "outcome": outcome}) + "\n"
-
-    fh.writelines(record(j, 0.0, res.contact_point.tolist(), res.f_vec.tolist(), "probe",
+    """One JSON line per probe, then one per contour waypoint, each the bytes
+    ``json.dumps`` writes for its record: the template writes ``repr`` of
+    its floats, as JSON does for every finite one.  All are finite: configs
+    reject NaN and infinity, and the plant's speed guard (``NumericalBlowup``)
+    stops a palpation before any position or force can become either."""
+    record = ('{{"trial": %d, "palpation_index": {}, "t": {!r}, "p": [{!r}, {!r}, {!r}], '
+              '"f": [{!r}, {!r}, {!r}], "phase": "{}", "outcome": "{}"}}\n' % trial.index).format
+    fh.writelines(record(j, 0.0, *res.contact_point.tolist(), *res.f_vec.tolist(), "probe",
                          "tumor" if res.classified_tumor else "no_tumor")
                   for j, res in enumerate(trial.probes))
     probe_index = {res.cell: j for j, res in enumerate(trial.probes)}
     for traj in trial.trajs:
         j = probe_index.get(traj.start_cell, -1)
-        fh.writelines(record(j, t, p, f, "contour", traj.outcome) for t, p, f in
+        fh.writelines(record(j, t, *p, *f, "contour", traj.outcome) for t, p, f in
                       zip(traj.times.tolist(), traj.poses.tolist(), traj.forces.tolist()))
 
 
@@ -468,10 +470,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, verbose: bool = True,
     Failed trials (e.g. an empty reconstruction on a degenerate budget)
     become failure rows and are excluded from mean/max; a condition with
     no scored trial leaves its ``summary.csv`` F cells empty.  ``scenes``
-    is passed to every ``run_trial``.
+    is passed to every ``run_trial``, and also keeps each ground truth.
     """
     t0 = time.perf_counter()
-    gt = _ground_truth(cfg)
+    gts = {} if scenes is None else scenes  # alone, trials get no dict and keep no grid
+    key = (cfg.phantom, cfg.tumor, cfg.gt_samples, cfg.seed)
+    gt = gts[key] = gts[key] if key in gts else _ground_truth(cfg)
     trials: list[TrialOutcome] = []
     for i in range(cfg.trials):
         trial = run_trial(cfg, gt, i, scenes=scenes)
@@ -506,9 +510,10 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
     once per call and shared by every condition with the same phantom,
     cloud, ROI and grid steps: the scan never sees the tumor, so the
     shapes and the strategy x mode conditions of a trial index palpate
-    one grid.  Adds a pooled "combined" row per shape: all
-    reconstruction points from all that shape's trials scored against
-    the ground truth once.
+    one grid.  Each ground truth is sampled once per call too, at the
+    first condition that needs it.  Adds a pooled "combined" row per
+    shape: all reconstruction points from all that shape's trials scored
+    against the ground truth once.
     """
     if not cfgs:
         raise Empty("no experiment configs given")

@@ -9,9 +9,9 @@ a time with numpy and stops at the first step that meets a stop rule.
 The contour-follow loop stays scalar, in plain-float arithmetic: each
 1 kHz control step depends on the one before it.  The step is set up
 once per palpation: the phantom's specialised ``contact_law``, the plant
-step and the axial row of the load-cell map are inlined, and the full
-reading ``ProbePlant.measure`` is taken once per stroke.  Tick and descent
-match, bit for bit, the step-by-step loops and the scalar contact law that
+step and the load-cell map are inlined, and each waypoint keeps the reading
+of its stroke's last control step.  Tick and descent match, bit for bit,
+the step-by-step loops and the scalar contact law that
 ``tests/test_equivalence.py`` keeps as references.
 """
 
@@ -158,12 +158,13 @@ class ProbePlant:
         out   = M (f + w z) - w z,   M = R_est R_true^T
         axial = R_est[:, 2] . out
 
-    which ``align`` sets up once and ``measure`` applies.  With ideal
-    parameters (R_est = R_true) it recovers the true force.  The static
-    bias ``cal.z_offset`` is added by the sensor and subtracted by the
-    chain, so it cancels by construction and cannot model a bias fault.
-    ``probe_cell`` and ``contour_follow`` read the phantom and the probe
-    settings from the plant.
+    which ``align`` sets up once and ``measure`` applies to a probe's stop
+    and a follow's first waypoint; ``contour_follow`` inlines it for every
+    later waypoint.  With ideal parameters (R_est = R_true) it recovers
+    the true force.  The static bias ``cal.z_offset`` is added by the
+    sensor and subtracted by the chain, so it cancels by construction and
+    cannot model a bias fault.  ``probe_cell`` and ``contour_follow`` read
+    the phantom and the probe settings from the plant.
     """
 
     def __init__(self, phantom: Phantom, params: ProbeParams, cal: CalibrationParams):
@@ -335,16 +336,16 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
     inner_n = max(1, int(round(1.0 / (params.osc_rate * dt))))
     outer_dt = inner_n * dt
     depth_bias = params.press_force / gains.k_p
-    k_p, k_d, e_lim = gains.k_p, gains.k_d, gains.e_thres
+    k_p, k_d, e_lim, e_low = gains.k_p, gains.k_d, gains.e_thres, -gains.e_thres
     f_adm2 = admissible_force(gains) ** 2
     f_thres, d_thres = params.f_thres, params.d_thres
-    amp = params.amplitude
-    ticks_per_stroke = params.ticks_per_stroke
+    ticks_per_stroke, amp = params.ticks_per_stroke, params.amplitude
+    offsets = [min_jerk_offset((k + 1) / ticks_per_stroke, amp) for k in range(ticks_per_stroke)]
     tip_r = params.tip_radius
     ax, ay, az = plant.axis
     grx, gry, grz = (float(g) for g in params.gravity_residual)
     sample_height = grid.sample_height
-    # the control step, set up once: contact law, plant step, axial load-cell row
+    # the control step, set up once: contact law, plant step, load-cell map
     law = plant.phantom.contact_law()
     inv_m = 1.0 / params.probe_mass
     v_max2 = V_MAX * V_MAX
@@ -404,7 +405,7 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
             phase = ticks_per_stroke // 2  # resume mid-sweep: move inward now
         elif phase == 0:
             anchor_x, anchor_y = px, py
-        off = min_jerk_offset((phase + 1) / ticks_per_stroke, amp)
+        off = offsets[phase]
         pdx = anchor_x + dir_x * off
         pdy = anchor_y + dir_y * off
         pdz = pz - depth_bias
@@ -412,18 +413,18 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
             ex = pdx - px
             if ex > e_lim:
                 ex = e_lim
-            elif ex < -e_lim:
-                ex = -e_lim
+            elif ex < e_low:
+                ex = e_low
             ey = pdy - py
             if ey > e_lim:
                 ey = e_lim
-            elif ey < -e_lim:
-                ey = -e_lim
+            elif ey < e_low:
+                ey = e_low
             ez = pdz - pz
             if ez > e_lim:
                 ez = e_lim
-            elif ez < -e_lim:
-                ez = -e_lim
+            elif ez < e_low:
+                ez = e_low
             fcx = k_p * ex - k_d * vx
             fcy = k_p * ey - k_d * vy
             fcz = k_p * ez - k_d * vz
@@ -445,7 +446,7 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
             cy = py - tip_r * ay
             cz = pz - tip_r * az
             t += dt
-            # axial row of ProbePlant.load_cell
+            # ProbePlant.load_cell, inlined
             gz = fvz + w
             ox = m00 * fvx + m01 * fvy + m02 * gz
             oy = m10 * fvx + m11 * fvy + m12 * gz
@@ -468,10 +469,9 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
                         state = LATCHED
             elif state == RETURNING and sample_height(cx, cy) - cz < d_thres:
                 state = ARMED  # back on the inclusion
-        _, f_vec = plant.measure(fvx, fvy, fvz)  # the stroke's last control step
         times.append(t)
         poses.append((px, py, pz))
-        forces.append(tuple(f_vec))
+        forces.append((ox, oy, oz))  # the reading of the stroke's last control step
         phase = (phase + 1) % ticks_per_stroke
         if outcome is None and state == LATCHED and len(times) >= min_waypoints:
             outcome = BOUNDARY_REACHED

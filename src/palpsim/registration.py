@@ -89,6 +89,10 @@ class SurfaceGrid:
         iu, iv = distance_transform_edt(~self.valid_mask, return_distances=False,
                                         return_indices=True)
         self._rows = self.height[iu, iv].tolist()  # plain floats for the hot loop
+        # sample_height's clamp limits, top cell and neighbour steps
+        self._fx_max, self._fy_max = float(self.nx - 1), float(self.ny - 1)
+        self._i_top, self._j_top = max(self.nx - 2, 0), max(self.ny - 2, 0)
+        self._di, self._dj = min(self.nx - 1, 1), min(self.ny - 1, 1)
 
     def valid_cells(self) -> np.ndarray:
         """(k, 2) integer array of valid (u, v) cells in row-major order."""
@@ -106,30 +110,31 @@ class SurfaceGrid:
 
     def sample_height(self, x: float, y: float) -> float:
         """Bilinear height at (x, y), clamped to the grid extent."""
-        fx = (x - self.origin_xy[0]) / self.dx
-        fy = (y - self.origin_xy[1]) / self.dy
+        x0, y0 = self.origin_xy
+        fx = (x - x0) / self.dx
+        fy = (y - y0) / self.dy
         if fx < 0.0:
             fx = 0.0
-        elif fx > self.nx - 1:
-            fx = float(self.nx - 1)
+        elif fx > self._fx_max:
+            fx = self._fx_max
         if fy < 0.0:
             fy = 0.0
-        elif fy > self.ny - 1:
-            fy = float(self.ny - 1)
+        elif fy > self._fy_max:
+            fy = self._fy_max
         i = int(fx)
+        if i > self._i_top:
+            i = self._i_top
         j = int(fy)
-        if i >= self.nx - 1:
-            i = self.nx - 2 if self.nx > 1 else 0
-        if j >= self.ny - 1:
-            j = self.ny - 2 if self.ny > 1 else 0
+        if j > self._j_top:
+            j = self._j_top
         tx = fx - i
         ty = fy - j
         r0 = self._rows[i]
-        r1 = self._rows[i + 1] if self.nx > 1 else r0
+        r1 = self._rows[i + self._di]
         h00 = r0[j]
-        h01 = r0[j + 1] if self.ny > 1 else h00
+        h01 = r0[j + self._dj]
         h10 = r1[j]
-        h11 = r1[j + 1] if self.ny > 1 else h10
+        h11 = r1[j + self._dj]
         return (h00 * (1 - tx) * (1 - ty) + h10 * tx * (1 - ty)
                 + h01 * (1 - tx) * ty + h11 * tx * ty)
 

@@ -25,6 +25,8 @@
     row-key ``np.unique`` / ``np.add.at`` versions they replaced, ported here.
 (j) The per-shape tumor height ``TumorGeometry.height_fn``, which
     ``contact_law`` captures, against the method body it replaced, ported here.
+(k) ``SurfaceGrid.sample_height``, which (e)'s reference loop also calls,
+    against a plain clamped bilinear formula on the grid's node heights.
 """
 
 import math
@@ -1107,3 +1109,55 @@ def test_tumor_height_matches_the_reference(shape, center, semi_axes, radius, wi
     event(f"{shape} {where}, {'outside' if want == bits([0.0]) else 'inside'}")
     assert bits([tumor.height_fn()(x, y)]) == want
     assert bits([tumor.height(x, y)]) == want
+
+
+# -- (k) SurfaceGrid.sample_height against a plain clamped bilinear formula -------
+
+def reference_sample_height(h: np.ndarray, x0: float, y0: float, dx: float, dy: float,
+                            x: float, y: float) -> float:
+    """Bilinear interpolation of the node heights ``h`` (at least 2 x 2) at
+    (x, y), with the point clamped into the grid; a point on the last row
+    or column of nodes lies in the last cell."""
+    nx, ny = h.shape
+    fx = min(max((x - x0) / dx, 0.0), nx - 1.0)
+    fy = min(max((y - y0) / dy, 0.0), ny - 1.0)
+    i, j = min(math.floor(fx), nx - 2), min(math.floor(fy), ny - 2)
+    tx, ty = fx - i, fy - j
+    h00, h01 = float(h[i, j]), float(h[i, j + 1])
+    h10, h11 = float(h[i + 1, j]), float(h[i + 1, j + 1])
+    return (h00 * (1 - tx) * (1 - ty) + h10 * tx * (1 - ty)
+            + h01 * (1 - tx) * ty + h11 * tx * ty)
+
+
+# where the point lies, per axis: -1 at or below the first node, 0 within
+# the grid, 1 at or above the last node
+SIDES = {"inside": (0, 0), "edge x-": (-1, 0), "edge x+": (1, 0), "edge y-": (0, -1),
+         "edge y+": (0, 1), "corner --": (-1, -1), "corner -+": (-1, 1),
+         "corner +-": (1, -1), "corner ++": (1, 1), "last node": None}
+
+
+def coordinate(data, side: int, lo: float, hi: float) -> float:
+    if side == 0:
+        return data.draw(st.floats(lo, hi, **finite))
+    gap = data.draw(st.floats(0.0, 0.02, **finite))
+    return lo - gap if side < 0 else hi + gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(nx=st.integers(2, 6), ny=st.integers(2, 6),
+       origin=st.tuples(st.floats(-0.05, 0.05, **finite), st.floats(-0.05, 0.05, **finite)),
+       step=st.tuples(st.floats(1e-4, 0.01, **finite), st.floats(1e-4, 0.01, **finite)),
+       where=st.sampled_from(sorted(SIDES)), data=st.data())
+def test_sample_height_matches_the_clamped_bilinear_formula(nx, ny, origin, step, where, data):
+    h = np.array(data.draw(st.lists(st.floats(-0.05, 0.05, **finite), min_size=nx * ny,
+                                    max_size=nx * ny))).reshape(nx, ny)
+    grid = SurfaceGrid(origin, step[0], step[1], h, np.zeros((nx, ny, 3)),
+                       np.ones((nx, ny), dtype=bool))
+    top = (origin[0] + (nx - 1) * step[0], origin[1] + (ny - 1) * step[1])
+    if SIDES[where] is None:
+        x, y = top
+    else:
+        x, y = (coordinate(data, side, lo, hi) for side, lo, hi in zip(SIDES[where], origin, top))
+    event(where)
+    want = reference_sample_height(h, origin[0], origin[1], step[0], step[1], x, y)
+    assert bits([grid.sample_height(x, y)]) == bits([want])

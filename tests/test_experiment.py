@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -15,8 +16,11 @@ from palpsim import (
     CloudParams,
     ExperimentConfig,
     GPHyper,
+    PalpationTrajectory,
+    Phantom,
     PhantomConfig,
     PointCloud,
+    ProbeResult,
     RoiBox,
     SurfaceProfile,
     TumorGeometry,
@@ -36,6 +40,7 @@ from palpsim.experiment import (
     TrialOutcome,
     _with_values,
     _write_config_echo,
+    _write_trajectories,
     config_to_flat,
 )
 from palpsim import cli, experiment, policy
@@ -604,7 +609,103 @@ class TestSharedScene:
         assert len(scenes) == 2 and grids[0][0] is not grids[1][0]
 
 
-XYZ_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+def _gt_events(monkeypatch, run_trials: bool = True) -> list[tuple[str, str]]:
+    """Record each ground-truth sample and each trial as (kind, tumor shape),
+    in call order.  With ``run_trials`` False a trial is a stub that runs nothing."""
+    events = []
+    sample, trial = Phantom.ground_truth_cloud, experiment.run_trial
+
+    def ground_truth_cloud(phantom, *a, **k):
+        events.append(("gt", phantom.tumor.shape))
+        return sample(phantom, *a, **k)
+
+    def run_trial(cfg, gt, i, scenes=None):
+        events.append(("trial", cfg.tumor.shape))
+        if run_trials:
+            return trial(cfg, gt, i, scenes=scenes)
+        return TrialOutcome(i, cfg.seed + i, "Stub")
+
+    monkeypatch.setattr(Phantom, "ground_truth_cloud", ground_truth_cloud)
+    monkeypatch.setattr(experiment, "run_trial", run_trial)
+    return events
+
+
+class TestSharedGroundTruth:
+    """``run_matrix`` samples each ground truth once, where it is first needed."""
+
+    def test_one_sample_per_shape_each_just_before_its_trials(self, monkeypatch):
+        events = _gt_events(monkeypatch)
+        rep = run_matrix(table1_matrix(seed=7, trials=2), None, verbose=False)
+        # 4 conditions x 2 trials per shape
+        assert events == [("gt", "hemisphere")] + [("trial", "hemisphere")] * 8 + \
+            [("gt", "crescent")] + [("trial", "crescent")] * 8
+        for shape in ("hemisphere", "crescent"):
+            gts = [c.gt for c in rep.conditions if c.config.tumor.shape == shape]
+            assert len(gts) == 4 and all(gt is gts[0] for gt in gts)
+
+    def test_a_change_to_a_ground_truth_input_samples_again(self, monkeypatch):
+        events = _gt_events(monkeypatch, run_trials=False)
+        cfg = small_config(trials=1)
+        run_matrix([cfg, replace(cfg, strategy="rs", mode="discrete", budget=3),
+                    replace(cfg, gt_samples=500), replace(cfg, seed=6),
+                    replace(cfg, phantom=PhantomConfig(fat_thickness=0.02)),
+                    replace(cfg, tumor=TumorGeometry(shape="crescent"))], None, verbose=False)
+        assert [kind for kind, _ in events].count("gt") == 5
+
+    def test_run_experiment_alone_samples_every_time(self, monkeypatch):
+        events = _gt_events(monkeypatch, run_trials=False)
+        cfg = small_config(trials=2)
+        run_experiment(cfg, None, verbose=False)
+        run_experiment(cfg, None, verbose=False)
+        assert [kind for kind, _ in events].count("gt") == 2
+
+    def test_run_experiment_alone_keeps_no_trial_grid(self, monkeypatch):
+        # a trial given no scene dict drops its grid when it ends
+        dicts = []
+
+        def run_trial(cfg, gt, i, scenes=None):
+            dicts.append(scenes)
+            return TrialOutcome(i, cfg.seed + i, "Stub")
+
+        monkeypatch.setattr(experiment, "run_trial", run_trial)
+        run_experiment(small_config(trials=2), None, verbose=False)
+        assert dicts == [None, None]
+
+
+# finite floats, with the edges of repr: signed zero, subnormals and the
+# switches between positional and exponent notation
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e16, 1e-7,
+                                    9999999999999998.0, 1e-4, 1e-5, 1.7976931348623157e308]))
+XYZ = st.lists(FINITE, min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, 50), probes=st.lists(st.tuples(XYZ, XYZ, st.booleans()), max_size=3),
+       waypoints=st.lists(st.tuples(FINITE, XYZ, XYZ), min_size=1, max_size=4),
+       outcome=st.sampled_from([policy.BOUNDARY_REACHED, policy.TIMEOUT, policy.LOST_CONTACT]),
+       followed=st.integers(0, 3))
+def test_trajectory_lines_are_the_json_dumps_bytes(index, probes, waypoints, outcome, followed):
+    """Each written line against ``json.dumps`` of its record; a follow
+    whose start cell no probe holds is written with index -1."""
+    results = [ProbeResult((k, 0), 6.0, 0.01, 600.0, tumor, 0.0, 0.0, np.array(p), np.zeros(3),
+                           np.array(f)) for k, (p, f, tumor) in enumerate(probes)]
+    times, poses, forces = zip(*waypoints)
+    traj = PalpationTrajectory(np.array(times), np.array(poses), np.array(forces), outcome,
+                               (followed, 0), (1.0, 0.0), np.zeros(3))
+    fh = io.StringIO()
+    _write_trajectories(fh, TrialOutcome(index, 7, "ok", probes=results, trajs=[traj]))
+    j = followed if followed < len(probes) else -1
+    records = [(k, 0.0, p, f, "probe", "tumor" if tumor else "no_tumor")
+               for k, (p, f, tumor) in enumerate(probes)]
+    records += [(j, t, p, f, "contour", outcome) for t, p, f in waypoints]
+    assert fh.getvalue() == "".join(
+        json.dumps({"trial": index, "palpation_index": k, "t": t, "p": p, "f": f,
+                    "phase": phase, "outcome": out}) + "\n"
+        for k, t, p, f, phase, out in records)
+
+
+XYZ_HEADER =(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
               b"property float y\nproperty float z\n")
 NAN_VERTEX = XYZ_HEADER + b"end_header\nnan 0 0\n"
 ZERO_NORMAL = (XYZ_HEADER + b"property float nx\nproperty float ny\nproperty float nz\n"
