@@ -52,14 +52,17 @@ class CalibrationParams:
 
 def rotation_zyx(e: EulerZYX) -> np.ndarray:
     """R = Rz(psi) @ Ry(theta) @ Rx(phi); maps body vectors to inertial."""
+    return np.array(rotation_rows(e))
+
+
+def rotation_rows(e: EulerZYX) -> tuple[tuple[float, float, float], ...]:
+    """The rows of ``rotation_zyx(e)`` as float tuples."""
     cp, sp = math.cos(e.psi), math.sin(e.psi)
     ct, st = math.cos(e.theta), math.sin(e.theta)
     cr, sr = math.cos(e.phi), math.sin(e.phi)
-    return np.array([
-        [cp * ct, cp * st * sr - sp * cr, cp * st * cr + sp * sr],
-        [sp * ct, sp * st * sr + cp * cr, sp * st * cr - cp * sr],
-        [-st, ct * sr, ct * cr],
-    ])
+    return ((cp * ct, cp * st * sr - sp * cr, cp * st * cr + sp * sr),
+            (sp * ct, sp * st * sr + cp * cr, sp * st * cr - cp * sr),
+            (-st, ct * sr, ct * cr))
 
 
 def euler_from_axis(axis) -> EulerZYX:

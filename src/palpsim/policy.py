@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import CalibrationParams, EulerZYX, euler_from_axis, rotation_zyx
+from .calibration import CalibrationParams, EulerZYX, euler_from_axis, rotation_rows
 from .errors import (
     AdmissibleForceExceeded,
     Exhausted,
@@ -192,10 +192,11 @@ class ProbePlant:
                 self.euler.phi + rng.normal(0.0, self.cal.angle_noise),
             )
         self.euler_est = euler_est
-        r_true = rotation_zyx(self.euler).tolist()
-        r_est = rotation_zyx(euler_est).tolist()
-        self._m = [[sum(r_est[i][k] * r_true[j][k] for k in range(3)) for j in range(3)]
-                   for i in range(3)]
+        r_true = rotation_rows(self.euler)
+        r_est = rotation_rows(euler_est)
+        # the leading 0.0 is where sum() would start, so a zero keeps its sign
+        self._m = [[0.0 + e[0] * t[0] + e[1] * t[1] + e[2] * t[2] for t in r_true]
+                   for e in r_est]
         self._axial = [r_est[0][2], r_est[1][2], r_est[2][2]]
         self._w = float(self.cal.tip_weight_n)
 
@@ -229,14 +230,6 @@ class ProbePlant:
 _MAX_WINDOW = 4096  # descent steps evaluated per pass
 
 
-def _ramp(start: float, step: float, n: int) -> np.ndarray:
-    """start, start + step, ... (n + 1 values) as a running sum, which
-    gives the same floats as adding ``step`` n times in a loop."""
-    out = np.full(n + 1, step)
-    out[0] = start
-    return np.cumsum(out)
-
-
 def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
                gains: ControllerGains,
                rng: Optional[np.random.Generator] = None) -> ProbeResult:
@@ -260,15 +253,15 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
     # window of steps and stops at the first one that meets a stop rule.
     vz_query = -params.indent_speed * nz
     window = min(_MAX_WINDOW, int(travel_limit / step_len) + 2)
+    ramp = np.empty((window + 1, 4))
+    ramp[1:] = -(step_len * nx), -(step_len * ny), -(step_len * nz), step_len
     px, py, pz = plant.px, plant.py, plant.pz
     traveled = 0.0
     done = 0  # steps taken before this window
     p_zi = None
     while True:
-        xs = _ramp(px, -(step_len * nx), window)
-        ys = _ramp(py, -(step_len * ny), window)
-        zs = _ramp(pz, -(step_len * nz), window)
-        trav = _ramp(traveled, step_len, window)
+        ramp[0] = px, py, pz, traveled  # the window's start; each later row adds a step
+        xs, ys, zs, trav = np.cumsum(ramp, axis=0).T
         z = zs[:-1]
         cx = xs[:-1] - r * nx
         cy = ys[:-1] - r * ny

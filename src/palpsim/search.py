@@ -9,7 +9,9 @@ hyperparameter fitting.
 Each palpation samples a new cell, so the posterior grows instead of
 being refitted: ``GPModel`` appends a Cholesky row per sample and, for
 the grid it last scanned, a row of ``L⁻¹ K(x, valid cells)``.  A scan
-after a new sample costs one kernel column and one O(n·m) product.
+after a new sample costs one kernel column and one O(n·m) product.  Its
+two triangular solves call LAPACK's ``trtrs`` as ``solve_triangular``
+does, but directly: the wrapper took 9-19 µs for a 1-2 µs solve.
 
 The scan's two row products stay under OpenBLAS's gemv threading cutoff
 (``_vecmat``).  A threaded product wakes a helper thread that spins for
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.special import ndtr
 
 from .errors import (Empty, Exhausted, InvalidCell, OutOfRange, SingularKernel, above, at_least,
@@ -36,6 +38,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # OpenBLAS runs a gemv on one thread while m·n < 115200 · GEMM_MULTITHREAD_THRESHOLD
 # (interface/gemv.c); the threshold is 4 in the OpenBLAS that numpy and scipy ship.
 _GEMV_THREAD_CUTOFF = 115200 * 4
+_TRTRS, = get_lapack_funcs(("trtrs",), (np.zeros((1, 1)),))
 
 
 @dataclass(frozen=True)
@@ -76,43 +79,39 @@ class GPModel:
     keeps ``V`` and the column sums of ``V²`` for the last grid it scanned
     and appends one row of each per new sample.  The products with ``V``
     go through ``_vecmat``, so they run on the calling thread and give the
-    same bits on any core count.
+    same bits on any core count.  ``_solve_lower`` calls LAPACK directly.
     """
 
     def __init__(self, hyper: GPHyper = GPHyper()):
         self.hyper = hyper
-        self._cells: list[tuple[int, int]] = []   # sampled cells, in the order added
-        self._y: list[float] = []                 # their stiffness
+        self._x = np.zeros((0, 2))                # sampled cells in the order added, read-only
+        self._y = np.zeros(0)                     # their stiffness, read-only
         self._chol = np.zeros((0, 0))             # L
-        self._grid: SurfaceGrid | None = None     # grid of the scan cache
-        self._valid = np.zeros((0, 2))
-        self._v = np.zeros((0, 0))                # V, in a buffer that grows
-        self._v_rows = 0
-        self._v_sq = np.zeros(0)                  # column sums of V²
+        self._grid: SurfaceGrid | None = None     # grid of the scan cache, set up by predict_grid
 
     @property
     def n(self) -> int:
         """Number of sampled cells."""
-        return len(self._cells)
+        return len(self._y)
 
     @property
     def x(self) -> np.ndarray:
-        return np.array(self._cells, dtype=float).reshape(-1, 2)
+        return self._x
 
     @property
     def y(self) -> np.ndarray:
-        return np.array(self._y)
+        return self._y
 
     def add(self, sample: StiffnessSample) -> None:
         """Record a sample at a cell not sampled before and append its row of L;
         a repeated cell raises ``InvalidCell`` and a row with no positive
         diagonal ``SingularKernel``, either leaving the model as it was."""
         cell = (int(sample.cell[0]), int(sample.cell[1]))
-        if cell in self._cells:
+        if (self._x == cell).all(axis=1).any():
             raise InvalidCell(f"cell {cell} is already sampled")
         n, h = self.n, self.hyper
-        k = _kernel(np.array([cell], dtype=float), self.x, h)[0]
-        l = solve_triangular(self._chol, k, lower=True, check_finite=False) if n else k
+        k = _kernel(float(cell[0]), float(cell[1]), self._x.T, h)
+        l = _solve_lower(self._chol, k) if n else k
         d2 = h.signal_var + h.noise_var + _JITTER - l @ l
         if not d2 > 0.0:
             raise SingularKernel(f"kernel not positive definite at cell {cell}")
@@ -121,13 +120,15 @@ class GPModel:
         chol[n, :n] = l
         chol[n, n] = math.sqrt(d2)
         self._chol = chol
-        self._cells.append(cell)
-        self._y.append(float(sample.k))
+        self._x = np.append(self._x, [cell], axis=0)
+        self._y = np.append(self._y, float(sample.k))
+        self._x.flags.writeable = self._y.flags.writeable = False
 
     def predict_many(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at (m, 2) cell coordinates."""
-        cells = np.asarray(cells, dtype=float).reshape(-1, 2)
-        return self._posterior(cells, np.zeros((self.n, len(cells))), np.zeros(len(cells)), 0)
+        cells = np.ascontiguousarray(np.asarray(cells, dtype=float).reshape(-1, 2).T)
+        m = cells.shape[1]
+        return self._posterior(cells, np.zeros((self.n, m)), np.zeros(m), 0)
 
     def predict_grid(self, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at ``grid.valid_cells()``, in that order.
@@ -137,10 +138,10 @@ class GPModel:
         """
         if grid is not self._grid:
             self._grid = grid
-            self._valid = grid.valid_cells().astype(float)
-            self._v = np.zeros((0, self._valid.shape[0]))
+            self._valid = np.ascontiguousarray(grid.valid_cells().T, dtype=float)  # u, v rows
+            self._v = np.zeros((0, self._valid.shape[1]))  # V, in a buffer that grows
             self._v_rows = 0
-            self._v_sq = np.zeros(self._valid.shape[0])
+            self._v_sq = np.zeros(self._valid.shape[1])    # column sums of V²
         self._v = _grown(self._v, self.n)
         out = self._posterior(self._valid, self._v, self._v_sq, self._v_rows)
         self._v_rows = self.n
@@ -148,19 +149,17 @@ class GPModel:
 
     def _posterior(self, cells: np.ndarray, v: np.ndarray, v_sq: np.ndarray,
                    start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and variance at ``cells`` after writing rows ``start..n`` of
-        ``V = L⁻¹ K(x, cells)`` into ``v`` and adding their squares to ``v_sq``."""
-        n, h, chol = self.n, self.hyper, self._chol
+        """Mean and variance at the (2, m) u, v rows ``cells``; first writes rows
+        ``start..n`` of ``V = L⁻¹ K(x, cells)`` into ``v``, adding their squares to ``v_sq``."""
+        n, h, chol, x = self.n, self.hyper, self._chol, self._x
         if n == 0:
             raise Empty("GP has no samples")
-        x = self.x
         for i in range(start, n):
-            col = _kernel(x[i:i + 1], cells, h)[0]
+            col = _kernel(x[i, 0], x[i, 1], cells, h)
             v[i] = (col - _vecmat(chol[i, :i], v[:i])) / chol[i, i]
             v_sq += v[i] * v[i]
-        y = self.y
-        mean_y = float(y.mean())
-        beta = solve_triangular(chol, y - mean_y, lower=True, check_finite=False)
+        mean_y = float(self._y.mean())
+        beta = _solve_lower(chol, self._y - mean_y)
         return mean_y + _vecmat(beta, v[:n]), np.maximum(h.signal_var - v_sq, 0.0)
 
 
@@ -194,10 +193,18 @@ def _grown(buf: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, hyper: GPHyper) -> np.ndarray:
-    """(len(a), len(b)) squared-exponential kernel between (·, 2) cells."""
-    du = a[:, None, 0] - b[None, :, 0]
-    dv = a[:, None, 1] - b[None, :, 1]
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_triangular(chol, b, lower=True)``'s LAPACK call, without its wrapper."""
+    x, info = _TRTRS(chol.T, b, lower=0, trans=1)
+    if info != 0:
+        raise SingularKernel(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
+def _kernel(u: float, v: float, cells: np.ndarray, hyper: GPHyper) -> np.ndarray:
+    """Squared-exponential kernel between cell (u, v) and the (2, m) u and v rows ``cells``."""
+    du = u - cells[0]
+    dv = v - cells[1]
     d2 = du * du + dv * dv
     return hyper.signal_var * np.exp(-0.5 * d2 / (hyper.length_scale**2))
 
@@ -214,8 +221,11 @@ def gp_fit(samples: list[StiffnessSample], hyper: GPHyper = GPHyper()) -> GPMode
 
 def _ei(mu: np.ndarray, sigma: np.ndarray, best_k: float, xi: float) -> np.ndarray:
     imp = mu - best_k - xi
-    out = np.maximum(imp, 0.0)
     pos = sigma > 1e-300
+    if pos.all():  # the masked path below, without its copies
+        z = imp / sigma
+        return np.maximum(imp * ndtr(z) + sigma * np.exp(-0.5 * z * z) / _SQRT_2PI, 0.0)
+    out = np.maximum(imp, 0.0)
     if np.any(pos):
         z = imp[pos] / sigma[pos]
         out[pos] = imp[pos] * ndtr(z) + sigma[pos] * np.exp(-0.5 * z * z) / _SQRT_2PI
@@ -230,6 +240,11 @@ def _free_valid(grid: SurfaceGrid, free: np.ndarray) -> np.ndarray:
     if free.dtype != bool:
         raise InvalidCell(f"free mask has dtype {free.dtype}, not bool")
     return free & grid.valid_mask
+
+
+def _nth_cell(free: np.ndarray, k: int) -> tuple[int, int]:
+    """The ``k``-th set cell of the 2-D ``free``, in row-major order."""
+    return divmod(int(np.flatnonzero(free)[k]), free.shape[1])
 
 
 def next_cell_bo(gp: GPModel, grid: SurfaceGrid, free: np.ndarray, acq: Acquisition,
@@ -248,18 +263,14 @@ def next_cell_bo(gp: GPModel, grid: SurfaceGrid, free: np.ndarray, acq: Acquisit
         raise Exhausted("no free valid cell")
     mu, var = gp.predict_grid(grid)
     ei = _ei(mu[keep], np.sqrt(var[keep]), acq.best_k, acq.xi)
-    best = ei.max()
-    ties = np.flatnonzero(ei == best)
-    pick = ties[rng.integers(ties.size)]
-    u, v = np.argwhere(free)[pick]
-    return int(u), int(v)
+    ties = np.flatnonzero(ei == ei.max())
+    return _nth_cell(free, ties[rng.integers(ties.size)])
 
 
 def next_cell_random(grid: SurfaceGrid, free: np.ndarray,
                      rng: np.random.Generator) -> tuple[int, int]:
     """Uniform draw over the valid cells that are set in ``free``."""
-    cells = np.argwhere(_free_valid(grid, free))
-    if cells.shape[0] == 0:
+    free = _free_valid(grid, free)
+    if not free.any():
         raise Exhausted("no free valid cell")
-    pick = rng.integers(cells.shape[0])
-    return int(cells[pick, 0]), int(cells[pick, 1])
+    return _nth_cell(free, rng.integers(np.count_nonzero(free)))

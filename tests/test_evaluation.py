@@ -123,6 +123,17 @@ class TestFScore:
         assert rep.recall == 0.5
         assert rep.fscore == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    def test_a_point_at_exactly_r_is_covered(self):
+        # 0.25 and its square are exact in binary, so each distance is r itself
+        recon = np.array([[0.0, 0.0, 0.0]])
+        gt = np.array([[0.25, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        rep = fscore(PointCloud(recon), PointCloud(gt), 0.25)
+        assert (rep.precision, rep.recall) == (1.0, 0.5)
+        rep = fscore(PointCloud(gt), PointCloud(recon), 0.25)
+        assert (rep.precision, rep.recall) == (0.5, 1.0)
+        rep = fscore(PointCloud(recon), PointCloud(gt), np.nextafter(0.25, 0.0))
+        assert (rep.precision, rep.recall) == (0.0, 0.0)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyCloud):
             fscore(PointCloud(np.zeros((0, 3))), PointCloud(np.zeros((1, 3))), 0.003)

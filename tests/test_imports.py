@@ -1,6 +1,6 @@
 """No module of the package keeps an import that its code never names,
-no module-level private name goes unread across the package, every
-error class of ``errors.py`` is raised by some other module, and every
+no module-level private name or private attribute stored on ``self``
+goes unread across the package, every error class of ``errors.py`` is raised by some other module, and every
 parameter of every function is read in its body.
 
 ``__init__.py`` is left out of the import check: its imports are the
@@ -73,6 +73,37 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_module_level_private_name_is_read():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def unread_private_attributes(sources: list[str]) -> list[str]:
+    """Private attributes that some method stores on ``self`` (``self._a = ...``,
+    ``self._a += ...``) and no expression in any of ``sources`` reads."""
+    stored, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"):
+                stored.add(node.attr)
+    return sorted(n for n in stored - read
+                  if n.startswith("_") and not (n.startswith("__") and n.endswith("__")))
+
+
+def test_the_check_finds_an_unread_private_attribute():
+    sources = ["class A:\n    def __init__(self):\n        self._a = 1\n"
+               "        self._b, self.c = 2, 3\n        self._d = self._e = 4\n"
+               "        self.__f = 5\n        self.__dict__ = {}\n"
+               "    def m(self, o):\n        self._e += 1\n        return self._a + o._g\n",
+               "def f(x):\n    x._h = 1\n    return x._d\n"]
+    assert unread_private_attributes(sources) == ["__f", "_b", "_e"]
+
+
+def test_every_private_attribute_stored_on_self_is_read():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_attributes(sources) == []
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

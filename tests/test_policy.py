@@ -1,10 +1,14 @@
 import math
+import operator
 from dataclasses import replace
+from functools import reduce
 from unittest import mock
 
 import numpy as np
 import pytest
-from test_equivalence import reference_step
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_equivalence import bits, reference_step
 
 from palpsim import (
     CalibrationParams,
@@ -21,6 +25,7 @@ from palpsim import (
     impedance_force,
     min_jerk_offset,
     probe_cell,
+    rotation_zyx,
     run_policy,
 )
 from palpsim.errors import Exhausted, NoContact, NumericalBlowup, OutOfRange
@@ -295,6 +300,68 @@ class TestClassificationAgainstGeometry:
         assert agree >= 95
 
 
+def _ramp(start, step, n):
+    """Reference ramp of one coordinate: start, start + step, ... (n + 1
+    values) as a running sum, the floats of adding ``step`` n times in a loop."""
+    out = np.full(n + 1, step)
+    out[0] = start
+    return np.cumsum(out)
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.tuples(unit, unit, unit, st.floats(0.0, 0.05)), normal=st.tuples(unit, unit, unit),
+       step_len=st.floats(1e-7, 1e-3), n=st.integers(1, 4096))
+def test_one_cumsum_gives_the_four_ramps_bytes(start, normal, step_len, n):
+    # probe_cell's construction; test_equivalence.py checks the whole
+    # descent against a step-by-step loop
+    nx, ny, nz = normal
+    steps = (-(step_len * nx), -(step_len * ny), -(step_len * nz), step_len)
+    ramp = np.empty((n + 1, 4))
+    ramp[1:] = steps
+    ramp[0] = start
+    for col, first, step in zip(np.cumsum(ramp, axis=0).T, start, steps):
+        assert col.tobytes() == _ramp(first, step, n).tobytes()
+
+
+axes = st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 1.0),
+                        (1.0, 0.0, 1.0), (0.0, 0.0, -1.0)]) | st.tuples(unit, unit, unit).filter(
+    lambda a: a[2] > 0.1)
+
+
+class FixedNormals:
+    """Stands in for a Generator whose ``normal`` draws are ``values``, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def normal(self, loc, scale):
+        return loc + self.values.pop(0)
+
+
+offsets = st.sampled_from([0.0, -0.0, 0.3, -0.3, math.pi / 2, -math.pi / 2]) | st.floats(-0.1, 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@example(axis=(0.0, 0.0, 1.0), angle_noise=0.05, noise=(0.0, -0.3, 0.0))  # a -0.0 + -0.0 + -0.0 sum
+@example(axis=(1.0, 0.0, 0.0), angle_noise=0.05, noise=(-0.3, 0.3, 0.0))
+@given(axis=axes, angle_noise=st.sampled_from([0.0, 0.05]),
+       noise=st.tuples(offsets, offsets, offsets))
+def test_load_cell_map_is_the_sum_of_rotation_products(axis, angle_noise, noise):
+    # M = R_est R_trueᵀ from rotation_zyx, each entry summed left to right from
+    # the integer 0 as Python 3.11's sum() does, so an exact zero comes out +0.0
+    plant = ProbePlant(flat_phantom(), ProbeParams(), CalibrationParams(angle_noise=angle_noise))
+    plant.align((0.0, 0.0, 0.0), axis, FixedNormals(noise))
+    r_true = rotation_zyx(plant.euler).tolist()
+    r_est = rotation_zyx(plant.euler_est).tolist()
+    want = [reduce(operator.add, (r_est[i][k] * r_true[j][k] for k in range(3)), 0)
+            for i in range(3) for j in range(3)]
+    assert bits(v for row in plant._m for v in row) == bits(want)
+    assert bits(plant._axial) == bits(row[2] for row in r_est)
+
+
 class TestRunPolicy:
     def test_budget_and_modes(self, analytic_grid):
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
@@ -314,6 +381,19 @@ class TestRunPolicy:
         with pytest.raises(Exhausted):
             run_policy(ph, grid, default_config(strategy="rs", mode="discrete", budget=1000),
                        seed=0)
+
+    @pytest.mark.parametrize("strategy", ["rs", "bo"])
+    def test_a_budget_of_every_valid_cell_probes_each_once(self, analytic_grid, strategy):
+        ph = flat_phantom()
+        full = analytic_grid(ph, lo=(-0.004, -0.002), hi=(0.004, 0.004))  # 5 x 4 cells
+        mask = np.ones((full.nx, full.ny), dtype=bool)
+        mask[0, 0] = mask[4, 1] = mask[2, 3] = False
+        grid = SurfaceGrid(full.origin_xy, full.dx, full.dy, full.height, full.normal, mask)
+        cfg = default_config(strategy=strategy, mode="discrete", budget=int(mask.sum()))
+        probes, _ = run_policy(ph, grid, cfg, seed=0)
+        assert sorted(p.cell for p in probes) == [tuple(c) for c in grid.valid_cells().tolist()]
+        with pytest.raises(Exhausted, match="budget 18 exceeds 17 valid cells"):
+            run_policy(ph, grid, replace(cfg, budget=cfg.budget + 1), seed=0)
 
     @pytest.mark.parametrize("mode", ["cf", "discrete"])
     @pytest.mark.parametrize("strategy", ["bo", "rs"])

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 import palpsim
@@ -23,7 +24,7 @@ from palpsim import (
     next_cell_random,
 )
 from palpsim.errors import Empty, Exhausted, InvalidCell, OutOfRange, SingularKernel
-from palpsim.search import _GEMV_THREAD_CUTOFF, GPModel, _ei, _vecmat
+from palpsim.search import _GEMV_THREAD_CUTOFF, GPModel, _ei, _nth_cell, _solve_lower, _vecmat
 
 
 def make_grid(nx=20, ny=20, mask=None):
@@ -544,6 +545,80 @@ class TestGPModel:
     def test_empty_model_cannot_predict(self):
         with pytest.raises(Empty):
             GPModel(GPHyper()).predict_grid(make_grid(2, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=sample_lists, hyper=hypers, data=st.data())
+    def test_x_and_y_are_read_only_and_grow_like_a_fit(self, samples, hyper, data):
+        first = data.draw(st.integers(1, len(samples)), label="fitted")
+        gp = gp_fit(samples[:first], hyper)
+        for s in samples[first:]:
+            x, y = gp.x, gp.y
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 99.0
+            with pytest.raises(ValueError, match="read-only"):
+                y[0] = 99.0
+            gp.add(s)
+        fit = gp_fit(samples, hyper)
+        assert gp.x.tobytes() == fit.x.tobytes() and gp.y.tobytes() == fit.y.tobytes()
+        assert gp.x.shape == (len(samples), 2) and gp.y.shape == (len(samples),)
+        assert not gp.x.flags.writeable and not gp.y.flags.writeable
+
+
+# -- each primitive of the BO pick against the one it replaced, by bytes --------
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 90), hyper=hypers, seed=st.integers(0, 2**32 - 1))
+def test_solve_lower_gives_solve_triangulars_bytes(n, hyper, seed):
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(40 * 40, size=n, replace=False)
+    gp = gp_fit([StiffnessSample((int(c // 40), int(c % 40)), float(k))
+                 for c, k in zip(flat, rng.uniform(0.0, 2000.0, n))], hyper)
+    chol = gp._chol
+    for b in (rng.standard_normal(n) * 1e3, gp.y - gp.y.mean()):
+        want = solve_triangular(chol, b, lower=True, check_finite=False)
+        assert _solve_lower(chol, b).tobytes() == want.tobytes()
+
+
+def masked_ei(mu, sigma, best_k, xi):
+    """``_ei`` as it was before its unmasked path: every array goes through the mask."""
+    imp = mu - best_k - xi
+    out = np.maximum(imp, 0.0)
+    pos = sigma > 1e-300
+    if np.any(pos):
+        z = imp[pos] / sigma[pos]
+        out[pos] = imp[pos] * ndtr(z) + sigma[pos] * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    return np.maximum(out, 0.0)
+
+
+TINY_SIGMAS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, math.nextafter(1e-300, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@example(pairs=[(500.0, 0.0), (400.0, 1.0)], best_k=500.0, xi=0.0)  # imp = sigma = 0
+@given(pairs=st.lists(st.tuples(st.floats(-5e3, 5e3),
+                                st.sampled_from(TINY_SIGMAS) | st.floats(1e-300, 1e3)),
+                      max_size=40),
+       best_k=st.floats(0.0, 2e3), xi=st.floats(0.0, 10.0))
+def test_ei_gives_the_masked_bytes(pairs, best_k, xi):
+    mu = np.array([p[0] for p in pairs], dtype=float)
+    sigma = np.array([p[1] for p in pairs], dtype=float)
+    pos = sigma > 1e-300  # the cells where the whole-array formula runs
+    with np.errstate(over="ignore"):  # z * z overflows for the tiniest sigmas
+        got = _ei(mu, sigma, best_k, xi)
+        assert got.tobytes() == masked_ei(mu, sigma, best_k, xi).tobytes()
+        assert _ei(mu[pos], sigma[pos], best_k, xi).tobytes() == got[pos].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nth_cell_is_the_argwhere_row(data):
+    nx = data.draw(st.integers(1, 9), label="nx")
+    ny = data.draw(st.integers(1, 9).filter(lambda n: n != nx), label="ny")
+    free = np.array(data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)),
+                    dtype=bool).reshape(nx, ny)
+    cells = np.argwhere(free)
+    assert [_nth_cell(free, k) for k in range(len(cells))] == [tuple(c) for c in cells.tolist()]
+    assert all(type(i) is int for k in range(len(cells)) for i in _nth_cell(free, k))
 
 
 def run_child(code: str, *args: str, **env: str) -> str:
