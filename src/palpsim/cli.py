@@ -89,6 +89,10 @@ def main(argv=None) -> int:
     except PalpSimError as exc:
         print(f"palpsim: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # reads raise ConfigInvalid or MalformedPly, so this is a write
+        path = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"palpsim: error: {path}cannot write: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

@@ -426,20 +426,22 @@ def _f_text(rep: ConditionReport) -> str:
 
 def _write_trajectories(fh, trial: TrialOutcome) -> None:
     """One JSON line per probe, then one per contour waypoint, each the bytes
-    ``json.dumps`` writes for its record: the template writes ``repr`` of
-    its floats, as JSON does for every finite one.  All are finite: configs
+    ``json.dumps`` writes for its record: ``%r`` writes ``repr`` of the
+    floats, as JSON does for every finite one.  All are finite: configs
     reject NaN and infinity, and the plant's speed guard (``NumericalBlowup``)
     stops a palpation before any position or force can become either."""
-    record = ('{{"trial": %d, "palpation_index": {}, "t": {!r}, "p": [{!r}, {!r}, {!r}], '
-              '"f": [{!r}, {!r}, {!r}], "phase": "{}", "outcome": "{}"}}\n' % trial.index).format
-    fh.writelines(record(j, 0.0, *res.contact_point.tolist(), *res.f_vec.tolist(), "probe",
-                         "tumor" if res.classified_tumor else "no_tumor")
+    def record(j: int, phase: str, outcome: str) -> str:
+        return ('{"trial": %d, "palpation_index": %d, "t": %%r, "p": [%%r, %%r, %%r], '
+                '"f": [%%r, %%r, %%r], "phase": "%s", "outcome": "%s"}\n'
+                % (trial.index, j, phase, outcome))
+    fh.writelines(record(j, "probe", "tumor" if res.classified_tumor else "no_tumor")
+                  % (0.0, *res.contact_point.tolist(), *res.f_vec.tolist())
                   for j, res in enumerate(trial.probes))
     probe_index = {res.cell: j for j, res in enumerate(trial.probes)}
     for traj in trial.trajs:
-        j = probe_index.get(traj.start_cell, -1)
-        fh.writelines(record(j, t, *p, *f, "contour", traj.outcome) for t, p, f in
-                      zip(traj.times.tolist(), traj.poses.tolist(), traj.forces.tolist()))
+        rows = np.column_stack([traj.times, traj.poses, traj.forces]).ravel().tolist()
+        fh.write(record(probe_index.get(traj.start_cell, -1), "contour", traj.outcome)
+                 * len(traj) % tuple(rows))
 
 
 def _write_condition(rep: ConditionReport, out: Path) -> None:

@@ -9,9 +9,9 @@ depth-camera-style surface clouds and ground-truth tumor clouds.
 The contact law has two implementations.  ``contact_law`` is the scalar
 hot path: the law and the skin normal in one closure, set up for the
 profile kind once per palpation, which the 1 kHz contour-follow tick
-calls.  The ``*_np`` methods apply the same arithmetic to arrays; the
-probe descent evaluates a window of steps through them, and cloud
-generation uses them too.  The scalar ``contact_force``,
+and the probe descent's few force-rule steps call.  The ``*_np``
+methods apply the same arithmetic to arrays: the descent's window of
+contact forces, and the clouds.  The scalar ``contact_force``,
 ``surface_normal`` and ``z_skin`` are one-line views of these two.
 """
 

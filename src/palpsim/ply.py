@@ -12,7 +12,7 @@ from .errors import EmptyCloud, MalformedPly
 from .phantom import PointCloud
 from .registration import SurfaceMesh
 
-_ROWS_PER_WRITE = 256  # vertex rows per tolist(), which bounds the temporary lists
+_ROWS_PER_WRITE = 256  # rows per tolist(), which bounds the temporary lists
 
 
 def export_ply(cloud: PointCloud, path) -> None:
@@ -34,16 +34,17 @@ def _write_ply(path, points: np.ndarray, normals: np.ndarray | None,
     if normals is not None:
         header += ["property float nx", "property float ny", "property float nz"]
         points = np.hstack([points, normals])
+    tables = [(" ".join(["%.6g"] * points.shape[1]) + "\n", points)]
     if faces is not None:
         header += [f"element face {len(faces)}", "property list uchar int vertex_indices"]
+        tables.append(("3 %d %d %d\n", faces))
     header.append("end_header")
-    row = " ".join(["{:.6g}"] * points.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for i in range(0, len(points), _ROWS_PER_WRITE):
-            fh.writelines(row.format(*p) for p in points[i:i + _ROWS_PER_WRITE].tolist())
-        if faces is not None:
-            fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in faces.tolist())
+        for row, table in tables:  # one %-format per block of rows
+            for i in range(0, len(table), _ROWS_PER_WRITE):
+                block = table[i:i + _ROWS_PER_WRITE]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_ply(path) -> PointCloud:

@@ -4,8 +4,9 @@ oscillation until the inclusion's boundary with the muscle bed.
 
 The plant is a Cartesian point-mass probe stepped by semi-implicit
 Euler at the controller period; joint-space dynamics are out of scope.
-The probe descent is kinematic, so it is evaluated a window of steps at
-a time with numpy and stops at the first step that meets a stop rule.
+The probe descent is kinematic: numpy gives a window of steps' contact
+forces at a time, and the load cell reads only the steps whose force reaches
+``ProbePlant.force_floor``, the only ones that can meet the force rule.
 The contour-follow loop stays scalar, in plain-float arithmetic: each
 1 kHz control step depends on the one before it.  The step is set up
 once per palpation: the phantom's specialised ``contact_law``, the plant
@@ -226,6 +227,15 @@ class ProbePlant:
         axial, ox, oy, oz = self.load_cell(fx, fy, fz)
         return axial, np.array([ox, oy, oz])
 
+    def force_floor(self, f_thres: float) -> float:
+        """A contact force below which no axial reading reaches ``f_thres``:
+        ``out = M f + w (M z - z)`` with M orthogonal and w >= 0, projected on a
+        unit axis, so ``axial <= |f| + slack`` with ``slack = w |(m02, m12, m22 - 1)|``.
+        The margin 1e-9 (f_thres + w) covers rounding, about 1e-15 (|f| + w)."""
+        (_, _, m02), (_, _, m12), (_, _, m22) = self._m
+        slack = self._w * math.sqrt(m02 * m02 + m12 * m12 + (m22 - 1.0) * (m22 - 1.0))
+        return f_thres - slack - 1e-9 * (f_thres + self._w)
+
 
 _MAX_WINDOW = 4096  # descent steps evaluated per pass
 
@@ -236,6 +246,9 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
     """Discrete probe: align to the cell normal, indent until the force
     or displacement threshold, classify, and report k = f_z / d_z.
 
+    The scalar law and load cell read, in order, only the steps whose force
+    reaches ``plant.force_floor(f_thres)`` before the window's first depth
+    or travel stop, and give the floats numpy would.
     Leaves the plant pressed at the stop point so contour following can
     take over in place.
     """
@@ -243,14 +256,13 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
     point, normal = cell_to_surface(grid, cell[0], cell[1])
     nx, ny, nz = float(normal[0]), float(normal[1]), float(normal[2])
     r = params.tip_radius
-    start = point + (params.hover + r) * normal
-    plant.align(start, (nx, ny, nz), rng)
+    plant.align(point + (params.hover + r) * normal, (nx, ny, nz), rng)
+    law, f_lo = phantom.contact_law(), plant.force_floor(params.f_thres)
 
     step_len = params.indent_speed * gains.period
     travel_limit = params.hover + params.d_thres + 0.005
     # kinematic descent along -normal; the discrete approach move is not
-    # part of the contact dynamics under study.  Each pass evaluates a
-    # window of steps and stops at the first one that meets a stop rule.
+    # part of the contact dynamics under study
     vz_query = -params.indent_speed * nz
     window = min(_MAX_WINDOW, int(travel_limit / step_len) + 2)
     ramp = np.empty((window + 1, 4))
@@ -265,47 +277,42 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
         z = zs[:-1]
         cx = xs[:-1] - r * nx
         cy = ys[:-1] - r * ny
-        fn = phantom.contact_force_np(cx, cy, z - r * nz, vz_query)
+        cz = z - r * nz
+        fn = phantom.contact_force_np(cx, cy, cz, vz_query)
         touch = fn > 0.0
-        nsx, nsy, nsz = phantom.surface_normal_np(cx, cy)
-        fx, fy, fz = fn * nsx, fn * nsy, fn * nsz
-        axial = plant.load_cell(fx, fy, fz)[0]
         if p_zi is None and touch.any():
             p_zi = float(z[np.argmax(touch)])
-        stop = touch & (axial >= params.f_thres)
+        end = ~touch & (trav[:-1] > travel_limit)
         if p_zi is not None:
-            stop |= touch & (np.abs(z - p_zi) >= params.d_thres)
-        out_of_travel = ~touch & (trav[:-1] > travel_limit)
-        end = stop | out_of_travel
-        if end.any():
-            i = int(np.argmax(end))
+            end |= touch & (np.abs(z - p_zi) >= params.d_thres)
+        hi = int(np.argmax(end)) if end.any() else window
+        i = next((j for j in np.flatnonzero(touch[:hi] & (fn[:hi] >= f_lo)).tolist()
+                  if plant.load_cell(*law(float(cx[j]), float(cy[j]), float(cz[j]),
+                                          vz_query)[1:])[0] >= params.f_thres), hi)
+        if i < window:
             break
         px, py, pz, traveled = xs[-1], ys[-1], zs[-1], trav[-1]
         done += window
-    if out_of_travel[i]:
-        raise NoContact(
-            f"no contact within {travel_limit * 1e3:.1f} mm of travel at cell {cell} "
-            f"({done + i} steps)"
-        )
+    if not touch[i]:
+        raise NoContact(f"no contact within {travel_limit * 1e3:.1f} mm of travel at cell "
+                        f"{cell} ({done + i} steps)")
     px, py, pz = float(xs[i]), float(ys[i]), float(zs[i])
-    f_axial, f_vec = plant.measure(float(fx[i]), float(fy[i]), float(fz[i]))
+    f_axial, f_vec = plant.measure(*law(float(cx[i]), float(cy[i]), float(cz[i]),
+                                        vz_query)[1:])
     plant.px, plant.py, plant.pz = px, py, pz
     plant.vx = plant.vy = plant.vz = 0.0
     d_z = abs(pz - p_zi)
-    k = f_axial / d_z if d_z > 0.0 else f_axial / step_len
-    classified = (f_axial > params.f_thres) and (d_z < params.d_thres)
-    contact_point = np.array([px - r * nx, py - r * ny, pz - r * nz])
     return ProbeResult(
         cell=(int(cell[0]), int(cell[1])),
         f_z=f_axial,
         d_z=d_z,
-        k=k,
-        classified_tumor=classified,
+        k=f_axial / d_z if d_z > 0.0 else f_axial / step_len,
+        classified_tumor=(f_axial > params.f_thres) and (d_z < params.d_thres),
         p_zi=p_zi,
         p_zf=pz,
-        contact_point=contact_point,
+        contact_point=np.array([px - r * nx, py - r * ny, pz - r * nz]),
         normal=np.array([nx, ny, nz]),
-        f_vec=np.asarray(f_vec, dtype=float),
+        f_vec=f_vec,
     )
 
 

@@ -1,7 +1,8 @@
 """Property tests: the fast paths of the probe against their references.
 
 (a) ``ProbePlant.measure`` (one affine map per palpation) against the
-    step-by-step chain of ``calibration.py``.
+    step-by-step chain of ``calibration.py``, and ``force_floor`` as a
+    bound on the map's axial part.
 (b) The array contact law and surface normal against the scalar ones
     ``Phantom`` used to carry, ported here as ``reference_contact_force``
     and ``reference_surface_normal``: both do the same operations, so they
@@ -147,6 +148,33 @@ def test_load_cell_gives_the_same_floats_on_arrays():
             tuple(float(a[j]) for a in arrays)
 
 
+@settings(max_examples=400, deadline=None)
+@given(axis=st.tuples(unit, unit, unit).filter(lambda a: math.hypot(*a) > 0.1),
+       angle_noise=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+       tip_weight=st.one_of(st.sampled_from([0.0, 1e3]), st.floats(0.0, 1e3, **finite)),
+       along_axis=st.booleans(),
+       direction=st.tuples(unit, unit, unit).filter(lambda a: math.hypot(*a) > 0.1),
+       fn=st.floats(1e-3, 1e4, **finite),
+       seed=st.integers(0, 2**32 - 1))
+# no orientation noise and a heavy tip: the reading rounds above the force,
+# by more than the slack, which the margin covers
+@example(axis=(0.0, 1.0, 1.0), angle_noise=0.0, tip_weight=1e3, along_axis=True,
+         direction=(0.0, 0.0, 1.0), fn=1.0, seed=0)
+def test_force_floor_bounds_every_axial_reading(axis, angle_noise, tip_weight, along_axis,
+                                                direction, fn, seed):
+    """``probe_cell`` reads the force rule only where the contact force
+    reaches ``force_floor(f_thres)``; with ``f_thres`` at the reading's own
+    axial part, the tightest case, the force must reach the floor.  A
+    contact force along the true tip axis gives the largest axial part."""
+    cal = CalibrationParams(tip_weight_n=tip_weight, angle_noise=angle_noise)
+    plant = ProbePlant(make_phantom("hemisphere", "flat"), ProbeParams(), cal)
+    plant.align((0.0, 0.0, 0.03), axis, np.random.default_rng(seed))
+    d = plant.axis if along_axis else direction
+    norm = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    axial = plant.load_cell(*(fn * (c / norm) for c in d))[0]
+    assert fn >= plant.force_floor(axial)
+
+
 # -- (b) array contact law and normal against the scalar ones ------------------
 
 def reference_profile_height(prof, x: float, y: float) -> float:
@@ -276,14 +304,15 @@ def reference_descent(plant, grid, cell, gains, rng):
        x=st.floats(-0.02, 0.02, **finite), y=st.floats(-0.02, 0.02, **finite),
        lift=st.floats(-0.002, 0.03, **finite),
        tilt=st.floats(0.0, 1.0, **finite), azimuth=st.floats(0.0, 2 * math.pi, **finite),
-       f_thres=st.floats(1.0, 12.0, **finite),
+       f_thres=st.floats(0.05, 12.0, **finite),
        indent_speed=st.sampled_from([0.01, 0.02, 0.05]),
-       angle_noise=st.sampled_from([0.0, 0.02]),
+       angle_noise=st.sampled_from([0.0, 0.02, 0.3]),
+       tip_weight=st.sampled_from([0.0, 0.35, 2.0]),
        window=st.sampled_from([policy._MAX_WINDOW, 7, 200]),
        seed=st.integers(0, 2**32 - 1))
 def test_probe_cell_stops_where_the_scalar_descent_stops(
         shape, profile, x, y, lift, tilt, azimuth, f_thres, indent_speed, angle_noise,
-        window, seed):
+        tip_weight, window, seed):
     ph = make_phantom(shape, profile)
     # one-cell grid: a registered point off the true skin by ``lift``, with a
     # normal tilted up to about 57 degrees, as a noisy scan could give
@@ -292,7 +321,7 @@ def test_probe_cell_stops_where_the_scalar_descent_stops(
     grid = SurfaceGrid((x, y), 0.002, 0.002, [[ph.z_skin(x, y) + lift]],
                        normal.reshape(1, 1, 3), [[True]])
     params = ProbeParams(f_thres=f_thres, d_thres=0.017, indent_speed=indent_speed)
-    cal = CalibrationParams(angle_noise=angle_noise)
+    cal = CalibrationParams(tip_weight_n=tip_weight, angle_noise=angle_noise)
     gains = ControllerGains()
     ref = reference_descent(ProbePlant(ph, params, cal), grid, (0, 0), gains,
                             np.random.default_rng(seed))
@@ -307,6 +336,8 @@ def test_probe_cell_stops_where_the_scalar_descent_stops(
             return
     _, f_z, d_z, p_zi, stop = ref
     assert f_z is not None, "reference ran out of travel"
+    if plant.force_floor(params.f_thres) <= 0.0:
+        event("every touching step a candidate")
     event("force stop" if f_z >= params.f_thres else "depth stop")
     assert (plant.px, plant.py, plant.pz) == stop
     assert (res.p_zi, res.p_zf, res.d_z, res.f_z) == (p_zi, stop[2], d_z, f_z)

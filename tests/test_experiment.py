@@ -6,6 +6,7 @@ from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from palpsim.experiment import (
     _write_trajectories,
     config_to_flat,
 )
-from palpsim import cli, experiment, policy
+from palpsim import cli, experiment, ply, policy
 from palpsim.cli import main as cli_main
 from palpsim.errors import (
     ConfigInvalid,
@@ -705,6 +706,17 @@ def test_trajectory_lines_are_the_json_dumps_bytes(index, probes, waypoints, out
         for k, t, p, f, phase, out in records)
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(XYZ, min_size=1, max_size=9), block=st.integers(1, 4))
+def test_ply_row_blocks_are_the_format_bytes(rows, block, tmp_path_factory):
+    """Blocks of rows written by one ``%.6g`` format against ``{:.6g}`` row by row."""
+    path = tmp_path_factory.getbasetemp() / "rows.ply"
+    with mock.patch.object(ply, "_ROWS_PER_WRITE", block):
+        export_ply(PointCloud(np.array(rows)), path)
+    assert path.read_text().split("end_header\n")[1] == \
+        "".join("{:.6g} {:.6g} {:.6g}\n".format(*r) for r in rows)
+
+
 XYZ_HEADER =(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
               b"property float y\nproperty float z\n")
 NAN_VERTEX = XYZ_HEADER + b"end_header\nnan 0 0\n"
@@ -923,6 +935,16 @@ class TestCli:
         assert capsys.readouterr().err == (f"palpsim: error: ConfigInvalid: {missing}: "
                                            "cannot read config file: No such file or directory\n")
         assert not (tmp_path / "out").exists() and not (tmp_path / "gt.ply").exists()
+
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
+        gt = tmp_path / "missing" / "gt.ply"
+        assert cli_main(["export-gt", "--samples", "50", "--file", str(gt)]) == 2
+        assert capsys.readouterr() == (
+            "", f"palpsim: error: {gt}: cannot write: No such file or directory\n")
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "x"
+        assert cli_main(["run", "--trials", "1", "--budget", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"palpsim: error: {out}: cannot write: Not a directory\n"
 
     def test_eval_on_a_file_that_is_not_ply_is_one_error_line(self, tmp_path, capsys):
         text = tmp_path / "hello.txt"

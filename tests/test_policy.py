@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_equivalence import bits, reference_step
+from test_equivalence import bits, reference_descent, reference_step
 
 from palpsim import (
     CalibrationParams,
@@ -187,6 +187,38 @@ class TestProbeCell:
         bias = ph.cfg.contact_damping * params.indent_speed
         d_star = (params.f_thres - bias) / 400.0
         assert res.d_z == pytest.approx(d_star, abs=2e-5)
+
+    @pytest.mark.parametrize("cal", [CalibrationParams(),
+                                     CalibrationParams(tip_weight_n=2.0, angle_noise=0.3)])
+    @pytest.mark.parametrize("cell", [(10, 10), (2, 3)])  # force stop, depth stop
+    def test_descent_reads_the_scalar_law_only_where_the_force_rule_can_fire(
+            self, analytic_grid, cal, cell):
+        ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
+        grid = analytic_grid(ph)
+        params, gains = ProbeParams(f_thres=5.0, d_thres=0.017), ControllerGains()
+        steps = reference_descent(ProbePlant(ph, params, cal), grid, cell, gains,
+                                  np.random.default_rng(4))[0]
+        plant = ProbePlant(ph, params, cal)
+        windows, calls = [], []
+        law, force_np = ph.contact_law, ph.contact_force_np
+
+        def counted_law():
+            inner = law()
+            return lambda *a: calls.append(a) or inner(*a)
+
+        def recorded_force_np(*a):
+            windows.append(force_np(*a))
+            return windows[-1]
+
+        with mock.patch.object(ph, "contact_law", counted_law), \
+                mock.patch.object(ph, "contact_force_np", recorded_force_np), \
+                mock.patch.object(ph, "surface_normal_np", wraps=ph.surface_normal_np) as normal:
+            probe_cell(plant, grid, cell, gains, np.random.default_rng(4))
+        fn = np.concatenate(windows)[:steps + 1]  # every step up to the stop
+        candidates = int(np.sum((fn > 0.0) & (fn >= plant.force_floor(params.f_thres))))
+        assert normal.call_count == 0
+        assert 1 <= len(calls) <= candidates + 1
+        assert candidates < steps / 4
 
     def test_no_contact_error(self, analytic_grid):
         ph = flat_phantom()
