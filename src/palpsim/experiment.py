@@ -358,18 +358,22 @@ def run_trial(cfg: ExperimentConfig, gt: PointCloud, trial: int,
     """One seeded end-to-end trial: scan, register, palpate, score.
 
     ``scenes`` maps a scene's inputs to the ``SurfaceGrid`` already built
-    from them; a grid built here is added to it.  A scene that fails is
-    not kept, so it fails every trial that asks for it.
+    from them; a grid built here is added to it.  A scene that fails is not
+    kept, so it fails every trial that asks for it.  ``scenes`` also keeps the
+    ``probe_cell`` descents per scene, tumor, ``ProbeParams`` and ``gains.period``.
     """
     trial_seed = cfg.seed + trial
     out = TrialOutcome(index=trial, seed=trial_seed, status="ok")
-    scenes = {} if scenes is None else scenes
     key = (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
+    descents = None if scenes is None else scenes.setdefault(
+        ("descents", key, cfg.tumor, cfg.probe, cfg.gains.period), {})
+    scenes = {} if scenes is None else scenes
     try:
         if key not in scenes:
             scenes[key] = _scene(*key)
         grid = scenes[key]
-        out.probes, out.trajs = run_policy(Phantom(cfg.phantom, cfg.tumor), grid, cfg, trial_seed)
+        out.probes, out.trajs = run_policy(Phantom(cfg.phantom, cfg.tumor), grid, cfg,
+                                           trial_seed, descents)
         recon = extract_contact_points(out.trajs, out.probes, cfg.probe)
         out.recon_points = recon.points
         out.report = fscore(recon, gt, cfg.r_eval)
@@ -447,7 +451,6 @@ def _write_trajectories(fh, trial: TrialOutcome) -> None:
 def _write_condition(rep: ConditionReport, out: Path) -> None:
     """Write every file of a finished condition into ``out``."""
     cfg = rep.config
-    out.mkdir(parents=True, exist_ok=True)
     _write_config_echo(cfg, out / "config.txt")
     export_ply(rep.gt, out / "gt.ply")
     with open(out / "trajectories.jsonl", "w") as fh:
@@ -469,30 +472,40 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, verbose: bool = True,
                    scenes: Optional[dict] = None) -> ConditionReport:
     """Run all trials of one condition, then write its files if ``out_dir`` is set.
 
+    ``out_dir`` is made before the first trial and removed if one raises.
     Failed trials (e.g. an empty reconstruction on a degenerate budget)
     become failure rows and are excluded from mean/max; a condition with
     no scored trial leaves its ``summary.csv`` F cells empty.  ``scenes``
     is passed to every ``run_trial``, and also keeps each ground truth.
     """
     t0 = time.perf_counter()
+    out = None if out_dir is None else Path(out_dir)
+    made = [] if out is None else [p for p in (out, *out.parents) if not p.exists()]
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before any trial
     gts = {} if scenes is None else scenes  # alone, trials get no dict and keep no grid
     key = (cfg.phantom, cfg.tumor, cfg.gt_samples, cfg.seed)
-    gt = gts[key] = gts[key] if key in gts else _ground_truth(cfg)
     trials: list[TrialOutcome] = []
-    for i in range(cfg.trials):
-        trial = run_trial(cfg, gt, i, scenes=scenes)
-        trials.append(trial)
-        if verbose:
-            f = trial.report.fscore if trial.report else float("nan")
-            print(f"[{cfg.condition}] trial {i}: status={trial.status} "
-                  f"recon={trial.n_recon} F={f:.3f}")
+    try:
+        gt = gts[key] = gts[key] if key in gts else _ground_truth(cfg)
+        for i in range(cfg.trials):
+            trial = run_trial(cfg, gt, i, scenes=scenes)
+            trials.append(trial)
+            if verbose:
+                f = trial.report.fscore if trial.report else float("nan")
+                print(f"[{cfg.condition}] trial {i}: status={trial.status} "
+                      f"recon={trial.n_recon} F={f:.3f}")
+    except BaseException:
+        for p in made:
+            p.rmdir()
+        raise
     ok = [t.report for t in trials if t.report is not None]
     mean_f, max_f = aggregate_trials(ok) if ok else (0.0, 0.0)
     rep = ConditionReport(cfg, trials, gt, mean_f, max_f,
                           n_failed=sum(1 for t in trials if t.status != "ok"),
                           wall_time=time.perf_counter() - t0)
-    if out_dir is not None:
-        _write_condition(rep, Path(out_dir))
+    if out is not None:
+        _write_condition(rep, out)
     if verbose:
         print(f"[{cfg.condition}] {_f_text(rep)} ({rep.wall_time:.1f}s)")
     return rep
@@ -513,9 +526,11 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
     cloud, ROI and grid steps: the scan never sees the tumor, so the
     shapes and the strategy x mode conditions of a trial index palpate
     one grid.  Each ground truth is sampled once per call too, at the
-    first condition that needs it.  Adds a pooled "combined" row per
-    shape: all reconstruction points from all that shape's trials scored
-    against the ground truth once.
+    first condition that needs it, and each probe descent once (see
+    ``run_trial``): twins probe the same cells, and BO lands on cells random
+    search probed.  The first condition makes ``out_dir``, before its first
+    trial.  Adds a pooled "combined" row per shape: all reconstruction
+    points from all that shape's trials scored against the ground truth once.
     """
     if not cfgs:
         raise Empty("no experiment configs given")
@@ -536,7 +551,6 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
             combined[shape] = fscore(PointCloud(np.vstack(points)), rep0.gt, rep0.config.r_eval)
 
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
         _write_csv(out_path / "metrics.csv", METRICS_HEADER,
                    [_metrics_row(rep.config, t) for rep in reports for t in rep.trials])
         rows = [_summary_row(rep) for rep in reports]

@@ -241,25 +241,55 @@ _MAX_WINDOW = 4096  # descent steps evaluated per pass
 
 
 def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
-               gains: ControllerGains,
-               rng: Optional[np.random.Generator] = None) -> ProbeResult:
+               gains: ControllerGains, rng: Optional[np.random.Generator] = None,
+               descents: Optional[dict] = None) -> ProbeResult:
     """Discrete probe: align to the cell normal, indent until the force
     or displacement threshold, classify, and report k = f_z / d_z.
 
-    The scalar law and load cell read, in order, only the steps whose force
-    reaches ``plant.force_floor(f_thres)`` before the window's first depth
-    or travel stop, and give the floats numpy would.
-    Leaves the plant pressed at the stop point so contour following can
-    take over in place.
+    ``descents`` maps (cell, load-cell map bits) to the stop of each descent
+    run on this grid with this plant's phantom and settings and ``gains.period``;
+    a hit skips the descent but not ``align``, which draws the angle noise and
+    sets the orientation the follow reads.  A descent that raises is not kept.
+    The plant is left pressed at the stop, for contour following to take over.
     """
-    phantom, params = plant.phantom, plant.params
+    params, r = plant.params, plant.params.tip_radius
     point, normal = cell_to_surface(grid, cell[0], cell[1])
-    nx, ny, nz = float(normal[0]), float(normal[1]), float(normal[2])
-    r = params.tip_radius
-    plant.align(point + (params.hover + r) * normal, (nx, ny, nz), rng)
+    n = float(normal[0]), float(normal[1]), float(normal[2])
+    plant.align(point + (params.hover + r) * normal, n, rng)
+    key = None if descents is None else (cell, np.array(  # bits: a zero's sign can reach f_vec
+        [*plant._m[0], *plant._m[1], *plant._m[2], *plant._axial, plant._w]).tobytes())
+    stop = None if key is None else descents.get(key)
+    if stop is None:
+        stop = _descend(plant, cell, *n, gains.period)
+        if key is not None:
+            descents[key] = stop
+    px, py, pz, p_zi, f_axial, fx, fy, fz = stop
+    plant.px, plant.py, plant.pz = px, py, pz
+    plant.vx = plant.vy = plant.vz = 0.0
+    d_z = abs(pz - p_zi)
+    return ProbeResult(
+        cell=(int(cell[0]), int(cell[1])),
+        f_z=f_axial,
+        d_z=d_z,
+        k=f_axial / d_z if d_z > 0.0 else f_axial / (params.indent_speed * gains.period),
+        classified_tumor=(f_axial > params.f_thres) and (d_z < params.d_thres),
+        p_zi=p_zi,
+        p_zf=pz,
+        contact_point=np.array([px - r * n[0], py - r * n[1], pz - r * n[2]]),
+        normal=np.array(n),
+        f_vec=np.array([fx, fy, fz]),
+    )
+
+
+def _descend(plant: ProbePlant, cell, nx: float, ny: float, nz: float, period: float) -> tuple:
+    """The stop (px, py, pz, p_zi, f_axial, fx, fy, fz) of the aligned plant's descent
+    along -n.  The scalar law and load cell read, in order, only the steps whose force
+    reaches ``plant.force_floor(f_thres)`` before the window's first depth or travel
+    stop, and give the floats numpy would."""
+    phantom, params, r = plant.phantom, plant.params, plant.params.tip_radius
     law, f_lo = phantom.contact_law(), plant.force_floor(params.f_thres)
 
-    step_len = params.indent_speed * gains.period
+    step_len = params.indent_speed * period
     travel_limit = params.hover + params.d_thres + 0.005
     # kinematic descent along -normal; the discrete approach move is not
     # part of the contact dynamics under study
@@ -296,24 +326,9 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
     if not touch[i]:
         raise NoContact(f"no contact within {travel_limit * 1e3:.1f} mm of travel at cell "
                         f"{cell} ({done + i} steps)")
-    px, py, pz = float(xs[i]), float(ys[i]), float(zs[i])
     f_axial, f_vec = plant.measure(*law(float(cx[i]), float(cy[i]), float(cz[i]),
                                         vz_query)[1:])
-    plant.px, plant.py, plant.pz = px, py, pz
-    plant.vx = plant.vy = plant.vz = 0.0
-    d_z = abs(pz - p_zi)
-    return ProbeResult(
-        cell=(int(cell[0]), int(cell[1])),
-        f_z=f_axial,
-        d_z=d_z,
-        k=f_axial / d_z if d_z > 0.0 else f_axial / step_len,
-        classified_tumor=(f_axial > params.f_thres) and (d_z < params.d_thres),
-        p_zi=p_zi,
-        p_zf=pz,
-        contact_point=np.array([px - r * nx, py - r * ny, pz - r * nz]),
-        normal=np.array([nx, ny, nz]),
-        f_vec=f_vec,
-    )
+    return float(xs[i]), float(ys[i]), float(zs[i]), p_zi, f_axial, *f_vec.tolist()
 
 
 def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
@@ -489,16 +504,17 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
     )
 
 
-def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg,
-               seed: int) -> tuple[list[ProbeResult], list[PalpationTrajectory]]:
+def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, descents=None
+               ) -> tuple[list[ProbeResult], list[PalpationTrajectory]]:
     """Full palpation loop: select cell, probe, grow the GP, optionally follow.
 
     Reads ``strategy``, ``mode``, ``budget``, ``probe``, ``gains``, ``cal``,
     ``hyper``, ``xi`` and ``n_init`` from ``cfg``, an ``ExperimentConfig``,
     which checked their rules when it was built.  Each selection counts once
-    against the budget.  Selection and stroke directions draw from
-    independent seeded streams, so a discrete run and a contour-following
-    run with the same seed probe identical cells.
+    against the budget, in one ``probe_cell`` call given ``descents``.
+    Selection, stroke directions and angle noise draw from independent seeded
+    streams, so a discrete and a contour-following run with the same seed
+    probe identical cells with identical results, and can share ``descents``.
     """
     n_valid = int(grid.valid_mask.sum())
     if cfg.budget > n_valid:
@@ -518,7 +534,7 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg,
         else:
             cell = next_cell_random(grid, free, rng_select)
         free[cell] = False
-        res = probe_cell(plant, grid, cell, cfg.gains, rng_sense)
+        res = probe_cell(plant, grid, cell, cfg.gains, rng_sense, descents)
         results.append(res)
         best_k = max(best_k, res.k)
         if gp is not None:

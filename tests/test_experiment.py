@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import sys
 from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -14,13 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palpsim import (
+    CalibrationParams,
     CloudParams,
+    ControllerGains,
     ExperimentConfig,
     GPHyper,
     PalpationTrajectory,
     Phantom,
     PhantomConfig,
     PointCloud,
+    ProbeParams,
+    ProbePlant,
     ProbeResult,
     RoiBox,
     SurfaceProfile,
@@ -610,6 +615,139 @@ class TestSharedScene:
         assert len(scenes) == 2 and grids[0][0] is not grids[1][0]
 
 
+def _wrap_everywhere(mp, name, make) -> None:
+    """Wrap ``policy.<name>`` in every palpsim module that imported it, the way
+    perfbench's ``Patches.function`` does."""
+    orig = getattr(policy, name)
+    wrapped = make(orig)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").partition(".")[0] == "palpsim"
+                and getattr(mod, name, None) is orig):
+            mp.setattr(mod, name, wrapped)
+
+
+def _count_descents(mp) -> list[int]:
+    """A one-item list that counts the descents ``probe_cell`` computes."""
+    count, descend = [0], policy._descend
+
+    def counted(*a):
+        count[0] += 1
+        return descend(*a)
+
+    mp.setattr(policy, "_descend", counted)
+    return count
+
+
+def _probe_bytes(res) -> dict:
+    return {name: np.asarray(value).tobytes() for name, value in vars(res).items()}
+
+
+def _trial_bytes(t: TrialOutcome) -> tuple:
+    """Everything a trial computed, as bytes."""
+    rep = t.report
+    return (t.status, t.message, [_probe_bytes(p) for p in t.probes],
+            [(tr.times.tobytes(), tr.poses.tobytes(), tr.forces.tobytes(), tr.outcome,
+              tr.start_cell, np.asarray(tr.direction).tobytes(), tr.tip_normal.tobytes())
+             for tr in t.trajs],
+            None if t.recon_points is None else t.recon_points.tobytes(),
+            None if rep is None else np.array([rep.precision, rep.recall, rep.fscore]).tobytes())
+
+
+class TestSharedDescents:
+    """``run_matrix`` computes each probe descent once per call, while every
+    budgeted probe is still one ``probe_cell`` call inside one ``run_policy``
+    call per trial: perfbench times each palpation between those two calls."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        cfgs = table1_matrix(seed=7, trials=2)
+        calls = []  # [trial of the run_policy call, probe_cell calls inside it]
+
+        def wrap_policy(orig):
+            def run_policy(phantom, grid, cfg, seed, *a, **k):
+                calls.append([(cfg.condition, seed), 0])
+                return orig(phantom, grid, cfg, seed, *a, **k)
+            return run_policy
+
+        def wrap_probe(orig):
+            def probe_cell(*a, **k):
+                calls[-1][1] += 1
+                return orig(*a, **k)
+            return probe_cell
+
+        with pytest.MonkeyPatch.context() as mp:
+            _wrap_everywhere(mp, "run_policy", wrap_policy)
+            _wrap_everywhere(mp, "probe_cell", wrap_probe)
+            shared = _count_descents(mp)
+            rep = run_matrix(cfgs, None, verbose=False)
+        with pytest.MonkeyPatch.context() as mp:
+            fresh = _count_descents(mp)
+            alone = [run_experiment(cfg, None, verbose=False) for cfg in cfgs]
+        return cfgs, rep, calls, shared[0], alone, fresh[0]
+
+    def test_every_budgeted_probe_is_one_probe_cell_call(self, matrix):
+        cfgs, _, calls, _, _, _ = matrix
+        assert calls == [[(cfg.condition, cfg.seed + i), cfg.budget]
+                         for cfg in cfgs for i in range(cfg.trials)]
+
+    def test_shared_descents_give_the_bytes_of_fresh_ones(self, matrix):
+        _, rep, _, _, alone, _ = matrix
+        assert [t.status for c in rep.conditions for t in c.trials] == ["ok"] * 16
+        for shared, fresh in zip(rep.conditions, alone, strict=True):
+            assert [_trial_bytes(t) for t in shared.trials] == \
+                [_trial_bytes(t) for t in fresh.trials]
+            assert (shared.mean_f, shared.max_f) == (fresh.mean_f, fresh.max_f)
+
+    def test_each_descent_is_computed_once_per_call(self, matrix):
+        # seed 7: 1,040 probes (2 trials x 4 conditions x budgets 50 and 80)
+        # in 450 distinct descents; alone, each condition computes all of its own
+        cfgs, _, calls, shared, _, fresh = matrix
+        assert sum(n for _, n in calls) == fresh == 1040
+        assert shared == 450
+
+    def test_a_hit_gives_the_computed_floats_in_fresh_arrays(self, analytic_grid):
+        cfg = small_config(cal=CalibrationParams(angle_noise=0.02))
+        ph = Phantom(cfg.phantom, cfg.tumor)
+        grid = analytic_grid(ph)
+        plant, descents = ProbePlant(ph, cfg.probe, cfg.cal), {}
+
+        def probe(cell, draw, memo=descents):
+            res = policy.probe_cell(plant, grid, cell, cfg.gains, np.random.default_rng(draw),
+                                    memo)
+            return res, (plant.px, plant.py, plant.pz, plant.vx, plant.vy, plant.vz)
+
+        with pytest.MonkeyPatch.context() as mp:
+            count = _count_descents(mp)
+            want, stop = probe((10, 10), 0, None)
+            assert want.classified_tumor and count[0] == 1
+            first, _ = probe((10, 10), 0)
+            probe((10, 11), 0)  # moves the plant
+            for arr in (first.contact_point, first.normal, first.f_vec):
+                arr[:] = np.nan
+            for _ in range(2):
+                hit, hit_stop = probe((10, 10), 0)
+                assert count[0] == 3 and len(descents) == 2
+                assert _probe_bytes(hit) == _probe_bytes(want)
+                assert np.array(hit_stop).tobytes() == np.array(stop).tobytes()
+                hit.f_vec[0] = hit.contact_point[0] = hit.normal[0] = 1.0
+            probe((10, 10), 1)  # another angle-noise draw is another load-cell map
+            assert count[0] == 4 and len(descents) == 3
+
+    @pytest.mark.parametrize("change", [
+        {"tumor": TumorGeometry(shape="crescent")},
+        {"probe": ProbeParams(f_thres=5.5)},
+        {"gains": ControllerGains(period=0.0005)},
+        {"cal": CalibrationParams(angle_noise=0.02)},
+    ], ids=["tumor", "f_thres", "gains.period", "angle_noise"])
+    def test_a_change_to_a_descent_input_computes_every_descent(self, monkeypatch, change):
+        cfg = small_config(mode="discrete", trials=1, budget=6)
+        count = _count_descents(monkeypatch)
+        run_matrix([cfg, replace(cfg, mode="cf")], None, verbose=False)
+        assert count[0] == 6  # the cf twin computes none
+        run_matrix([cfg, replace(cfg, mode="cf", **change)], None, verbose=False)
+        assert count[0] == 6 + 12
+
+
 def _gt_events(monkeypatch, run_trials: bool = True) -> list[tuple[str, str]]:
     """Record each ground-truth sample and each trial as (kind, tumor shape),
     in call order.  With ``run_trials`` False a trial is a stub that runs nothing."""
@@ -945,6 +1083,16 @@ class TestCli:
         out = tmp_path / "plain" / "x"
         assert cli_main(["run", "--trials", "1", "--budget", "5", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"palpsim: error: {out}: cannot write: Not a directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "matrix"])
+    def test_unwritable_output_fails_before_any_trial(self, tmp_path, capsys, command):
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "x"
+        assert cli_main([command, "--trials", "1", "--budget", "5", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""  # no trial ran
+        assert err.startswith(f"palpsim: error: {out}") and err.count("\n") == 1
+        assert err.endswith(": cannot write: Not a directory\n")
 
     def test_eval_on_a_file_that_is_not_ply_is_one_error_line(self, tmp_path, capsys):
         text = tmp_path / "hello.txt"

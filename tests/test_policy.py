@@ -407,6 +407,24 @@ class TestRunPolicy:
         # same seed, same selection stream: identical probed cells
         assert [p.cell for p in probes_d] == [p.cell for p in probes]
 
+    @pytest.mark.parametrize("strategy", ["rs", "bo"])
+    def test_twins_give_the_same_probe_records(self, analytic_grid, strategy):
+        # the premise of sharing descents: a follow changes no later probe,
+        # under angle noise and a gravity residual too
+        cfg = default_config(strategy=strategy, mode="cf", budget=20)
+        cfg = replace(cfg, cal=replace(cfg.cal, angle_noise=0.02),
+                      probe=replace(cfg.probe, gravity_residual=(0.01, 0.0, 0.02)))
+        ph = Phantom(cfg.phantom, cfg.tumor)
+        grid = analytic_grid(ph)
+        cf, trajs = run_policy(ph, grid, cfg, seed=3)
+        discrete, none = run_policy(ph, grid, replace(cfg, mode="discrete"), seed=3)
+        assert len(trajs) >= 2 and none == [] and len(cf) == len(discrete) == 20
+        for a, b in zip(cf, discrete):
+            assert a.cell == b.cell
+            for name in ("f_z", "d_z", "k", "p_zi", "p_zf", "contact_point", "normal", "f_vec"):
+                assert np.asarray(getattr(a, name)).tobytes() == \
+                    np.asarray(getattr(b, name)).tobytes(), name
+
     def test_exhausted_budget(self, analytic_grid):
         ph = flat_phantom()
         grid = analytic_grid(ph, lo=(-0.004, -0.004), hi=(0.004, 0.004))
