@@ -24,8 +24,9 @@ budget = 40
 cfg = default_config("hemisphere", mode="discrete", budget=budget)
 phantom = Phantom(cfg.phantom, cfg.tumor)
 raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=1)
-grid = interpolate_grid(crop_roi(mesh_from_cloud(preprocess_cloud(raw)), cfg.roi),
-                        cfg.grid_dx, cfg.grid_dy)
+c = cfg.cloud
+clean = preprocess_cloud(raw, c.voxel, c.outlier_k, c.outlier_sigma)
+grid = interpolate_grid(crop_roi(mesh_from_cloud(clean), cfg.roi), cfg.grid_dx, cfg.grid_dy)
 
 for strategy in ("bo", "rs"):
     probes, _ = run_policy(phantom, grid, replace(cfg, strategy=strategy), seed=2)

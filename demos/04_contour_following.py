@@ -10,6 +10,7 @@ import numpy as np
 
 from palpsim import (
     CalibrationParams,
+    CloudParams,
     ControllerGains,
     Phantom,
     PhantomConfig,
@@ -29,8 +30,9 @@ from palpsim import (
 phantom = Phantom(PhantomConfig(), TumorGeometry("hemisphere"))
 roi = RoiBox((-0.02, -0.02), (0.02, 0.02))
 raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)), 3e6, 0.0005, seed=3)
-grid = interpolate_grid(crop_roi(mesh_from_cloud(preprocess_cloud(raw)), roi),
-                        0.002, 0.002)
+c = CloudParams()
+clean = preprocess_cloud(raw, c.voxel, c.outlier_k, c.outlier_sigma)
+grid = interpolate_grid(crop_roi(mesh_from_cloud(clean), roi), 0.002, 0.002)
 
 params, gains = ProbeParams(), ControllerGains()
 print(f"admissible interaction force bound: {admissible_force(gains):.1f} N")

@@ -359,14 +359,13 @@ def run_trial(cfg: ExperimentConfig, gt: PointCloud, trial: int,
 
     ``scenes`` maps a scene's inputs to the ``SurfaceGrid`` already built
     from them; a grid built here is added to it.  A scene that fails is not
-    kept, so it fails every trial that asks for it.  ``scenes`` also keeps the
-    ``probe_cell`` descents per scene, tumor, ``ProbeParams`` and ``gains.period``.
+    kept, so it fails every trial that asks for it.  ``scenes`` also keeps one
+    dict of descents per scene, under ``("descents", key)``, for ``run_policy``.
     """
     trial_seed = cfg.seed + trial
     out = TrialOutcome(index=trial, seed=trial_seed, status="ok")
     key = (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
-    descents = None if scenes is None else scenes.setdefault(
-        ("descents", key, cfg.tumor, cfg.probe, cfg.gains.period), {})
+    descents = None if scenes is None else scenes.setdefault(("descents", key), {})
     scenes = {} if scenes is None else scenes
     try:
         if key not in scenes:

@@ -4,6 +4,8 @@ oscillation until the inclusion's boundary with the muscle bed.
 
 The plant is a Cartesian point-mass probe stepped by semi-implicit
 Euler at the controller period; joint-space dynamics are out of scope.
+Only ``ProbePlant.align`` writes the plant: ``probe_cell`` returns its stop
+as ``ProbeResult.tip``, and ``contour_follow`` starts there, at rest.
 The probe descent is kinematic: numpy gives a window of steps' contact
 forces at a time, and the load cell reads only the steps whose force reaches
 ``ProbePlant.force_floor``, the only ones that can meet the force rule.
@@ -19,7 +21,7 @@ the step-by-step loops and the scalar contact law that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -90,14 +92,14 @@ class ProbeParams:
 class ProbeResult:
     cell: tuple[int, int]
     f_z: float                 # N, axial force at stop
-    d_z: float                 # m, |p_zf - p_zi|
+    d_z: float                 # m, |tip z - p_zi|
     k: float                   # N/m, f_z / d_z
     classified_tumor: bool
     p_zi: float                # m, probe z at first contact
-    p_zf: float                # m, probe z at stop
+    tip: tuple[float, float, float]  # m, tip centre at stop
     contact_point: np.ndarray  # tip contact point at stop
     normal: np.ndarray         # tip-axis alignment normal
-    f_vec: np.ndarray = field(default_factory=lambda: np.zeros(3))  # inertial
+    f_vec: np.ndarray          # N, calibrated force at stop, inertial
 
 
 @dataclass
@@ -149,9 +151,9 @@ def admissible_force(gains: ControllerGains) -> float:
 class ProbePlant:
     """Point-mass probe with a spherical tip and a simulated load cell.
 
-    Holds mutable Cartesian state plus the fixed tip orientation for the
-    current palpation.  The load cell sees the true contact force f plus
-    the tip weight w, in the body frame of the true orientation R_true;
+    Holds the aligned pose and tip orientation of the current palpation,
+    which only ``align`` writes.  The load cell sees the true contact force
+    f plus the tip weight w, in the body frame of the true orientation R_true;
     the calibration chain of ``calibration.py`` rotates back with the
     estimated orientation R_est and removes the weight.  With the
     orientation fixed per palpation that chain is the affine map
@@ -170,8 +172,6 @@ class ProbePlant:
 
     def __init__(self, phantom: Phantom, params: ProbeParams, cal: CalibrationParams):
         self.phantom, self.params, self.cal = phantom, params, cal
-        self.px = self.py = self.pz = 0.0
-        self.vx = self.vy = self.vz = 0.0
         self.align((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
 
     # -- pose / orientation --------------------------------------------------
@@ -181,7 +181,6 @@ class ProbePlant:
         set up the load-cell map for this orientation."""
         self.px, self.py, self.pz = (float(position[0]), float(position[1]),
                                      float(position[2]))
-        self.vx = self.vy = self.vz = 0.0
         n = math.sqrt(sum(float(a) ** 2 for a in axis))
         self.axis = (float(axis[0]) / n, float(axis[1]) / n, float(axis[2]) / n)
         self.euler = euler_from_axis(self.axis)
@@ -248,9 +247,9 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
 
     ``descents`` maps (cell, load-cell map bits) to the stop of each descent
     run on this grid with this plant's phantom and settings and ``gains.period``;
-    a hit skips the descent but not ``align``, which draws the angle noise and
+    a hit is ``align`` plus a lookup: ``align`` still draws the angle noise and
     sets the orientation the follow reads.  A descent that raises is not kept.
-    The plant is left pressed at the stop, for contour following to take over.
+    The stop is the result's ``tip``, where contour following starts.
     """
     params, r = plant.params, plant.params.tip_radius
     point, normal = cell_to_surface(grid, cell[0], cell[1])
@@ -264,8 +263,6 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
         if key is not None:
             descents[key] = stop
     px, py, pz, p_zi, f_axial, fx, fy, fz = stop
-    plant.px, plant.py, plant.pz = px, py, pz
-    plant.vx = plant.vy = plant.vz = 0.0
     d_z = abs(pz - p_zi)
     return ProbeResult(
         cell=(int(cell[0]), int(cell[1])),
@@ -274,7 +271,7 @@ def probe_cell(plant: ProbePlant, grid: SurfaceGrid, cell: tuple[int, int],
         k=f_axial / d_z if d_z > 0.0 else f_axial / (params.indent_speed * gains.period),
         classified_tumor=(f_axial > params.f_thres) and (d_z < params.d_thres),
         p_zi=p_zi,
-        p_zf=pz,
+        tip=(px, py, pz),
         contact_point=np.array([px - r * n[0], py - r * n[1], pz - r * n[2]]),
         normal=np.array(n),
         f_vec=np.array([fx, fy, fz]),
@@ -341,6 +338,8 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
     BOUNDARY_REACHED when the probe sinks past d_thres with the axial
     force below f_thres (checked every control step), TIMEOUT after
     cf_timeout, LOST_CONTACT after contact_loss_timeout out of contact.
+    Starts from ``start.tip`` at rest, with the load-cell map of the plant's
+    last ``align`` (the probe's), and writes nothing to the plant.
     """
     if not start.classified_tumor:
         raise OutOfRange("contour following requires a tumor-classified probe")
@@ -368,8 +367,8 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
     a0, a1, a2 = plant._axial
     w = plant._w
 
-    px, py, pz = plant.px, plant.py, plant.pz
-    vx, vy, vz = plant.vx, plant.vy, plant.vz
+    px, py, pz = start.tip
+    vx = vy = vz = 0.0
 
     # tip contact point, kept up to date with the position
     cx = px - tip_r * ax
@@ -491,8 +490,6 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
         if outcome is None and state == LATCHED and len(times) >= min_waypoints:
             outcome = BOUNDARY_REACHED
 
-    plant.px, plant.py, plant.pz = px, py, pz
-    plant.vx, plant.vy, plant.vz = vx, vy, vz
     return PalpationTrajectory(
         times=np.array(times),
         poses=np.array(poses),
@@ -511,10 +508,11 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, descents=Non
     Reads ``strategy``, ``mode``, ``budget``, ``probe``, ``gains``, ``cal``,
     ``hyper``, ``xi`` and ``n_init`` from ``cfg``, an ``ExperimentConfig``,
     which checked their rules when it was built.  Each selection counts once
-    against the budget, in one ``probe_cell`` call given ``descents``.
+    against the budget, in one ``probe_cell`` call.  ``descents`` (one per scene)
+    maps (phantom config, tumor, ``probe``, ``gains.period``) to their descent memo.
     Selection, stroke directions and angle noise draw from independent seeded
-    streams, so a discrete and a contour-following run with the same seed
-    probe identical cells with identical results, and can share ``descents``.
+    streams, so a discrete and a contour-following run with the same seed probe
+    identical cells with identical results, and can share a memo.
     """
     n_valid = int(grid.valid_mask.sum())
     if cfg.budget > n_valid:
@@ -523,6 +521,8 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, descents=Non
     rng_stroke = np.random.default_rng([int(seed), 1])
     rng_sense = np.random.default_rng([int(seed), 2])
     plant = ProbePlant(phantom, cfg.probe, cfg.cal)
+    memo = None if descents is None else descents.setdefault(
+        (phantom.cfg, phantom.tumor, cfg.probe, cfg.gains.period), {})
     free = grid.valid_mask.copy()  # valid cells not yet probed
     gp = GPModel(cfg.hyper) if cfg.strategy == BO else None  # gains one sample per probe
     best_k = -math.inf
@@ -534,7 +534,7 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, descents=Non
         else:
             cell = next_cell_random(grid, free, rng_select)
         free[cell] = False
-        res = probe_cell(plant, grid, cell, cfg.gains, rng_sense, descents)
+        res = probe_cell(plant, grid, cell, cfg.gains, rng_sense, memo)
         results.append(res)
         best_k = max(best_k, res.k)
         if gp is not None:

@@ -139,8 +139,8 @@ class SurfaceGrid:
                 + h01 * (1 - tx) * ty + h11 * tx * ty)
 
 
-def preprocess_cloud(raw: PointCloud, voxel: float = 0.002, outlier_k: int = 8,
-                     outlier_sigma: float = 2.0) -> PointCloud:
+def preprocess_cloud(raw: PointCloud, voxel: float, outlier_k: int,
+                     outlier_sigma: float) -> PointCloud:
     """Voxel-centroid downsampling followed by statistical outlier removal.
 
     Voxels are XY pillars: the cloud is a height field, and binning in z

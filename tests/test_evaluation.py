@@ -38,8 +38,9 @@ def fake_traj(poses, forces, outcome="timeout", normal=(0.0, 0.0, 1.0)):
 def fake_probe(point, classified=True):
     point = np.asarray(point, dtype=float)
     return ProbeResult(cell=(0, 0), f_z=6.0, d_z=0.01, k=600.0,
-                       classified_tumor=classified, p_zi=0.0, p_zf=-0.01,
-                       contact_point=point, normal=np.array([0.0, 0.0, 1.0]))
+                       classified_tumor=classified, p_zi=0.0,
+                       tip=(point[0], point[1], point[2] + 0.0025), contact_point=point,
+                       normal=np.array([0.0, 0.0, 1.0]), f_vec=np.zeros(3))
 
 
 def brute_force_fscore(recon, gt, r):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -224,6 +225,22 @@ class TestConfigFile:
         for key in NUMERIC:
             bound = owner_and_field(key)[1].metadata.get("bound")
             assert notes.get(key, []) == ([(bound[0], str(bound[1]))] if bound else []), key
+
+    def test_readme_key_block_notes_the_choices(self):
+        notes = {line.split("=", 1)[0].strip():
+                 [v.strip() for v in line.split("#", 1)[1].split("|")]
+                 for line in readme_key_block().splitlines() if "|" in line}
+        assert sorted(notes) == ["mode", "phantom.profile", "shape", "strategy"]
+        for key, listed in notes.items():
+            for value in listed:
+                assert config_to_flat(config_from_flat({key: value}))[key] == value
+            for value in ("other", *(v.upper() for v in listed)):
+                with pytest.raises(ConfigInvalid, match=f"'{value}'"):
+                    config_from_flat({key: value})
+        parser = argparse.ArgumentParser()
+        cli._add_common(parser)
+        flags = {a.dest: list(a.choices) for a in parser._actions if a.choices is not None}
+        assert flags == {key: notes[key] for key in ("shape", "strategy", "mode")}
 
     def test_values_cast_to_field_types(self):
         cfg = config_from_flat({"shape": "crescent", "budget": "17", "seed": "3"})
@@ -714,21 +731,21 @@ class TestSharedDescents:
         def probe(cell, draw, memo=descents):
             res = policy.probe_cell(plant, grid, cell, cfg.gains, np.random.default_rng(draw),
                                     memo)
-            return res, (plant.px, plant.py, plant.pz, plant.vx, plant.vy, plant.vz)
+            return res, repr(vars(plant))  # repr gives each float's exact bits
 
         with pytest.MonkeyPatch.context() as mp:
             count = _count_descents(mp)
-            want, stop = probe((10, 10), 0, None)
+            want, state = probe((10, 10), 0, None)
             assert want.classified_tumor and count[0] == 1
             first, _ = probe((10, 10), 0)
-            probe((10, 11), 0)  # moves the plant
+            probe((10, 11), 0)  # aligns the plant elsewhere
             for arr in (first.contact_point, first.normal, first.f_vec):
                 arr[:] = np.nan
             for _ in range(2):
-                hit, hit_stop = probe((10, 10), 0)
+                hit, hit_state = probe((10, 10), 0)
                 assert count[0] == 3 and len(descents) == 2
                 assert _probe_bytes(hit) == _probe_bytes(want)
-                assert np.array(hit_stop).tobytes() == np.array(stop).tobytes()
+                assert hit_state == state  # a hit leaves the plant as align does
                 hit.f_vec[0] = hit.contact_point[0] = hit.normal[0] = 1.0
             probe((10, 10), 1)  # another angle-noise draw is another load-cell map
             assert count[0] == 4 and len(descents) == 3
@@ -827,8 +844,8 @@ XYZ = st.lists(FINITE, min_size=3, max_size=3)
 def test_trajectory_lines_are_the_json_dumps_bytes(index, probes, waypoints, outcome, followed):
     """Each written line against ``json.dumps`` of its record; a follow
     whose start cell no probe holds is written with index -1."""
-    results = [ProbeResult((k, 0), 6.0, 0.01, 600.0, tumor, 0.0, 0.0, np.array(p), np.zeros(3),
-                           np.array(f)) for k, (p, f, tumor) in enumerate(probes)]
+    results = [ProbeResult((k, 0), 6.0, 0.01, 600.0, tumor, 0.0, (0.0,) * 3, np.array(p),
+                           np.zeros(3), np.array(f)) for k, (p, f, tumor) in enumerate(probes)]
     times, poses, forces = zip(*waypoints)
     traj = PalpationTrajectory(np.array(times), np.array(poses), np.array(forces), outcome,
                                (followed, 0), (1.0, 0.0), np.zeros(3))

@@ -1,7 +1,8 @@
 """No module of the package keeps an import that its code never names,
 no module-level private name or private attribute stored on ``self``
 goes unread across the package, every error class of ``errors.py`` is raised by some other module, and every
-parameter of every function is read in its body.
+parameter of every function is read in its body.  No module stores an
+attribute on a name ``plant``: only ``ProbePlant.align`` writes the plant.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public names.
@@ -169,3 +170,25 @@ def test_the_check_finds_an_unread_parameter():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_parameter_is_read(module):
     assert unread_parameters((PACKAGE / module).read_text()) == []
+
+
+def plant_attribute_stores(source: str) -> list[str]:
+    """``plant.<attr>`` for each attribute that ``source`` stores on a name
+    ``plant``: assignment targets, tuple targets and augmented assignments."""
+    return sorted(f"plant.{node.attr}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "plant")
+
+
+def test_the_check_finds_a_plant_attribute_store():
+    source = ("def f(plant, other, self):\n    plant.px = 1.0\n"
+              "    plant.py, [plant.pz, a] = 2, [3, 4]\n    plant.vx += 1.0\n"
+              "    plant.w: float = 0.0\n    other.px = plant.px\n"
+              "    self.vy = plant.vy\n    plant.axis[0] = 1.0\n")
+    assert plant_attribute_stores(source) == ["plant.px", "plant.py", "plant.pz", "plant.vx",
+                                              "plant.w"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_writes_a_plant_attribute(module):
+    assert plant_attribute_stores((PACKAGE / module).read_text()) == []

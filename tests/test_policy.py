@@ -6,9 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from test_equivalence import bits, reference_descent, reference_step
+from test_equivalence import bits, edge_grid, reference_descent, reference_step
 
 from palpsim import (
     CalibrationParams,
@@ -24,13 +24,14 @@ from palpsim import (
     flat_profile,
     impedance_force,
     min_jerk_offset,
+    policy,
     probe_cell,
     rotation_zyx,
     run_policy,
 )
 from palpsim.errors import Exhausted, NoContact, NumericalBlowup, OutOfRange
 from palpsim.policy import BOUNDARY_REACHED, TIMEOUT
-from palpsim.registration import SurfaceGrid
+from palpsim.registration import SurfaceGrid, cell_to_surface
 
 CFG400 = dict(k_skin=1200.0, k_fat=600.0, k_muscle=2500.0, k_tumor=20000.0)
 
@@ -394,6 +395,42 @@ def test_load_cell_map_is_the_sum_of_rotation_products(axis, angle_noise, noise)
     assert bits(plant._axial) == bits(row[2] for row in r_est)
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["hemisphere", "ellipsoid", "crescent"]),
+       x=st.floats(-0.015, 0.015), y=st.floats(-0.015, 0.015),
+       lift=st.sampled_from([0.0, 0.0, 0.03]),  # 30 mm over the skin: no contact
+       angle_noise=st.sampled_from([0.0, 0.02]), memo=st.sampled_from([None, "miss", "hit"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_only_align_writes_the_plant(shape, x, y, lift, angle_noise, memo, seed):
+    # the probe's stop reaches the follow through ProbeResult.tip, not the plant
+    ph = Phantom(PhantomConfig(), TumorGeometry(shape))
+    g = edge_grid(ph, x, y)
+    grid = SurfaceGrid(g.origin_xy, g.dx, g.dy, g.height + lift, g.normal, g.valid_mask)
+    params, gains = ProbeParams(), ControllerGains()
+    cal = CalibrationParams(angle_noise=angle_noise)
+    plant, twin = ProbePlant(ph, params, cal), ProbePlant(ph, params, cal)
+    point, normal = cell_to_surface(grid, 10, 10)
+    twin.align(point + (params.hover + params.tip_radius) * normal, tuple(normal),
+               np.random.default_rng(seed))
+    descents = None if memo is None else {}
+    res = None
+    with mock.patch.object(policy, "_descend", wraps=policy._descend) as descend:
+        for _ in range(2 if memo == "hit" else 1):
+            try:
+                res = probe_cell(plant, grid, (10, 10), gains, np.random.default_rng(seed),
+                                 descents)
+            except NoContact:
+                res = None
+    # a hit computes no descent; a descent that raises is not kept
+    assert descend.call_count == (2 if memo == "hit" and res is None else 1)
+    event("no contact" if res is None else f"memo {memo}")
+    assert repr(vars(plant)) == repr(vars(twin))  # repr gives each float's exact bits
+    if res is not None and res.classified_tumor:
+        event("followed")
+        contour_follow(plant, grid, res, gains, np.random.default_rng(seed))
+        assert repr(vars(plant)) == repr(vars(twin))
+
+
 class TestRunPolicy:
     def test_budget_and_modes(self, analytic_grid):
         ph = flat_phantom(TumorGeometry("hemisphere", radius=0.01))
@@ -421,7 +458,7 @@ class TestRunPolicy:
         assert len(trajs) >= 2 and none == [] and len(cf) == len(discrete) == 20
         for a, b in zip(cf, discrete):
             assert a.cell == b.cell
-            for name in ("f_z", "d_z", "k", "p_zi", "p_zf", "contact_point", "normal", "f_vec"):
+            for name in ("f_z", "d_z", "k", "p_zi", "tip", "contact_point", "normal", "f_vec"):
                 assert np.asarray(getattr(a, name)).tobytes() == \
                     np.asarray(getattr(b, name)).tobytes(), name
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial import Delaunay
 
 from palpsim import (
+    CloudParams,
     PointCloud,
     RoiBox,
     cell_to_surface,
@@ -23,6 +24,8 @@ from palpsim.errors import (
 )
 from palpsim.experiment import _ground_truth
 
+CLOUD = CloudParams()  # the run's defaults
+
 
 def lattice_cloud(n=40, extent=0.1, z_fn=lambda x, y: np.zeros_like(x)):
     xs = np.linspace(0.0, extent, n)
@@ -36,7 +39,7 @@ class TestPreprocess:
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(0, 0.1, 5000), rng.uniform(0, 0.1, 5000),
                                np.full(5000, 0.05)])
-        out = preprocess_cloud(PointCloud(pts), voxel=0.002)
+        out = preprocess_cloud(PointCloud(pts), 0.002, CLOUD.outlier_k, CLOUD.outlier_sigma)
         assert len(out) > 0
         assert np.allclose(out.points[:, 2], 0.05, atol=1e-12)
 
@@ -57,26 +60,27 @@ class TestPreprocess:
         # oracle: occupied XY voxel count from the same keying scheme
         keys = np.floor((pts[:, :2] - pts[:, :2].min(axis=0)) / voxel).astype(np.int64)
         occupied = np.unique(keys, axis=0).shape[0]
-        out = preprocess_cloud(PointCloud(pts), voxel=voxel, outlier_k=0)
+        out = preprocess_cloud(PointCloud(pts), voxel, 0, CLOUD.outlier_sigma)
         assert len(out) == occupied
         assert len(out) <= 2601
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyAfterFilter):
-            preprocess_cloud(PointCloud(np.zeros((0, 3))))
+            preprocess_cloud(PointCloud(np.zeros((0, 3))), CLOUD.voxel, CLOUD.outlier_k,
+                             CLOUD.outlier_sigma)
 
     @pytest.mark.parametrize("voxel", [1e-15, 5e-324])
     def test_voxel_key_overflow_is_out_of_range(self, voxel):
         """1e-15 m over 0.1 m gives 1e14 voxels per axis, whose product passes
         int64; the subnormal voxel makes the voxel index itself infinite."""
         with pytest.raises(OutOfRange, match=r"voxel .* cloud extent of \(0\.1, 0\.1\) m"):
-            preprocess_cloud(lattice_cloud(n=5), voxel=voxel, outlier_k=0)
+            preprocess_cloud(lattice_cloud(n=5), voxel, 0, CLOUD.outlier_sigma)
 
     def test_fine_voxel_keeps_every_point(self):
         """1e8 voxels per axis still fit the key: each point is its own voxel,
         in (x, y) order."""
         pts = np.random.default_rng(3).uniform(0.0, 0.1, (200, 3))
-        out = preprocess_cloud(PointCloud(pts), voxel=1e-9, outlier_k=0)
+        out = preprocess_cloud(PointCloud(pts), 1e-9, 0, CLOUD.outlier_sigma)
         assert out.points.tobytes() == pts[np.lexsort((pts[:, 1], pts[:, 0]))].tobytes()
 
 
