@@ -10,6 +10,7 @@ cloud (see palpsim.read_ply).
 import numpy as np
 
 from palpsim import (
+    CloudParams,
     Phantom,
     PhantomConfig,
     RoiBox,
@@ -28,7 +29,8 @@ raw = phantom.synth_depth_cloud(((-0.03, -0.03), (0.03, 0.03)),
                                 density=3e6, noise_sigma=0.0005, seed=42)
 print(f"raw scan: {len(raw)} points, noise sigma 0.5 mm")
 
-clean = preprocess_cloud(raw, voxel=0.002, outlier_k=8, outlier_sigma=2.0)
+c = CloudParams()
+clean = preprocess_cloud(raw, c.voxel, c.outlier_k, c.outlier_sigma)
 print(f"after voxel downsample + outlier removal: {len(clean)} points")
 
 mesh = mesh_from_cloud(clean)

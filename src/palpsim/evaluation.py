@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateCloud, Empty, EmptyCloud, EmptyReconstruction, OutOfRange
 from .phantom import PointCloud
 from .policy import PalpationTrajectory, ProbeParams, ProbeResult
-from .registration import SurfaceMesh, _vertex_normals, mesh_from_cloud
+from .registration import SurfaceMesh, mesh_from_cloud
 
 _DEDUP_RADIUS = 2e-4  # m, points closer than this collapse to one
 
@@ -108,7 +108,7 @@ def reconstruct_mesh(cloud: PointCloud) -> SurfaceMesh:
     simplices = simplices[(edges <= 3.0 * np.median(edges)).all(axis=1)]
     if simplices.shape[0] == 0:
         raise DegenerateCloud("all triangles dropped by the edge filter")
-    return SurfaceMesh(points, simplices, _vertex_normals(points, simplices))
+    return SurfaceMesh(points, simplices)
 
 
 def aggregate_trials(reports: list[FScoreReport]) -> tuple[float, float]:

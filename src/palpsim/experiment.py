@@ -528,12 +528,18 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
     first condition that needs it, and each probe descent once (see
     ``run_trial``): twins probe the same cells, and BO lands on cells random
     search probed.  The first condition makes ``out_dir``, before its first
-    trial.  Adds a pooled "combined" row per shape: all reconstruction
-    points from all that shape's trials scored against the ground truth once.
+    trial; each condition writes the subdirectory named after it, so with an
+    ``out_dir`` no two may share a name.  Adds a pooled "combined" row per
+    shape: all reconstruction points from all that shape's trials scored
+    against the ground truth once.
     """
     if not cfgs:
         raise Empty("no experiment configs given")
     out_path = Path(out_dir) if out_dir is not None else None
+    names = [cfg.condition for cfg in cfgs]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if out_path is not None and twice:
+        raise ConfigInvalid(f"condition names repeat: {twice}; each writes its own directory")
     scenes: dict = {}
     reports = [run_experiment(cfg, out_path / cfg.condition if out_path is not None else None,
                               verbose=verbose, scenes=scenes) for cfg in cfgs]

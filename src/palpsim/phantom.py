@@ -239,20 +239,12 @@ class TumorGeometry:
 
 @dataclass
 class PointCloud:
-    """3D points in meters with optional unit normals (same count)."""
+    """3D points in meters, one row each."""
 
     points: np.ndarray
-    normals: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-            if self.normals.shape[0] != self.points.shape[0]:
-                raise ConfigInvalid("normals count must match points count")
-            norms = np.linalg.norm(self.normals, axis=1)
-            if self.normals.shape[0] and np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ConfigInvalid("normals must be unit length within 1e-6")
 
     def __len__(self) -> int:
         return self.points.shape[0]

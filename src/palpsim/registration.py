@@ -30,16 +30,15 @@ from .phantom import PointCloud
 
 @dataclass
 class SurfaceMesh:
-    """Triangulated height-field surface with +z vertex normals."""
+    """Triangulated height-field surface: vertex positions and the
+    triangles over them.  ``export_mesh_ply`` derives its vertex normals."""
 
     vertices: np.ndarray       # (n, 3)
     triangles: np.ndarray      # (m, 3) int indices
-    vertex_normals: np.ndarray  # (n, 3) unit, nz > 0
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        self.vertex_normals = np.asarray(self.vertex_normals, dtype=float).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -181,27 +180,6 @@ def preprocess_cloud(raw: PointCloud, voxel: float, outlier_k: int,
     return PointCloud(pts)
 
 
-def _vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Area-weighted incident-triangle normals, flipped to the +z hemisphere."""
-    v0 = vertices[triangles[:, 0]]
-    v1 = vertices[triangles[:, 1]]
-    v2 = vertices[triangles[:, 2]]
-    cross = np.cross(v1 - v0, v2 - v0)  # magnitude = 2 * area
-    flip = cross[:, 2] < 0
-    cross[flip] *= -1.0
-    # each vertex sums its triangles' normals in corner-column order 0, 1, 2
-    corners = triangles.T.ravel()
-    acc = np.empty_like(vertices)
-    for c in range(3):
-        acc[:, c] = np.bincount(corners, weights=np.tile(cross[:, c], 3),
-                                minlength=vertices.shape[0])
-    norms = np.linalg.norm(acc, axis=1)
-    lonely = norms < 1e-300
-    acc[lonely] = (0.0, 0.0, 1.0)
-    norms[lonely] = 1.0
-    return acc / norms[:, None]
-
-
 def mesh_from_cloud(cloud: PointCloud) -> SurfaceMesh:
     """Delaunay-triangulate the XY projection and lift to 3D."""
     pts = cloud.points
@@ -223,7 +201,7 @@ def mesh_from_cloud(cloud: PointCloud) -> SurfaceMesh:
     simplices = simplices[area2 > 1e-14 * scale * scale]
     if simplices.shape[0] == 0:
         raise DegenerateCloud("all triangles degenerate")
-    return SurfaceMesh(pts, simplices, _vertex_normals(pts, simplices))
+    return SurfaceMesh(pts, simplices)
 
 
 def crop_roi(mesh: SurfaceMesh, roi: RoiBox) -> SurfaceMesh:
@@ -236,7 +214,7 @@ def crop_roi(mesh: SurfaceMesh, roi: RoiBox) -> SurfaceMesh:
     used = np.unique(tris)
     remap = np.full(mesh.vertices.shape[0], -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
-    return SurfaceMesh(mesh.vertices[used], remap[tris], mesh.vertex_normals[used])
+    return SurfaceMesh(mesh.vertices[used], remap[tris])
 
 
 def _masked_gradient(h: np.ndarray, step: float, axis: int) -> np.ndarray:

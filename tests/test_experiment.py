@@ -525,6 +525,28 @@ class TestRunMatrix:
         with pytest.raises(Exception):
             run_matrix([], None, verbose=False)
 
+    def test_a_shared_condition_name_is_rejected_before_any_trial(self, tmp_path):
+        cfg = small_config(strategy="rs", trials=1, budget=4)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigInvalid, match=r"names repeat: \['rs_cf_hemisphere'\]"):
+            run_matrix([cfg, replace(cfg, budget=6)], out, verbose=False)
+        assert not out.exists()  # the first condition makes it before its first trial
+
+    def test_vertex_normals_are_computed_once_per_written_mesh(self, tmp_path, monkeypatch):
+        count = [0]
+
+        def wrap(orig):
+            def counted(*a):
+                count[0] += 1
+                return orig(*a)
+            return counted
+
+        _wrap_everywhere(monkeypatch, "_vertex_normals", wrap, ply)
+        run_experiment(small_config(), None, verbose=False)
+        assert count == [0]
+        run_matrix(table1_matrix(seed=7, trials=2), tmp_path, verbose=False)
+        assert count == [len(list(tmp_path.rglob("recon_mesh_*.ply")))] == [16]
+
 
 def _scene_key(cfg, trial_seed):
     return (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
@@ -632,10 +654,10 @@ class TestSharedScene:
         assert len(scenes) == 2 and grids[0][0] is not grids[1][0]
 
 
-def _wrap_everywhere(mp, name, make) -> None:
-    """Wrap ``policy.<name>`` in every palpsim module that imported it, the way
+def _wrap_everywhere(mp, name, make, module=policy) -> None:
+    """Wrap ``module.<name>`` in every palpsim module that imported it, the way
     perfbench's ``Patches.function`` does."""
-    orig = getattr(policy, name)
+    orig = getattr(module, name)
     wrapped = make(orig)
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").partition(".")[0] == "palpsim"
@@ -875,8 +897,9 @@ def test_ply_row_blocks_are_the_format_bytes(rows, block, tmp_path_factory):
 XYZ_HEADER =(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
               b"property float y\nproperty float z\n")
 NAN_VERTEX = XYZ_HEADER + b"end_header\nnan 0 0\n"
-ZERO_NORMAL = (XYZ_HEADER + b"property float nx\nproperty float ny\nproperty float nz\n"
-               b"end_header\n1 2 3 0 0 0\n")
+# nine lines whose header promises 10**12 vertices
+HUGE_COUNT = XYZ_HEADER.replace(b"vertex 1\n", b"vertex 1000000000000\n") + \
+    b"end_header\n1 2 3\n4 5 6\n"
 
 
 class TestPly:
@@ -899,16 +922,15 @@ class TestPly:
         back = read_ply(path)
         assert np.allclose(back.points, pts, atol=1e-6)
 
-    def test_normals_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(0, 0.01, (50, 3))
-        normals = rng.normal(size=(50, 3))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    def test_normal_columns_are_checked_finite_then_ignored(self, tmp_path):
+        header = (XYZ_HEADER.replace(b"vertex 1\n", b"vertex 2\n")
+                  + b"property float nx\nproperty float ny\nproperty float nz\nend_header\n")
         path = tmp_path / "n.ply"
-        export_ply(PointCloud(pts, normals), path)
-        back = read_ply(path)
-        assert back.normals is not None
-        assert np.allclose(back.normals, normals, atol=1e-5)
+        path.write_bytes(header + b"1 2 3 0 0 1\n4 5 6 0 0 0\n")  # the second has zero length
+        assert read_ply(path).points.tolist() == [[1, 2, 3], [4, 5, 6]]
+        path.write_bytes(header + b"1 2 3 0 0 1\n4 5 6 0 inf 0\n")
+        with pytest.raises(MalformedPly, match="vertex 1 has a non-finite value"):
+            read_ply(path)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyCloud):
@@ -928,7 +950,9 @@ class TestPly:
          b"property float z\nend_header\n1 2 q\n", "could not convert"),
         (b"\x89PNG\r\n\x1a\n\xff\xfe", "codec can't decode"),
         (NAN_VERTEX, "vertex 0 has a non-finite value"),
-        (ZERO_NORMAL, "a vertex normal has zero length"),
+        (HUGE_COUNT, "vertex 2 has 0 values, expected 3"),
+        (XYZ_HEADER.replace(b"vertex 1\n", b"vertex -1\n") + b"end_header\n",
+         "negative vertex count -1"),
     ])
     def test_malformed_file_raises_malformed_ply(self, tmp_path, content, message):
         path = tmp_path / "bad.ply"
@@ -1120,7 +1144,7 @@ class TestCli:
 
     @pytest.mark.parametrize("content,message", [
         (NAN_VERTEX, "vertex 0 has a non-finite value"),
-        (ZERO_NORMAL, "a vertex normal has zero length"),
+        (HUGE_COUNT, "vertex 2 has 0 values, expected 3"),
     ])
     def test_eval_on_a_bad_vertex_is_one_error_line(self, tmp_path, capsys, content, message):
         bad, good = tmp_path / "bad.ply", tmp_path / "good.ply"

@@ -1,11 +1,14 @@
 """No module of the package keeps an import that its code never names,
 no module-level private name or private attribute stored on ``self``
-goes unread across the package, every error class of ``errors.py`` is raised by some other module, and every
-parameter of every function is read in its body.  No module stores an
-attribute on a name ``plant``: only ``ProbePlant.align`` writes the plant.
+goes unread across the package, every error class of ``errors.py`` is
+raised by some other module, and every parameter of every function is
+read in its body.  Every public function, method and property is named
+somewhere in the package or kept, with its reason, in ``UNNAMED_BUT_KEPT``.
+No module stores an attribute on a name ``plant``: only
+``ProbePlant.align`` writes the plant.
 
-``__init__.py`` is left out of the import check: its imports are the
-package's public names.
+``__init__.py`` is left out of the import and public-name checks: its
+imports are the package's public names.
 """
 
 import ast
@@ -192,3 +195,67 @@ def test_the_check_finds_a_plant_attribute_store():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_writes_a_plant_attribute(module):
     assert plant_attribute_stores((PACKAGE / module).read_text()) == []
+
+
+def unnamed_public_functions(sources: list[str]) -> list[str]:
+    """``name`` or ``Class.name`` for each public function, method and
+    property defined at module or class level in ``sources`` whose name no
+    expression in any of them reads, as a name or as an attribute."""
+    defined, read = [], set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not child.name.startswith("_")):
+                defined.append((f"{prefix}{child.name}", child.name))
+
+    for source in sources:
+        tree = ast.parse(source)
+        visit(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(qual for qual, name in defined if name not in read)
+
+
+# Public functions that no other code of the package names, and why each stays.
+_ACCEPTANCE = "tests/test_acceptance.py checks the paper's claims with it"
+_PERFBENCH = "perfbench times or counts it by name"
+_HELPER = "tests and demos build or check scenes with it"
+UNNAMED_BUT_KEPT = {
+    "gp_fit": _ACCEPTANCE,
+    "GPModel.predict_many": _ACCEPTANCE,
+    "impedance_force": _ACCEPTANCE,
+    "compensate_tip_weight": _ACCEPTANCE,
+    "table1_matrix": _ACCEPTANCE,
+    "PalpationTrajectory.terminal_xy": _ACCEPTANCE,
+    "PalpationTrajectory.duration": _ACCEPTANCE,
+    "Phantom.contact_force": _PERFBENCH,
+    "Phantom.surface_normal": _PERFBENCH,
+    "remove_z_offset": _PERFBENCH,
+    "Phantom.z_skin": _HELPER,
+    "Phantom.h_tumor": _HELPER,
+    "flat_profile": _HELPER,
+    "gauss_bump": _HELPER,
+    "_Triangulation.transform": "scipy's CloughTocher2DInterpolator reads it",
+}
+
+
+def test_the_check_finds_an_unnamed_public_function():
+    sources = ["def used():\n    def nested():\n        pass\n    return helper.run()\n"
+               "def unused():\n    pass\n"
+               "def _private():\n    pass\n"
+               "class K:\n    def run(self):\n        pass\n    @property\n"
+               "    def size(self):\n        return 1\n    def __len__(self):\n"
+               "        return 0\n    def stored(self):\n        self.stored = 1\n",
+               "from .m import used\nused()\n"]
+    assert unnamed_public_functions(sources) == ["K.size", "K.stored", "unused"]
+
+
+def test_every_public_function_is_named_in_the_package_or_kept_for_a_reason():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert unnamed_public_functions(sources) == sorted(UNNAMED_BUT_KEPT)
