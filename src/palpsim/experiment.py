@@ -178,9 +178,7 @@ def default_config(shape: str = TumorGeometry.shape, strategy: str = ExperimentC
 def matrix_configs(flat: dict) -> list[ExperimentConfig]:
     """Both strategies x both modes per shape, each condition built from the
     flat config keys ``flat``; a ``shape``, ``strategy`` or ``mode`` there
-    fixes that axis.  The conditions cannot share a ``label``."""
-    if flat.get("label"):
-        raise ConfigInvalid("matrix conditions cannot share one label")
+    fixes that axis."""
     shapes = [flat["shape"]] if "shape" in flat else [HEMISPHERE, CRESCENT]
     strategies = [flat["strategy"]] if "strategy" in flat else [RS, BO]
     modes = [flat["mode"]] if "mode" in flat else [CONTOUR_FOLLOWING, DISCRETE]
@@ -360,19 +358,20 @@ def run_trial(cfg: ExperimentConfig, gt: PointCloud, trial: int,
     ``scenes`` maps a scene's inputs to the ``SurfaceGrid`` already built
     from them; a grid built here is added to it.  A scene that fails is not
     kept, so it fails every trial that asks for it.  ``scenes`` also keeps one
-    dict of descents per scene, under ``("descents", key)``, for ``run_policy``.
+    memo per scene, under ``("memo", key)``, for ``run_policy``: its probe
+    descents and BO picks.
     """
     trial_seed = cfg.seed + trial
     out = TrialOutcome(index=trial, seed=trial_seed, status="ok")
     key = (cfg.phantom, cfg.cloud, cfg.roi, cfg.grid_dx, cfg.grid_dy, trial_seed)
-    descents = None if scenes is None else scenes.setdefault(("descents", key), {})
+    memo = None if scenes is None else scenes.setdefault(("memo", key), {})
     scenes = {} if scenes is None else scenes
     try:
         if key not in scenes:
             scenes[key] = _scene(*key)
         grid = scenes[key]
         out.probes, out.trajs = run_policy(Phantom(cfg.phantom, cfg.tumor), grid, cfg,
-                                           trial_seed, descents)
+                                           trial_seed, memo)
         recon = extract_contact_points(out.trajs, out.probes, cfg.probe)
         out.recon_points = recon.points
         out.report = fscore(recon, gt, cfg.r_eval)
@@ -520,17 +519,19 @@ def run_matrix(cfgs: list[ExperimentConfig], out_dir=None,
                verbose: bool = True) -> MatrixReport:
     """Run every condition and emit one summary table.
 
-    Each trial's scene (scan and registration, see ``_scene``) is built
-    once per call and shared by every condition with the same phantom,
-    cloud, ROI and grid steps: the scan never sees the tumor, so the
-    shapes and the strategy x mode conditions of a trial index palpate
-    one grid.  Each ground truth is sampled once per call too, at the
-    first condition that needs it, and each probe descent once (see
-    ``run_trial``): twins probe the same cells, and BO lands on cells random
-    search probed.  The first condition makes ``out_dir``, before its first
-    trial; each condition writes the subdirectory named after it, so with an
-    ``out_dir`` no two may share a name.  Adds a pooled "combined" row per
-    shape: all reconstruction points from all that shape's trials scored
+    One call shares, between the conditions that read the same inputs:
+    scenes, ground truths, probe descents and BO picks.  Each trial's scene
+    (scan and registration, see ``_scene``) is built once and shared by every
+    condition with the same phantom, cloud, ROI and grid steps: the scan never
+    sees the tumor, so the shapes and the strategy x mode conditions of a trial
+    index palpate one grid.  Each ground truth is sampled once, at the first
+    condition that needs it.  Per scene, each probe descent is computed once
+    and each BO pick's posterior scanned once (see ``run_trial``): twins probe
+    the same cells, so the second of a BO pair scans nothing, and BO lands on
+    cells random search probed.  The first condition makes ``out_dir``, before
+    its first trial; each condition writes the subdirectory named after it, so
+    with an ``out_dir`` no two may share a name.  Adds a pooled "combined" row
+    per shape: all reconstruction points from all that shape's trials scored
     against the ground truth once.
     """
     if not cfgs:

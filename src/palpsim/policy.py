@@ -501,18 +501,19 @@ def contour_follow(plant: ProbePlant, grid: SurfaceGrid, start: ProbeResult,
     )
 
 
-def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, descents=None
+def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, memo=None
                ) -> tuple[list[ProbeResult], list[PalpationTrajectory]]:
     """Full palpation loop: select cell, probe, grow the GP, optionally follow.
 
     Reads ``strategy``, ``mode``, ``budget``, ``probe``, ``gains``, ``cal``,
     ``hyper``, ``xi`` and ``n_init`` from ``cfg``, an ``ExperimentConfig``,
     which checked their rules when it was built.  Each selection counts once
-    against the budget, in one ``probe_cell`` call.  ``descents`` (one per scene)
-    maps (phantom config, tumor, ``probe``, ``gains.period``) to their descent memo.
-    Selection, stroke directions and angle noise draw from independent seeded
-    streams, so a discrete and a contour-following run with the same seed probe
-    identical cells with identical results, and can share a memo.
+    against the budget, in one ``probe_cell`` call.  ``memo`` (one per scene)
+    maps (phantom config, tumor, ``probe``, ``gains.period``) to their descent memo,
+    and ``"picks"`` to the BO pick memo of ``next_cell_bo``.  Selection, stroke
+    directions and angle noise draw from independent seeded streams, so a discrete
+    and a contour-following run with the same seed probe identical cells with
+    identical results, and the second computes no descent and scans no posterior.
     """
     n_valid = int(grid.valid_mask.sum())
     if cfg.budget > n_valid:
@@ -521,8 +522,9 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, descents=Non
     rng_stroke = np.random.default_rng([int(seed), 1])
     rng_sense = np.random.default_rng([int(seed), 2])
     plant = ProbePlant(phantom, cfg.probe, cfg.cal)
-    memo = None if descents is None else descents.setdefault(
+    descents = None if memo is None else memo.setdefault(
         (phantom.cfg, phantom.tumor, cfg.probe, cfg.gains.period), {})
+    picks = None if memo is None else memo.setdefault("picks", {})
     free = grid.valid_mask.copy()  # valid cells not yet probed
     gp = GPModel(cfg.hyper) if cfg.strategy == BO else None  # gains one sample per probe
     best_k = -math.inf
@@ -530,11 +532,11 @@ def run_policy(phantom: Phantom, grid: SurfaceGrid, cfg, seed: int, descents=Non
     trajectories: list[PalpationTrajectory] = []
     for i in range(cfg.budget):
         if gp is not None and i >= cfg.n_init:
-            cell = next_cell_bo(gp, grid, free, Acquisition(cfg.xi, best_k), rng_select)
+            cell = next_cell_bo(gp, grid, free, Acquisition(cfg.xi, best_k), rng_select, picks)
         else:
             cell = next_cell_random(grid, free, rng_select)
         free[cell] = False
-        res = probe_cell(plant, grid, cell, cfg.gains, rng_sense, memo)
+        res = probe_cell(plant, grid, cell, cfg.gains, rng_sense, descents)
         results.append(res)
         best_k = max(best_k, res.k)
         if gp is not None:

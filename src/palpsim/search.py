@@ -12,6 +12,8 @@ the grid it last scanned, a row of ``L⁻¹ K(x, valid cells)``.  A scan
 after a new sample costs one kernel column and one O(n·m) product.  Its
 two triangular solves call LAPACK's ``trtrs`` as ``solve_triangular``
 does, but directly: the wrapper took 9-19 µs for a 1-2 µs solve.
+A caller that repeats a search can hand ``next_cell_bo`` a pick memo, so
+a repeated pick draws among known ties without a scan.
 
 The scan's two row products stay under OpenBLAS's gemv threading cutoff
 (``_vecmat``).  A threaded product wakes a helper thread that spins for
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -77,7 +80,9 @@ class GPModel:
     ``μ = ȳ + (L⁻¹(y − ȳ))·(L⁻¹kₛ)``.  Both predictions build
     ``V = L⁻¹ K(x, cells)`` row by row in ``_posterior``; ``predict_grid``
     keeps ``V`` and the column sums of ``V²`` for the last grid it scanned
-    and appends one row of each per new sample.  The products with ``V``
+    and appends one row of each per new sample; rows left unbuilt (a pick
+    memo hit in ``next_cell_bo`` scans nothing) are built by the next scan,
+    by the same recurrence, so they get the same bits.  The products with ``V``
     go through ``_vecmat``, so they run on the calling thread and give the
     same bits on any core count.  ``_solve_lower`` calls LAPACK directly.
     """
@@ -248,12 +253,16 @@ def _nth_cell(free: np.ndarray, k: int) -> tuple[int, int]:
 
 
 def next_cell_bo(gp: GPModel, grid: SurfaceGrid, free: np.ndarray, acq: Acquisition,
-                 rng: np.random.Generator) -> tuple[int, int]:
+                 rng: np.random.Generator, picks: Optional[dict] = None) -> tuple[int, int]:
     """Argmax of EI over the valid cells that are set in ``free`` (a bool
     mask of the grid's shape); ties broken uniformly.
 
     The posterior comes from ``gp.predict_grid(grid)``, so repeated calls
     on one grid extend the model's scan cache instead of rebuilding it.
+    ``picks`` maps everything a pick reads (the grid, ``gp.hyper``, the bytes
+    of ``gp.x``, ``gp.y``, ``free`` and ``acq``'s floats) to the cells that tie
+    for the maximum, in row-major order; a hit skips the scan and draws the
+    tie as a miss does.  A call that raises stores nothing.
     """
     if gp.n < 2:
         raise OutOfRange(f"BO needs a GP with at least 2 sampled cells, got {gp.n}")
@@ -261,10 +270,17 @@ def next_cell_bo(gp: GPModel, grid: SurfaceGrid, free: np.ndarray, acq: Acquisit
     keep = free[grid.valid_mask]  # candidates among the valid cells, row-major
     if not keep.any():
         raise Exhausted("no free valid cell")
-    mu, var = gp.predict_grid(grid)
-    ei = _ei(mu[keep], np.sqrt(var[keep]), acq.best_k, acq.xi)
-    ties = np.flatnonzero(ei == ei.max())
-    return _nth_cell(free, ties[rng.integers(ties.size)])
+    key = None if picks is None else (grid, gp.hyper, gp.x.tobytes(), gp.y.tobytes(),
+                                      free.tobytes(), np.array([acq.xi, acq.best_k]).tobytes())
+    ties = None if key is None else picks.get(key)
+    if ties is None:
+        mu, var = gp.predict_grid(grid)
+        ei = _ei(mu[keep], np.sqrt(var[keep]), acq.best_k, acq.xi)
+        cols = free.shape[1]
+        ties = tuple(divmod(k, cols) for k in np.flatnonzero(free)[ei == ei.max()].tolist())
+        if key is not None:
+            picks[key] = ties
+    return ties[rng.integers(len(ties))]
 
 
 def next_cell_random(grid: SurfaceGrid, free: np.ndarray,

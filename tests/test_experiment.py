@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args, get_origin, get_type_hints
 from unittest import mock
 
@@ -21,6 +22,7 @@ from palpsim import (
     ControllerGains,
     ExperimentConfig,
     GPHyper,
+    GPModel,
     PalpationTrajectory,
     Phantom,
     PhantomConfig,
@@ -49,8 +51,9 @@ from palpsim.experiment import (
     _write_config_echo,
     _write_trajectories,
     config_to_flat,
+    matrix_configs,
 )
-from palpsim import cli, experiment, ply, policy
+from palpsim import cli, experiment, ply, policy, search
 from palpsim.cli import main as cli_main
 from palpsim.errors import (
     ConfigInvalid,
@@ -677,6 +680,18 @@ def _count_descents(mp) -> list[int]:
     return count
 
 
+def _count_scans(mp) -> list[int]:
+    """A one-item list that counts the posterior scans ``next_cell_bo`` makes."""
+    count, predict_grid = [0], GPModel.predict_grid
+
+    def counted(gp, grid):
+        count[0] += 1
+        return predict_grid(gp, grid)
+
+    mp.setattr(GPModel, "predict_grid", counted)
+    return count
+
+
 def _probe_bytes(res) -> dict:
     return {name: np.asarray(value).tobytes() for name, value in vars(res).items()}
 
@@ -692,15 +707,29 @@ def _trial_bytes(t: TrialOutcome) -> tuple:
             None if rep is None else np.array([rep.precision, rep.recall, rep.fscore]).tobytes())
 
 
+def _shared_and_alone(cfgs, mp) -> tuple:
+    """``run_matrix(cfgs)`` and each condition run alone, with the descents
+    computed and the posteriors scanned by each."""
+    descents, scans = _count_descents(mp), _count_scans(mp)
+    rep = run_matrix(cfgs, None, verbose=False)
+    shared = descents[0], scans[0]
+    descents[0] = scans[0] = 0
+    alone = [run_experiment(cfg, None, verbose=False) for cfg in cfgs]
+    return rep, shared, alone, (descents[0], scans[0])
+
+
 class TestSharedDescents:
-    """``run_matrix`` computes each probe descent once per call, while every
-    budgeted probe is still one ``probe_cell`` call inside one ``run_policy``
-    call per trial: perfbench times each palpation between those two calls."""
+    """``run_matrix`` computes each probe descent and scans each BO posterior
+    once per call, while every budgeted probe is still one ``probe_cell`` call
+    and every BO pick one ``next_cell_bo`` call inside one ``run_policy`` call
+    per trial: perfbench times each palpation between those calls, and the GP
+    search inside ``next_cell_bo``."""
 
     @pytest.fixture(scope="class")
     def matrix(self):
         cfgs = table1_matrix(seed=7, trials=2)
         calls = []  # [trial of the run_policy call, probe_cell calls inside it]
+        picks = []  # (samples in the GP, probed valid cells by the free mask) per BO pick
 
         def wrap_policy(orig):
             def run_policy(phantom, grid, cfg, seed, *a, **k):
@@ -714,25 +743,38 @@ class TestSharedDescents:
                 return orig(*a, **k)
             return probe_cell
 
+        def wrap_bo(orig):
+            def next_cell_bo(*a, **k):  # perfbench reads the free mask as a[2]
+                mask = a[1].valid_mask
+                picks.append((a[0].n, int(mask.sum() - (a[2] & mask).sum())))
+                return orig(*a, **k)
+            return next_cell_bo
+
         with pytest.MonkeyPatch.context() as mp:
             _wrap_everywhere(mp, "run_policy", wrap_policy)
             _wrap_everywhere(mp, "probe_cell", wrap_probe)
-            shared = _count_descents(mp)
-            rep = run_matrix(cfgs, None, verbose=False)
-        with pytest.MonkeyPatch.context() as mp:
-            fresh = _count_descents(mp)
-            alone = [run_experiment(cfg, None, verbose=False) for cfg in cfgs]
-        return cfgs, rep, calls, shared[0], alone, fresh[0]
+            _wrap_everywhere(mp, "next_cell_bo", wrap_bo, search)
+            rep, shared, alone, fresh = _shared_and_alone(cfgs, mp)
+        # the first half of each record is the matrix's, the second the conditions' alone
+        return SimpleNamespace(cfgs=cfgs, rep=rep, shared=shared, alone=alone, fresh=fresh,
+                               calls=calls[:len(calls) // 2], fresh_calls=calls[len(calls) // 2:],
+                               picks=picks[:len(picks) // 2], fresh_picks=picks[len(picks) // 2:])
 
     def test_every_budgeted_probe_is_one_probe_cell_call(self, matrix):
-        cfgs, _, calls, _, _, _ = matrix
-        assert calls == [[(cfg.condition, cfg.seed + i), cfg.budget]
-                         for cfg in cfgs for i in range(cfg.trials)]
+        assert matrix.calls == matrix.fresh_calls == [
+            [(cfg.condition, cfg.seed + i), cfg.budget]
+            for cfg in matrix.cfgs for i in range(cfg.trials)]
+
+    def test_every_bo_pick_is_one_next_cell_bo_call_given_the_free_mask(self, matrix):
+        # 2 trials x 2 modes x (47 + 77) picks after n_init = 3; the free mask,
+        # the third positional argument, clears each cell the GP sampled
+        assert len(matrix.picks) == len(matrix.fresh_picks) == 2 * 2 * (47 + 77)
+        assert all(n == probed for n, probed in matrix.picks)
+        assert matrix.picks == matrix.fresh_picks
 
     def test_shared_descents_give_the_bytes_of_fresh_ones(self, matrix):
-        _, rep, _, _, alone, _ = matrix
-        assert [t.status for c in rep.conditions for t in c.trials] == ["ok"] * 16
-        for shared, fresh in zip(rep.conditions, alone, strict=True):
+        assert [t.status for c in matrix.rep.conditions for t in c.trials] == ["ok"] * 16
+        for shared, fresh in zip(matrix.rep.conditions, matrix.alone, strict=True):
             assert [_trial_bytes(t) for t in shared.trials] == \
                 [_trial_bytes(t) for t in fresh.trials]
             assert (shared.mean_f, shared.max_f) == (fresh.mean_f, fresh.max_f)
@@ -740,9 +782,24 @@ class TestSharedDescents:
     def test_each_descent_is_computed_once_per_call(self, matrix):
         # seed 7: 1,040 probes (2 trials x 4 conditions x budgets 50 and 80)
         # in 450 distinct descents; alone, each condition computes all of its own
-        cfgs, _, calls, shared, _, fresh = matrix
-        assert sum(n for _, n in calls) == fresh == 1040
-        assert shared == 450
+        assert sum(n for _, n in matrix.calls) == matrix.fresh[0] == 1040
+        assert matrix.shared[0] == 450
+
+    def test_each_bo_posterior_is_scanned_once_per_call(self, matrix):
+        # seed 7: the bo_discrete twin reuses every pick of bo_cf, which runs first
+        assert matrix.fresh[1] == 496
+        assert matrix.shared[1] == 236
+
+    def test_shared_memos_give_the_bytes_of_fresh_ones_under_sensing_faults(self, monkeypatch):
+        # each probe's k carries its angle-noise draw, which both twins draw alike
+        cfgs = matrix_configs({"seed": 7, "shape": "hemisphere", "trials": 1, "budget": 12,
+                               "cal.angle_noise": 0.02,
+                               "probe.gravity_residual": [0.01, 0.0, 0.02]})
+        rep, shared, alone, fresh = _shared_and_alone(cfgs, monkeypatch)
+        assert [t.status for c in rep.conditions for t in c.trials] == ["ok"] * 4
+        for s, f in zip(rep.conditions, alone, strict=True):
+            assert [_trial_bytes(t) for t in s.trials] == [_trial_bytes(t) for t in f.trials]
+        assert (shared[1], fresh[1]) == (9, 18)  # 9 BO picks per trial after n_init = 3
 
     def test_a_hit_gives_the_computed_floats_in_fresh_arrays(self, analytic_grid):
         cfg = small_config(cal=CalibrationParams(angle_noise=0.02))
@@ -1077,8 +1134,8 @@ class TestCli:
         cfg_file.write_text('label = "mine"\n')
         assert cli_main(["matrix", "--config", str(cfg_file),
                          "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == \
-            "palpsim: error: ConfigInvalid: matrix conditions cannot share one label\n"
+        assert capsys.readouterr().err == ("palpsim: error: ConfigInvalid: condition names "
+                                           "repeat: ['mine']; each writes its own directory\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,message", [

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,95 @@ class TestNextCellBO:
         with pytest.raises(OutOfRange):
             next_cell_bo(gp, grid, free_of(grid, []), Acquisition(0.0, 100.0),
                          np.random.default_rng(0))
+
+
+class TestPickMemo:
+    """``next_cell_bo(..., picks)``: a hit is a miss without the scan."""
+
+    @staticmethod
+    def _scans(monkeypatch) -> list[int]:
+        count, predict_grid = [0], GPModel.predict_grid
+
+        def counted(gp, grid):
+            count[0] += 1
+            return predict_grid(gp, grid)
+
+        monkeypatch.setattr(GPModel, "predict_grid", counted)
+        return count
+
+    @staticmethod
+    def _case(kind):
+        """Samples, hyperparameters and acquisition of a GP on which every cell
+        ties (``flat_gp``) or one cell holds the EI maximum."""
+        if kind == "flat":
+            return ([StiffnessSample((1000, 1000), 300.0), StiffnessSample((1000, 1010), 500.0)],
+                    GPHyper(), Acquisition(0.0, 500.0))
+        samples = TestNextCellBO._samples(np.random.default_rng(6))
+        return samples, TestNextCellBO.HYPER, Acquisition(2.0, max(s.k for s in samples))
+
+    @pytest.mark.parametrize("kind", ["flat", "peaked"])
+    def test_a_hit_is_the_miss_without_the_scan(self, monkeypatch, kind):
+        samples, hyper, acq = self._case(kind)
+        grid = make_grid()
+        free = free_of(grid, [s.cell for s in samples])
+        scans, picks = self._scans(monkeypatch), {}
+        for seed in range(5):
+            want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            gp_want, gp = gp_fit(samples, hyper), gp_fit(samples, hyper)
+            want = next_cell_bo(gp_want, grid, free, acq, want_rng)
+            assert next_cell_bo(gp, grid, free, acq, rng, picks) == want
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert scans[0] == 5 + 1 and len(picks) == 1  # only the first memo call scans
+        ties, = picks.values()
+        assert ties == (tuple(map(tuple, np.argwhere(free).tolist())) if kind == "flat"
+                        else (want,))
+        # the hit left V unbuilt; the next scan builds it with the same bits
+        for model in (gp_want, gp):
+            model.add(StiffnessSample(want, 450.0))
+        assert gp_state(gp, grid) == gp_state(gp_want, grid)
+
+    @pytest.mark.parametrize("change",
+                             ["none", "grid", "hyper", "xi", "best_k", "x", "y", "free"])
+    def test_a_change_to_an_input_of_the_pick_is_a_miss(self, monkeypatch, change):
+        samples, hyper, acq = self._case("peaked")
+        grid = make_grid()
+        free = free_of(grid, [s.cell for s in samples])
+        picks = {}
+        next_cell_bo(gp_fit(samples, hyper), grid, free, acq, np.random.default_rng(0), picks)
+
+        def up(x):  # the next float, one bit apart
+            return math.nextafter(x, math.inf)
+
+        if change == "grid":
+            grid = make_grid()  # equal content, another grid
+        elif change == "hyper":
+            hyper = replace(hyper, length_scale=up(hyper.length_scale))
+        elif change == "xi":
+            acq = Acquisition(up(acq.xi), acq.best_k)
+        elif change == "best_k":
+            acq = Acquisition(acq.xi, up(acq.best_k))
+        elif change == "x":
+            moved = tuple(np.argwhere(free)[0].tolist())  # y and free as they were
+            samples = [replace(samples[0], cell=moved), *samples[1:]]
+        elif change == "y":
+            samples = [replace(samples[0], k=up(samples[0].k)), *samples[1:]]
+        elif change == "free":
+            free = free.copy()
+            free[tuple(np.argwhere(free)[-1])] = False
+        scans = self._scans(monkeypatch)
+        next_cell_bo(gp_fit(samples, hyper), grid, free, acq, np.random.default_rng(0), picks)
+        assert (scans[0], len(picks)) == ((0, 1) if change == "none" else (1, 2))
+
+    def test_a_call_that_raises_stores_nothing(self):
+        grid, picks, acq = make_grid(4, 4), {}, Acquisition(0.0, 100.0)
+        one = gp_fit([StiffnessSample((0, 0), 100.0)])
+        two = gp_fit([StiffnessSample((0, 0), 100.0), StiffnessSample((3, 3), 200.0)])
+        for gp, free, error in [(one, free_of(grid, []), OutOfRange),
+                                (two, np.zeros((4, 4), dtype=bool), Exhausted),
+                                (two, np.ones((3, 3), dtype=bool), InvalidCell)]:
+            with pytest.raises(error):
+                next_cell_bo(gp, grid, free, acq, np.random.default_rng(0), picks)
+        assert picks == {}
 
 
 class TestNextCellRandom:
